@@ -144,11 +144,11 @@ type Options struct {
 	// (a zero Params is never valid on its own, so this is unambiguous —
 	// see core.Params.IsZero).
 	Params core.Params
-	// Shards routes the decomposition stage through the partitioned
-	// substrate: the graph splits into this many contiguous vertex slices
-	// with explicit boundary exchanges between sketch waves. 0 or 1 keeps
-	// the single-address-space path; the coloring and charged rounds are
-	// byte-identical either way. Overrides Params.Shards when positive.
+	// Shards is the number of contiguous vertex slices the decomposition
+	// stage partitions the graph into, with explicit boundary exchanges
+	// between sketch waves. 0 or 1 runs one slice that shares the graph's
+	// memory and exchanges nothing. The coloring and charged rounds are
+	// byte-identical at every count. Overrides Params.Shards when positive.
 	Shards int
 	// Seed drives all randomness (expansion and algorithm). It always
 	// takes effect — 0 is a valid explicit seed, not "unset" — and

@@ -5,16 +5,19 @@
 // and a further fingerprint wave estimates external degrees to classify
 // cabals (Section 4.1).
 //
-// The decomposition is the pipeline's first stage and runs arena-backed and
-// parallel on the generic mergeable-sketch engine of internal/sketch: sample
-// and sketch rows live in the workspace's sketch.Engine arenas generated
-// from per-vertex parwork.RowSeed streams, the waves fold over the CSR graph
-// across the worker pool (the max kernel's merge is commutative and
-// idempotent, so every parallelism level produces byte-identical output),
-// and the buddy predicate is evaluated exactly once per edge into a packed
-// CSR-slot bitmap that the dense classification, the component BFS, and
-// downstream consumers all read for free. A Workspace owns the reusable
-// engine so repeated decompositions allocate O(1) objects regardless of n.
+// The decomposition is the pipeline's first stage and has one
+// implementation, on the partitioned substrate of internal/shard: sample and
+// sketch rows live in per-slice arenas generated from per-vertex
+// parwork.RowSeed streams, the waves fold over each slice's local CSR on the
+// slice's worker-pool share (the max kernel's merge is commutative and
+// idempotent, so every shard count and parallelism level produces
+// byte-identical output), and the buddy predicate is memoized into a packed
+// bitmap keyed by local directed slots that the dense classification, the
+// component labelling, and the second wave all read for free. The unsharded
+// entry points (Compute, ComputeWith, BuildProfile, BuildProfileWith) run
+// the one-slice partition, whose local CSR is the caller's graph. A
+// Workspace owns the reusable buffers so repeated decompositions allocate
+// O(1) objects regardless of n.
 //
 // An exact (centralized) reference decomposition is provided for testing and
 // for experiments that need ground truth.
@@ -24,12 +27,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/parwork"
+	"clustercolor/internal/shard"
 	"clustercolor/internal/sketch"
 )
 
@@ -61,16 +64,17 @@ func Sparsity(g *graph.Graph, v int) float64 {
 	return (delta*(delta-1)/2 - shared/2) / delta
 }
 
-// Workspace owns the reusable scratch of the decomposition waves: the
-// sketch-engine handle whose arenas back Compute's two waves and
-// BuildProfile's external-degree wave (each wave refills them from an
-// independent seed, so the lemmas' independence requirements hold), the
+// Workspace owns the reusable scratch of the decomposition: the one-slice
+// engine the unsharded entry points run on (its arenas back Compute's two
+// waves and BuildProfile's external-degree wave; each wave refills them from
+// an independent seed, so the lemmas' independence requirements hold), the
 // per-vertex estimate buffers, the packed buddy-edge bitmap, and the
-// component-BFS queue. One Workspace serves one decomposition at a time;
-// reusing it across calls (core does, per Color run) keeps allocation counts
-// independent of n.
+// component-labelling buffers. One Workspace serves one decomposition at a
+// time; reusing it across calls (core does, per Color run) keeps allocation
+// counts independent of n.
 type Workspace struct {
-	eng      sketch.Engine[int8]
+	one      *shard.Engine[int8]
+	onePar   int // the parallelism one's pool was split from
 	deg      []float64
 	count    []float64
 	dense    []bool
@@ -80,24 +84,31 @@ type Workspace struct {
 	next     []int32
 }
 
-// NewWorkspace returns an empty workspace; buffers grow on first use. The
-// engine runs the max kernel — the kernel the paper's lemmas are stated for.
-func NewWorkspace() *Workspace {
-	return &Workspace{eng: sketch.Engine[int8]{Kernel: sketch.MaxKernel{}}}
-}
+// NewWorkspace returns an empty workspace; buffers grow on first use.
+func NewWorkspace() *Workspace { return &Workspace{} }
 
-// engine returns the workspace's sketch engine, defaulting the kernel for
-// zero-value workspaces constructed without NewWorkspace.
-func (ws *Workspace) engine() *sketch.Engine[int8] {
-	if ws.eng.Kernel == nil {
-		ws.eng.Kernel = sketch.MaxKernel{}
+// unsharded returns the workspace's one-slice engine over g, rebuilding it
+// when g or the parallelism budget changes. The slice aliases g, so the
+// engine adds only its arenas. One slice has no boundary, so the exchange
+// bookkeeping is dropped per call rather than left to grow.
+func (ws *Workspace) unsharded(g *graph.Graph) (*shard.Engine[int8], error) {
+	if g == nil {
+		return nil, fmt.Errorf("acd: the unsharded decomposition requires a materialized cluster graph")
 	}
-	return &ws.eng
+	if par := parwork.Parallelism(); ws.one == nil || ws.one.SG.G != g || ws.onePar != par {
+		sg, err := graph.NewShardedGraph(g, 1)
+		if err != nil {
+			return nil, err
+		}
+		ws.one, ws.onePar = shard.NewEngine(sg, sketch.MaxKernel{}), par
+	}
+	ws.one.ResetStats()
+	return ws.one, nil
 }
 
-func growFloats(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -129,13 +140,13 @@ func Exact(g *graph.Graph, eps float64) (*Decomposition, error) {
 	for v := 0; v < g.N(); v++ {
 		dense[v] = float64(buddyDeg[v]) >= (1-2*xi)*float64(delta)
 	}
-	return assemble(g, eps, dense, func(v, u, slot int) bool { return isBuddy(v, u) }, nil)
+	return assemble(g, eps, dense, isBuddy)
 }
 
 // assemble groups dense vertices into almost-cliques via connected
-// components of the buddy graph restricted to dense vertices. isBuddy
-// receives the CSR slot of the directed edge (v, u) so memoized callers
-// answer in O(1).
+// components of the buddy graph restricted to dense vertices, walking the
+// global CSR — the reference assembly Exact runs; the distributed
+// decomposition walks its slices instead (assembleSlices).
 //
 // Components are labeled by deterministic parallel min-label propagation
 // with pointer jumping: every pass recomputes labels from an immutable
@@ -147,9 +158,9 @@ func Exact(g *graph.Graph, eps float64) (*Decomposition, error) {
 // paths, though the diameter-2 components of Proposition 4.3 converge in a
 // couple of passes. Cliques are indexed by ascending minimum member (the
 // same order the serial BFS produced) with members ascending.
-func assemble(g *graph.Graph, eps float64, dense []bool, isBuddy func(v, u, slot int) bool, ws *Workspace) (*Decomposition, error) {
+func assemble(g *graph.Graph, eps float64, dense []bool, isBuddy func(v, u int) bool) (*Decomposition, error) {
 	n := g.N()
-	return assembleFrom(n, eps, dense, ws, func(label, next []int32) (bool, error) {
+	return assembleFrom(n, eps, dense, nil, func(label, next []int32) (bool, error) {
 		// Propagation cost is one edge scan per dense vertex: weight chunk
 		// bounds by the offsets array so heavy rows spread across chunks.
 		chunks := parwork.RangeChunks(n)
@@ -163,10 +174,9 @@ func assemble(g *graph.Graph, eps float64, dense []bool, isBuddy func(v, u, slot
 					continue
 				}
 				m := label[v]
-				base := g.AdjOffset(v)
-				for j, u32 := range g.Neighbors(v) {
+				for _, u32 := range g.Neighbors(v) {
 					u := int(u32)
-					if dense[u] && label[u] < m && isBuddy(v, u, base+j) {
+					if dense[u] && label[u] < m && isBuddy(v, u) {
 						m = label[u]
 					}
 				}
@@ -200,8 +210,8 @@ func assembleFrom(n int, eps float64, dense []bool, ws *Workspace, propagate fun
 	d := &Decomposition{Eps: eps, CliqueOf: make([]int, n)}
 	var label, next []int32
 	if ws != nil {
-		ws.label = growInt32(ws.label, n)
-		ws.next = growInt32(ws.next, n)
+		ws.label = grow(ws.label, n)
+		ws.next = grow(ws.next, n)
 		label, next = ws.label, ws.next
 	} else {
 		label = make([]int32, n)
@@ -303,35 +313,56 @@ func assembleFrom(n int, eps float64, dense []bool, ws *Workspace, propagate fun
 	return d, nil
 }
 
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
 // Compute runs the distributed decomposition of Proposition 4.3 on a cluster
 // graph with a workspace allocated for this call; see ComputeWith.
 func Compute(cg *cluster.CG, eps float64, rng *rand.Rand) (*Decomposition, error) {
 	return ComputeWith(cg, eps, rng, NewWorkspace())
 }
 
-// ComputeWith runs the distributed decomposition of Proposition 4.3:
-// fingerprint waves approximate degrees and joint neighborhood sizes
-// (Lemma 5.8), each edge solves the buddy predicate locally (memoized into
-// the workspace's packed edge bitmap, exactly one evaluation per edge), a
-// further wave counts incident buddy edges, and an O(1)-round BFS labels the
-// components. All randomness derives from one draw of rng through
-// parwork.RowSeed streams, and every wave runs across the worker pool, so
-// the decomposition is byte-identical at any parwork parallelism level.
-// ComputeWith is reentrant as long as workspaces are not shared.
+// ComputeWith runs the decomposition in one address space: it is
+// ComputeShardedWith on the workspace's one-slice partition of cg.H, whose
+// local CSR is cg.H itself. ComputeWith is reentrant as long as workspaces
+// are not shared.
 func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*Decomposition, error) {
+	se, err := ws.unsharded(cg.H)
+	if err != nil {
+		return nil, err
+	}
+	return ComputeShardedWith(cg, se, eps, rng, ws)
+}
+
+// ComputeShardedWith runs the distributed decomposition of Proposition 4.3
+// on the engine's partition: fingerprint waves approximate degrees and joint
+// neighborhood sizes (Lemma 5.8), each edge solves the buddy predicate
+// locally (memoized into the workspace's packed bitmap by fillBuddyBits), a
+// further wave counts incident buddy edges, and an O(1)-round BFS labels the
+// components. Each slice folds its own arenas over its local CSR on its
+// worker-pool share, with boundary-exchange phases shipping sample and
+// sketch rows into the halos between the waves. All randomness derives from
+// one draw of rng through parwork.RowSeed streams keyed by global vertex id,
+// and every estimate comes from rows the kernel's semilattice merge makes
+// independent of the partition, so the decomposition — and the cost-model
+// charges, issued once globally per logical wave — is byte-identical at
+// every shard count and parallelism level. Cross-shard traffic lands in the
+// engine's ExchangeStats.
+//
+// The engine may partition a graph built from an edge stream (SG.G == nil);
+// the cluster graph is then a materialized view over the same vertex count
+// or a cluster.NewHeadless view for runs where the global graph never
+// exists.
+func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng *rand.Rand, ws *Workspace) (*Decomposition, error) {
 	if eps <= 0 || eps >= 1.0/3 {
 		return nil, fmt.Errorf("acd: eps %v out of (0, 1/3)", eps)
 	}
-	g := cg.H
-	n := g.N()
-	delta := float64(g.MaxDegree())
+	sg := se.SG
+	if sg.G != nil && sg.G != cg.H {
+		return nil, fmt.Errorf("acd: shard engine partitions a different graph")
+	}
+	if cg.H != nil && cg.H.N() != sg.N() {
+		return nil, fmt.Errorf("acd: shard engine partitions %d vertices, cluster graph has %d", sg.N(), cg.H.N())
+	}
+	n := sg.N()
+	delta := float64(sg.MaxDegree())
 	seed := rng.Uint64()
 	if delta == 0 {
 		d := &Decomposition{Eps: eps, CliqueOf: make([]int, n)}
@@ -349,22 +380,15 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	}
 	// Wave 1: per-vertex neighborhood sketches (degrees + reusable for the
 	// joint-neighborhood estimates on edges).
-	eng := ws.engine()
-	if err := eng.FillSamples(n, t, parwork.RowSeed(seed, 0)); err != nil {
+	if err := se.FillSamples(t, parwork.RowSeed(seed, 0), "acd/nbhd"); err != nil {
 		return nil, err
 	}
-	maxBits, err := eng.Collect(cg, "acd/nbhd", sketch.CollectOptions{})
+	maxBits, err := se.Collect(cg, "acd/nbhd", shard.CollectOptions{})
 	if err != nil {
 		return nil, err
 	}
-	ws.deg = growFloats(ws.deg, n)
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		var est sketch.MaxEstimator[int8]
-		for v := lo; v < hi; v++ {
-			ws.deg[v] = est.Estimate(eng.Row(v))
-		}
-		return nil
-	}); err != nil {
+	ws.deg = grow(ws.deg, n)
+	if err := estimateSlices(se, ws.deg, nil); err != nil {
 		return nil, err
 	}
 	// Edge exchange: endpoints merge sketches and estimate |N(u) ∪ N(v)|.
@@ -372,32 +396,19 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	cg.ChargeHRounds("acd/buddy-exchange", 1, maxBits)
 	lowCut := (1 - 1.5*xi) * delta
 	joinCut := (1 + 1.5*xi) * delta
-	// The buddy predicate runs exactly once per edge, memoized into the
-	// packed per-slot bitmap: pass A evaluates forward slots (u > v) with
-	// per-worker estimator scratch, pass B mirrors them onto the reverse
-	// slots. The shared-scratch closure this replaces made Compute
-	// non-reentrant and pinned the whole stage to one goroutine.
-	buddy, err := fillEdgeBits(g, ws, t,
+	buddy, wordOff, err := fillBuddyBits(se, ws, t,
 		func(v int) bool { return ws.deg[v] >= lowCut },
-		func(sc *sketch.Scratch[int8], v, u int) bool {
+		func(sc *sketch.Scratch[int8], s, lv, lu int) bool {
 			// F ≤ (1+1.5ξ)Δ means the joint neighborhood is small, i.e. the
 			// neighborhoods overlap heavily: a buddy edge. The fused kernel
 			// estimates the union without materializing the merged row.
-			return sc.Est.EstimateMerged(eng.Row(v), eng.Row(u)) <= joinCut
+			return sc.Est.EstimateMerged(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu)) <= joinCut
 		})
 	if err != nil {
 		return nil, err
 	}
-	// Mirroring reads forward bits while writing reverse bits; a reader's
-	// forward word can coincide with another worker's reverse-write word, so
-	// the pass reads from an immutable snapshot of the forward bits.
-	if cap(ws.buddySrc) < len(buddy) {
-		ws.buddySrc = make([]uint64, len(buddy))
-	}
-	ws.buddySrc = ws.buddySrc[:len(buddy)]
-	copy(ws.buddySrc, buddy)
-	if err := mirrorEdgeBits(g, ws.buddySrc, buddy); err != nil {
-		return nil, err
+	isBuddy := func(s, lslot int) bool {
+		return buddy[wordOff[s]+(lslot>>6)]&(1<<(lslot&63)) != 0
 	}
 	// Wave 2 (Proposition 4.3): approximate the number of incident buddy
 	// edges with the fingerprint counter (Lemma 5.7), reusing the arenas.
@@ -405,205 +416,109 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 	// one block fail together (their sketches merge nearly the same sample
 	// set), so this wave keeps the same doubled accuracy (ξ/2, hence the
 	// same t) as the predicate wave rather than Lemma 5.7's bare ξ.
-	if err := eng.FillSamples(n, t, parwork.RowSeed(seed, 1)); err != nil {
+	if err := se.FillSamples(t, parwork.RowSeed(seed, 1), "acd/buddy-count"); err != nil {
 		return nil, err
 	}
-	if _, err := eng.Collect(cg, "acd/buddy-count", sketch.CollectOptions{
-		Pred: func(v, u, slot int) bool { return buddy[slot>>6]&(1<<(slot&63)) != 0 },
+	if _, err := se.Collect(cg, "acd/buddy-count", shard.CollectOptions{
+		LocalPred: func(s, lv, lu, lslot int) bool { return isBuddy(s, lslot) },
 	}); err != nil {
 		return nil, err
 	}
-	ws.count = growFloats(ws.count, n)
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		var est sketch.MaxEstimator[int8]
-		for v := lo; v < hi; v++ {
-			ws.count[v] = est.Estimate(eng.Row(v))
-		}
-		return nil
-	}); err != nil {
+	ws.count = grow(ws.count, n)
+	if err := estimateSlices(se, ws.count, nil); err != nil {
 		return nil, err
 	}
-	if cap(ws.dense) < n {
-		ws.dense = make([]bool, n)
-	}
-	ws.dense = ws.dense[:n]
+	ws.dense = grow(ws.dense, n)
 	denseCut := (1 - 1.5*xi) * delta
 	for v := 0; v < n; v++ {
 		ws.dense[v] = ws.count[v] >= denseCut
 	}
 	// O(1)-round BFS for leader election in each (diameter-2) component.
 	cg.ChargeHRounds("acd/leaders", 3, cg.IDBits())
-	return assemble(g, eps, ws.dense, func(v, u, slot int) bool {
-		return buddy[slot>>6]&(1<<(slot&63)) != 0
-	}, ws)
+	return assembleSlices(se, eps, ws.dense, isBuddy, ws)
 }
 
-// edgeBlockBytes is the sketch-row footprint one predicate block targets:
-// small enough that a block of target rows stays cache-resident while every
-// admitted edge into it is judged, large enough that per-block bookkeeping
-// stays negligible next to the estimates.
-const edgeBlockBytes = 512 << 10
-
-// edgeBlockRows converts the block budget into a target-row count for rows of
-// rowBytes bytes.
-func edgeBlockRows(rowBytes int) int {
-	if rowBytes < 1 {
-		rowBytes = 1
-	}
-	rows := edgeBlockBytes / rowBytes
-	if rows < 64 {
-		rows = 64
-	}
-	return rows
-}
-
-// fillEdgeBits sizes the workspace's packed per-slot bitmap for g, zeroes
-// it, and evaluates judge over every directed forward edge (v, u) with u > v
-// and both endpoints admitted, setting the edge's CSR slot bit on success.
-// Each chunk owns the word-aligned span of its slot range; bits falling in a
-// chunk's leading partial word are spilled and applied sequentially, so no
-// two workers ever touch the same word — the packed bitmap stays race-free
-// without atomics.
-//
-// Evaluation is cache-blocked: within each degree-weighted chunk, the
-// admitted sources sweep their forward neighbor runs in ascending blocks of
-// edgeBlockRows target ids (rowBytes is the sketch-row width in bytes), so a
-// block of target rows is reused by every source in the chunk while it is
-// cache-resident instead of each source streaming the whole id range. The
-// blocked order sets the same slots — OR-ing into the bitmap is order-free —
-// so the bitmap is byte-identical to a per-source scan.
-func fillEdgeBits(g *graph.Graph, ws *Workspace, rowBytes int, admit func(v int) bool, judge func(sc *sketch.Scratch[int8], v, u int) bool) ([]uint64, error) {
-	n := g.N()
-	words := (2*g.M() + 63) / 64
-	if cap(ws.buddy) < words {
-		ws.buddy = make([]uint64, words)
-	}
-	ws.buddy = ws.buddy[:words]
-	for i := range ws.buddy {
-		ws.buddy[i] = 0
-	}
-	bits := ws.buddy
-	blockRows := edgeBlockRows(rowBytes)
-	chunks := parwork.RangeChunks(n)
-	cum := func(v int) int64 { return int64(g.AdjOffset(v)) + 16*int64(v) }
-	spills, err := parwork.ForEach(chunks, func(ci int) ([]int, error) {
-		lo, hi := parwork.WeightedChunkBounds(n, chunks, ci, cum)
-		ownStart := (g.AdjOffset(lo) + 63) &^ 63
-		var spill []int
-		var sc sketch.Scratch[int8]
-		set := func(slot int) {
-			if slot < ownStart {
-				spill = append(spill, slot)
-				return
-			}
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-		// Gather the chunk's admitted sources that have forward neighbors;
-		// cur[i] indexes the next unjudged forward neighbor of srcs[i].
-		var srcs, cur []int32
-		for v := lo; v < hi; v++ {
-			if !admit(v) {
-				continue
-			}
-			nb := g.Neighbors(v)
-			j := sort.Search(len(nb), func(i int) bool { return int(nb[i]) > v })
-			if j < len(nb) {
-				srcs = append(srcs, int32(v))
-				cur = append(cur, int32(j))
-			}
-		}
-		// Blocked sweep: each round starts at the smallest pending target and
-		// judges every admitted edge into [blockLo, blockLo+blockRows) —
-		// neighbor lists are sorted ascending, so each source contributes one
-		// contiguous run per round — then compacts exhausted sources.
-		for len(srcs) > 0 {
-			blockLo := n
-			for i, v32 := range srcs {
-				if u := int(g.Neighbors(int(v32))[cur[i]]); u < blockLo {
-					blockLo = u
+// estimateSlices fills out[v] with the estimator applied to v's collected
+// row, per slice on its pool share. A non-nil keep predicate gates which
+// vertices receive an estimate (others keep their zero value) — the profile
+// wave estimates clique members only.
+func estimateSlices(se *shard.Engine[int8], out []float64, keep func(v int) bool) error {
+	_, err := parwork.ForEach(se.SG.NumShards(), func(s int) (struct{}, error) {
+		sl := se.SG.Slices[s]
+		return struct{}{}, se.Pool(s).ForRange(sl.Own(), func(lo, hi int) error {
+			var est sketch.MaxEstimator[int8]
+			for lv := lo; lv < hi; lv++ {
+				v := sl.Lo + lv
+				if keep != nil && !keep(v) {
+					continue
 				}
+				out[v] = est.Estimate(se.OutRowLocal(s, lv))
 			}
-			blockHi := blockLo + blockRows
-			alive := 0
-			for i, v32 := range srcs {
-				v := int(v32)
-				nb := g.Neighbors(v)
-				base := g.AdjOffset(v)
-				j := int(cur[i])
-				for j < len(nb) && int(nb[j]) < blockHi {
-					u := int(nb[j])
-					if admit(u) && judge(&sc, v, u) {
-						set(base + j)
+			return nil
+		})
+	})
+	return err
+}
+
+// assembleSlices is assemble over the partition: the propagation pass walks
+// every slice's owned rows on its pool share, reading the buddy bit of each
+// local directed slot. An owned local row holds the exact global neighbor
+// set of its vertex, so next is the same pure function of label as over the
+// global CSR and the fixpoint — hence the decomposition — is independent of
+// the partition.
+func assembleSlices(se *shard.Engine[int8], eps float64, dense []bool, isBuddy func(s, lslot int) bool, ws *Workspace) (*Decomposition, error) {
+	sg := se.SG
+	return assembleFrom(sg.N(), eps, dense, ws, func(label, next []int32) (bool, error) {
+		perShard, err := parwork.ForEach(sg.NumShards(), func(s int) (bool, error) {
+			sl := sg.Slices[s]
+			own := sl.Own()
+			chunks := parwork.RangeChunksAt(own, se.Pool(s).Workers())
+			cum := func(v int) int64 { return int64(sl.CSR.AdjOffset(v)) + 16*int64(v) }
+			ch := make([]bool, chunks)
+			if err := se.Pool(s).ForEach(chunks, func(ci int) error {
+				lo, hi := parwork.WeightedChunkBounds(own, chunks, ci, cum)
+				changed := false
+				for lv := lo; lv < hi; lv++ {
+					v := sl.Lo + lv
+					if !dense[v] {
+						next[v] = -1
+						continue
 					}
-					j++
+					m := label[v]
+					base := sl.CSR.AdjOffset(lv)
+					for j, lu := range sl.CSR.Neighbors(lv) {
+						u := sl.ToGlobal(int(lu))
+						if dense[u] && label[u] < m && isBuddy(s, base+j) {
+							m = label[u]
+						}
+					}
+					next[v] = m
+					if m != label[v] {
+						changed = true
+					}
 				}
-				if j < len(nb) {
-					srcs[alive] = v32
-					cur[alive] = int32(j)
-					alive++
+				ch[ci] = changed
+				return nil
+			}); err != nil {
+				return false, err
+			}
+			for _, c := range ch {
+				if c {
+					return true, nil
 				}
 			}
-			srcs = srcs[:alive]
-			cur = cur[:alive]
+			return false, nil
+		})
+		if err != nil {
+			return false, err
 		}
-		return spill, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sp := range spills {
-		for _, slot := range sp {
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-	}
-	return bits, nil
-}
-
-// mirrorEdgeBits copies every forward bit (u > v) onto its reverse slot:
-// for each directed slot (v, u) with u < v it looks up the bit of (u, v) by
-// binary search in u's row. Forward bits are read from src — an immutable
-// snapshot taken before the pass, since a forward word being read can be
-// the same word another worker is writing reverse bits into — and workers
-// write only their own rows' slots of bits, with the same word-ownership
-// spill discipline as fillEdgeBits.
-func mirrorEdgeBits(g *graph.Graph, src, bits []uint64) error {
-	n := g.N()
-	chunks := parwork.RangeChunks(n)
-	cum := func(v int) int64 { return int64(g.AdjOffset(v)) + 16*int64(v) }
-	spills, err := parwork.ForEach(chunks, func(ci int) ([]int, error) {
-		lo, hi := parwork.WeightedChunkBounds(n, chunks, ci, cum)
-		ownStart := (g.AdjOffset(lo) + 63) &^ 63
-		var spill []int
-		for v := lo; v < hi; v++ {
-			base := g.AdjOffset(v)
-			for j, u32 := range g.Neighbors(v) {
-				u := int(u32)
-				if u >= v {
-					break // neighbor lists are sorted ascending
-				}
-				fwd := g.AdjOffset(u) + g.NeighborIndex(u, v)
-				if src[fwd>>6]&(1<<(fwd&63)) == 0 {
-					continue
-				}
-				slot := base + j
-				if slot < ownStart {
-					spill = append(spill, slot)
-					continue
-				}
-				bits[slot>>6] |= 1 << (slot & 63)
+		for _, c := range perShard {
+			if c {
+				return true, nil
 			}
 		}
-		return spill, nil
+		return false, nil
 	})
-	if err != nil {
-		return err
-	}
-	for _, sp := range spills {
-		for _, slot := range sp {
-			bits[slot>>6] |= 1 << (slot & 63)
-		}
-	}
-	return nil
 }
 
 // Validate checks Definition 4.2 structurally: every almost-clique K has

@@ -7,7 +7,7 @@ import (
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/parwork"
-	"clustercolor/internal/sketch"
+	"clustercolor/internal/shard"
 )
 
 // Profile carries the per-vertex and per-clique quantities of Section 4.1
@@ -37,17 +37,35 @@ func BuildProfile(cg *cluster.CG, d *Decomposition, delta float64, ell float64, 
 	return BuildProfileWith(cg, d, delta, ell, rng, NewWorkspace())
 }
 
-// BuildProfileWith computes the profile of Section 4.1 on a cluster graph:
-// a fingerprint wave estimates external degrees (Lemma 5.7 with the
-// predicate u ∉ K_v), then per-clique BFS trees aggregate sizes and
-// averages (the proof of Theorem 1.2 does exactly this). The wave reuses the
-// workspace's sample arena — refilled from a fresh seed, so it is
-// independent of the decomposition waves as the lemma requires — and both
-// the external-degree fold and the per-clique aggregation fan across the
-// worker pool with byte-identical output at any parallelism level.
+// BuildProfileWith computes the profile in one address space: it is
+// BuildProfileShardedWith on the workspace's one-slice partition of cg.H,
+// so after ComputeWith on the same workspace the wave reuses the
+// decomposition's arenas.
 func BuildProfileWith(cg *cluster.CG, d *Decomposition, delta float64, ell float64, rng *rand.Rand, ws *Workspace) (*Profile, error) {
+	se, err := ws.unsharded(cg.H)
+	if err != nil {
+		return nil, err
+	}
+	return BuildProfileShardedWith(cg, se, d, delta, ell, rng, ws)
+}
+
+// BuildProfileShardedWith computes the profile of Section 4.1 on the
+// engine's partition: a fingerprint wave estimates external degrees (Lemma
+// 5.7 with the predicate u ∉ K_v), then per-clique BFS trees aggregate sizes
+// and averages (the proof of Theorem 1.2 does exactly this). The wave
+// refills the engine's arenas from a fresh seed, so it is independent of the
+// decomposition waves as the lemma requires, and runs per slice with a
+// boundary exchange for the halo rows and one global charge — byte-identical
+// output and cost at every shard count and parallelism level. The tree and
+// aggregation stages are vertex-level primitives on the cluster graph.
+func BuildProfileShardedWith(cg *cluster.CG, se *shard.Engine[int8], d *Decomposition, delta, ell float64, rng *rand.Rand, ws *Workspace) (*Profile, error) {
 	if ell <= 0 {
 		return nil, fmt.Errorf("acd: ell %v must be positive", ell)
+	}
+	if cg.H == nil {
+		// The tree stage needs the materialized cluster graph (BFSForest
+		// walks H); headless runs get the decomposition only.
+		return nil, fmt.Errorf("acd: profile requires a materialized cluster graph")
 	}
 	n := cg.H.N()
 	p := &Profile{
@@ -64,26 +82,17 @@ func BuildProfileWith(cg *cluster.CG, d *Decomposition, delta float64, ell float
 		if err != nil {
 			return nil, err
 		}
-		eng := ws.engine()
-		if err := eng.FillSamples(n, t, parwork.RowSeed(seed, 0)); err != nil {
+		if err := se.FillSamples(t, parwork.RowSeed(seed, 0), "profile/extdeg"); err != nil {
 			return nil, err
 		}
-		if _, err := eng.Collect(cg, "profile/extdeg", sketch.CollectOptions{
-			Pred: func(v, u, slot int) bool {
+		if _, err := se.Collect(cg, "profile/extdeg", shard.CollectOptions{
+			Pred: func(v, u int) bool {
 				return d.CliqueOf[v] >= 0 && d.CliqueOf[u] != d.CliqueOf[v]
 			},
 		}); err != nil {
 			return nil, err
 		}
-		if err := parwork.ForRange(n, func(lo, hi int) error {
-			var est sketch.MaxEstimator[int8]
-			for v := lo; v < hi; v++ {
-				if d.CliqueOf[v] >= 0 {
-					p.ExtDeg[v] = est.Estimate(eng.Row(v))
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := estimateSlices(se, p.ExtDeg, func(v int) bool { return d.CliqueOf[v] >= 0 }); err != nil {
 			return nil, err
 		}
 		// Per-clique BFS trees (disjoint subgraphs → parallel, Lemma 3.2).

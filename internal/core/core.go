@@ -135,51 +135,45 @@ func (p Params) reservedFor(avgExt, ell float64, delta int) int32 {
 }
 
 // decompose runs ComputeACD and profile building as one traced,
-// separately-charged stage: both waves share one acd.Workspace (so the
-// sample arena is reused across Compute and BuildProfile), the rounds they
-// charge are recorded in Stats.DecompRounds, and a non-nil tracer observes
-// the stage as a "decompose" StageTrace (vertex-level — no per-clique tasks
-// or snapshot; the fingerprint-wave primitive covers its machine-level
-// conformance).
+// separately-charged stage: both waves run on one shard engine over
+// params.Shards slices — one slice, aliasing cg.H, when unsharded — and
+// share one acd.Workspace, so arenas and slices are reused across Compute
+// and BuildProfile. The rounds they charge are recorded in
+// Stats.DecompRounds, a partitioned run's cross-shard traffic lands in
+// Stats, and a non-nil tracer observes the stage as a "decompose"
+// StageTrace (vertex-level — no per-clique tasks or snapshot; the
+// fingerprint-wave primitive covers its machine-level conformance).
 func decompose(cg *cluster.CG, params Params, stats *Stats, rng *rand.Rand, tr StageTracer) (*acd.Decomposition, *acd.Profile, error) {
 	before := cg.Cost().Rounds()
 	wall := time.Now()
 	defer func() { stats.AddStageNs("decompose", time.Since(wall)) }()
+	sg, err := graph.NewShardedGraph(cg.H, max(params.Shards, 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	se := shard.NewEngine(sg, sketch.MaxKernel{})
+	// A partitioned run reports its cross-shard traffic after the profile
+	// wave. Reading it through xs rather than se leaves an unsharded run
+	// with no reference to the engine once the profile has read its
+	// estimates, so the arenas can be collected during the tree stage.
+	var xs *shard.ExchangeStats
+	if sg.NumShards() > 1 {
+		xs = &se.Stats
+	}
 	ws := acd.NewWorkspace()
-	ell := params.Ell(cg.H.N())
-	var d *acd.Decomposition
-	var prof *acd.Profile
-	var err error
-	if params.Shards > 1 {
-		// Partitioned path: both waves run on one shard engine so arenas and
-		// slices are shared, and the cross-shard traffic lands in Stats.
-		var sg *graph.ShardedGraph
-		sg, err = graph.NewShardedGraph(cg.H, params.Shards)
-		if err != nil {
-			return nil, nil, err
-		}
-		se := shard.NewEngine(sg, sketch.MaxKernel{})
-		d, err = acd.ComputeShardedWith(cg, se, params.Eps, rng, ws)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof, err = acd.BuildProfileShardedWith(cg, se, d, float64(cg.H.MaxDegree()), ell, rng, ws)
-		if err != nil {
-			return nil, nil, err
-		}
+	d, err := acd.ComputeShardedWith(cg, se, params.Eps, rng, ws)
+	if err != nil {
+		return nil, nil, err
+	}
+	prof, err := acd.BuildProfileShardedWith(cg, se, d, float64(cg.H.MaxDegree()), params.Ell(cg.H.N()), rng, ws)
+	if err != nil {
+		return nil, nil, err
+	}
+	if xs != nil {
 		stats.Shards = params.Shards
-		stats.ShardExchangedRows = se.Stats.Rows
-		stats.ShardExchangedBits = se.Stats.Bits
-		stats.AddStageNs("exchange", time.Duration(se.Stats.ExchangeNs))
-	} else {
-		d, err = acd.ComputeWith(cg, params.Eps, rng, ws)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof, err = acd.BuildProfileWith(cg, d, float64(cg.H.MaxDegree()), ell, rng, ws)
-		if err != nil {
-			return nil, nil, err
-		}
+		stats.ShardExchangedRows = xs.Rows
+		stats.ShardExchangedBits = xs.Bits
+		stats.AddStageNs("exchange", time.Duration(xs.ExchangeNs))
 	}
 	stats.DecompRounds = cg.Cost().Rounds() - before
 	stats.NumCliques = len(d.Cliques)

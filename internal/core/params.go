@@ -46,13 +46,13 @@ type Params struct {
 	MatchingTrialFactor int
 	// MaxFallbackRounds bounds the terminal cleanup loop (default 200).
 	MaxFallbackRounds int
-	// Shards routes the decomposition stage through the partitioned
-	// substrate (internal/shard): the graph splits into this many contiguous
-	// vertex slices, each running its own sketch arenas and worker-pool
-	// share, stitched by boundary-exchange phases. 0 or 1 keeps the
-	// single-address-space path. The coloring, decomposition, and charged
-	// rounds are byte-identical either way; only the execution layout (and
-	// the cross-shard traffic reported in Stats) changes.
+	// Shards is the number of contiguous vertex slices the decomposition
+	// stage partitions the graph into (internal/shard), each running its
+	// own sketch arenas and worker-pool share, stitched by boundary-exchange
+	// phases. 0 or 1 runs one slice that shares the graph's memory and
+	// exchanges nothing. The coloring, decomposition, and charged rounds are
+	// byte-identical at every count; only the execution layout (and the
+	// cross-shard traffic reported in Stats) changes.
 	Shards int
 	// Seed drives all randomness.
 	Seed uint64
@@ -176,8 +176,8 @@ type Stats struct {
 	// overstate the applied effect by at most this amount; the dropped
 	// vertices are recovered by later stages or the terminal fallback.
 	ParallelDroppedWrites int
-	// Shards echoes Params.Shards when the decomposition ran partitioned
-	// (0 = single address space); ShardExchangedRows/Bits are the sketch
+	// Shards echoes Params.Shards when the decomposition ran on more than
+	// one slice (0 otherwise); ShardExchangedRows/Bits are the sketch
 	// rows shipped across shard boundaries and their deviation-encoded
 	// size. Exchange traffic is an execution-layout cost, not a cluster
 	// round charge — Rounds is identical with and without sharding.

@@ -118,9 +118,6 @@ func conformStreamSlices(mat, str *graph.ShardedGraph) error {
 	}
 	for s := range mat.Slices {
 		want, got := mat.Slices[s], str.Slices[s]
-		if got.SlotToGlobal != nil {
-			return fmt.Errorf("streamed slice %d grew a slot map", s)
-		}
 		if got.Shard != want.Shard || got.Lo != want.Lo || got.Hi != want.Hi {
 			return fmt.Errorf("slice %d bounds [%d,%d), want [%d,%d)", s, got.Lo, got.Hi, want.Lo, want.Hi)
 		}

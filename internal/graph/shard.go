@@ -11,9 +11,8 @@ import (
 // owned global vertices [Lo, Hi) renumbered into a local CSR, plus the halo
 // — the out-of-shard neighbors of owned vertices — appended after the owned
 // range. The local CSR holds every owned↔owned and owned↔halo edge (never
-// halo↔halo: a shard knows its boundary, not other shards' interiors), and
-// the slot map ties each owned directed edge back to its global CSR slot so
-// partitioned passes can write global per-slot state.
+// halo↔halo: a shard knows its boundary, not other shards' interiors), so
+// per-edge state of a partitioned pass is keyed by local directed slots.
 //
 // Local ids order owned vertices ascending by global id (local = global −
 // Lo) followed by halo vertices ascending by global id, so a local neighbor
@@ -34,9 +33,6 @@ type ShardSlice struct {
 	// Boundary lists the owned local ids with at least one halo neighbor —
 	// the rows a boundary-exchange phase must ship — ascending.
 	Boundary []int32
-	// SlotToGlobal maps the local directed slot of an owned vertex (the
-	// first CSR.AdjOffset(Own()) slots) to its global directed slot.
-	SlotToGlobal []int32
 	// BoundaryEdges counts the directed owned→halo edges.
 	BoundaryEdges int
 }
@@ -66,14 +62,14 @@ func (s *ShardSlice) LocalOf(global int) (int, bool) {
 }
 
 // ShardedGraph is the partitioned view of a graph: k contiguous shard
-// slices whose owned ranges cover [0, n). The global graph is optional:
-// materialized construction (NewShardedGraph) keeps it mapped for consumers
-// that need global CSR slots, while streaming construction
-// (NewShardedGraphFromEdges) leaves G nil — slices then carry no
-// SlotToGlobal map and per-edge state must be keyed by local slots. Global
-// dimensions (N, M, MaxDegree) are recorded at construction either way, so
-// consumers never need G for sizing.
+// slices whose owned ranges cover [0, n). Global dimensions (N, M,
+// MaxDegree) are recorded at construction, so consumers never need a global
+// graph for sizing.
 type ShardedGraph struct {
+	// G is the graph a materialized partition (NewShardedGraph) was cut
+	// from — kept only so consumers can check they were handed the
+	// partition of the graph they expect — and nil for streaming
+	// construction (NewShardedGraphFromEdges).
 	G      *Graph
 	Starts []int32 // len k+1; shard s owns [Starts[s], Starts[s+1])
 	Slices []*ShardSlice
@@ -105,7 +101,9 @@ func (sg *ShardedGraph) Owner(v int) int {
 
 // NewShardedGraph partitions g into k contiguous near-even vertex ranges
 // (shard s owns [s·n/k, (s+1)·n/k), so k need not divide n and k > n leaves
-// trailing shards empty) and builds the per-shard slices in parallel.
+// trailing shards empty) and builds the per-shard slices in parallel. A
+// slice owning every vertex has no halo, so its local CSR is g itself: the
+// one-slice partition costs no copy.
 func NewShardedGraph(g *Graph, k int) (*ShardedGraph, error) {
 	starts, err := EvenStarts(g.N(), k)
 	if err != nil {
@@ -133,11 +131,15 @@ func ShardedGraphFromStarts(g *Graph, starts []int32) (*ShardedGraph, error) {
 	return sg, nil
 }
 
-// buildSlice constructs one shard slice: gather and sort the halo, build
-// the local CSR over owned-then-halo ids, and derive the slot map by merging
-// each owned vertex's global row against its local layout.
+// buildSlice constructs one shard slice: gather and sort the halo, then
+// build the local CSR over owned-then-halo ids.
 func buildSlice(g *Graph, sg *ShardedGraph, shard, lo, hi int) (*ShardSlice, error) {
 	sl := &ShardSlice{Shard: shard, Lo: lo, Hi: hi}
+	if lo == 0 && hi == g.N() {
+		// Local ids equal global ids and there is no halo.
+		sl.CSR = g
+		return sl, nil
+	}
 	own := hi - lo
 	// Halo: distinct out-of-range neighbors, ascending.
 	var halo []int32
@@ -182,36 +184,7 @@ func buildSlice(g *Graph, sg *ShardedGraph, shard, lo, hi int) (*ShardSlice, err
 		}
 	}
 	sl.CSR = b.Build()
-	// Slot map: an owned local row is the owned sub-row then the halo
-	// sub-row, each ascending in global id, so one merge pass over the
-	// global row assigns every local slot its global slot without searches.
-	sl.SlotToGlobal = make([]int32, sl.CSR.AdjOffset(own))
-	for v := lo; v < hi; v++ {
-		lv := v - lo
-		globalBase := g.AdjOffset(v)
-		localBase := sl.CSR.AdjOffset(lv)
-		ownPos := localBase
-		haloPos := localBase + ownedDegree(g, v, lo, hi)
-		for j, u := range g.Neighbors(v) {
-			if int(u) >= lo && int(u) < hi {
-				sl.SlotToGlobal[ownPos] = int32(globalBase + j)
-				ownPos++
-			} else {
-				sl.SlotToGlobal[haloPos] = int32(globalBase + j)
-				haloPos++
-			}
-		}
-	}
 	return sl, nil
-}
-
-// ownedDegree counts v's neighbors inside [lo, hi) — the length of the owned
-// sub-row. Neighbor rows are sorted, so two binary searches suffice.
-func ownedDegree(g *Graph, v, lo, hi int) int {
-	row := g.Neighbors(v)
-	a := sort.Search(len(row), func(i int) bool { return int(row[i]) >= lo })
-	b := sort.Search(len(row), func(i int) bool { return int(row[i]) >= hi })
-	return b - a
 }
 
 // EvenStarts returns the near-even contiguous partition of [0, n) into k

@@ -7,14 +7,14 @@ import (
 
 // checkSharded verifies every structural invariant of a sharded view
 // against its global graph: partition coverage, local CSR content, id
-// round-trips, the slot map bijection, and the boundary tables.
+// round-trips, and the boundary tables.
 func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 	t.Helper()
 	k := sg.NumShards()
 	if int(sg.Starts[0]) != 0 || int(sg.Starts[k]) != g.N() {
 		t.Fatalf("partition [%d, %d) does not cover [0, %d)", sg.Starts[0], sg.Starts[k], g.N())
 	}
-	slotSeen := make([]bool, 2*g.M())
+	ownedSlots := 0
 	for s, sl := range sg.Slices {
 		if sl.Shard != s || sl.Lo != int(sg.Starts[s]) || sl.Hi != int(sg.Starts[s+1]) {
 			t.Fatalf("slice %d bounds [%d,%d) disagree with Starts", s, sl.Lo, sl.Hi)
@@ -43,7 +43,7 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 			}
 		}
 		// Owned rows: exactly the global row, partitioned into owned and
-		// halo neighbors, with the slot map pointing at the global slot.
+		// halo neighbors.
 		boundaryEdges := 0
 		boundarySet := make(map[int32]bool)
 		for _, b := range sl.Boundary {
@@ -57,27 +57,14 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 				t.Fatalf("slice %d vertex %d degree %d, want %d", s, v, len(localRow), len(row))
 			}
 			hasHalo := false
-			globalBase := g.AdjOffset(v)
-			localBase := sl.CSR.AdjOffset(lv)
 			seen := make(map[int]bool, len(row))
-			for j, lu := range localRow {
+			for _, lu := range localRow {
 				gu := sl.ToGlobal(int(lu))
 				seen[gu] = true
 				if gu < sl.Lo || gu >= sl.Hi {
 					hasHalo = true
 					boundaryEdges++
 				}
-				gslot := int(sl.SlotToGlobal[localBase+j])
-				if gslot < globalBase || gslot >= globalBase+len(row) {
-					t.Fatalf("slice %d slot (%d,%d) maps to %d outside row [%d,%d)", s, v, gu, gslot, globalBase, globalBase+len(row))
-				}
-				if int(row[gslot-globalBase]) != gu {
-					t.Fatalf("slice %d slot (%d,%d) maps to global neighbor %d", s, v, gu, row[gslot-globalBase])
-				}
-				if slotSeen[gslot] {
-					t.Fatalf("global slot %d claimed twice", gslot)
-				}
-				slotSeen[gslot] = true
 			}
 			for _, u := range row {
 				if !seen[int(u)] {
@@ -88,6 +75,7 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 				t.Fatalf("slice %d vertex %d boundary flag %v, want %v", s, v, boundarySet[int32(lv)], hasHalo)
 			}
 		}
+		ownedSlots += sl.CSR.AdjOffset(own)
 		if boundaryEdges != sl.BoundaryEdges {
 			t.Fatalf("slice %d BoundaryEdges %d, want %d", s, sl.BoundaryEdges, boundaryEdges)
 		}
@@ -100,11 +88,9 @@ func checkSharded(t *testing.T, g *Graph, sg *ShardedGraph) {
 			}
 		}
 	}
-	// Every owned directed global slot is claimed exactly once across shards.
-	for slot, ok := range slotSeen {
-		if !ok {
-			t.Fatalf("global slot %d unclaimed", slot)
-		}
+	// Every directed edge is owned by exactly one shard.
+	if ownedSlots != 2*g.M() {
+		t.Fatalf("slices own %d directed edges, want %d", ownedSlots, 2*g.M())
 	}
 }
 
@@ -120,6 +106,20 @@ func TestShardedGraphInvariants(t *testing.T) {
 			t.Fatalf("k=%d: got %d shards", k, sg.NumShards())
 		}
 		checkSharded(t, g, sg)
+	}
+}
+
+// TestShardedGraphOneSliceAliases pins the unsharded decomposition's memory
+// contract: the one-slice partition reuses the caller's CSR instead of
+// copying it.
+func TestShardedGraphOneSliceAliases(t *testing.T) {
+	g := MustGNP(97, 0.12, NewRand(7))
+	sg, err := NewShardedGraph(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl := sg.Slices[0]; sl.CSR != g || len(sl.Halo) != 0 || len(sl.Boundary) != 0 {
+		t.Fatalf("one-slice partition: CSR aliased %v, halo %d, boundary %d", sl.CSR == g, len(sl.Halo), len(sl.Boundary))
 	}
 }
 

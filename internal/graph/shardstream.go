@@ -40,10 +40,9 @@ func StreamOf(g *Graph) EdgeStream {
 // edge is routed to the buffer of each endpoint's owner shard (cross-shard
 // edges land in both), and Build turns each buffer into a ShardSlice — local
 // CSR, halo, boundary — without ever materializing the global CSR. The
-// global Graph pointer of the result is nil and slices carry no SlotToGlobal
-// map; per-edge state downstream must be keyed by local slots. The
-// maxBuilderEdges cap applies per shard, not globally, so instances past the
-// global builder cap are constructible once partitioned finely enough.
+// global Graph pointer of the result is nil. The maxBuilderEdges cap applies
+// per shard, not globally, so instances past the global builder cap are
+// constructible once partitioned finely enough.
 type ShardedBuilder struct {
 	n      int
 	starts []int32
@@ -113,8 +112,8 @@ func (sb *ShardedBuilder) push(s int, e uint64) error {
 // reports (a multi-process deployment holds exactly one such buffer).
 func (sb *ShardedBuilder) PeakBufferedEdges() int { return sb.peak }
 
-// Build finalizes every slice in parallel and returns the global-graph-less
-// ShardedGraph. The builder must not be used afterwards.
+// Build finalizes every slice in parallel and returns the ShardedGraph, with
+// no global graph. The builder must not be used afterwards.
 func (sb *ShardedBuilder) Build() (*ShardedGraph, error) {
 	if sb.built {
 		panic("graph: ShardedBuilder used after Build")
@@ -148,8 +147,7 @@ func (sb *ShardedBuilder) Build() (*ShardedGraph, error) {
 
 // sliceFromEdges builds one ShardSlice from the deduped edges touching it:
 // the same halo/local-CSR layout buildSlice derives from the global CSR, so
-// the two constructions are byte-identical (minus SlotToGlobal, which only
-// the materialized path can provide).
+// the two constructions are byte-identical.
 func sliceFromEdges(starts []int32, shard int, edges []uint64) *ShardSlice {
 	lo, hi := int(starts[shard]), int(starts[shard+1])
 	sl := &ShardSlice{Shard: shard, Lo: lo, Hi: hi}
@@ -210,10 +208,10 @@ func ownerOf(starts []int32, v int) int {
 	return sort.Search(len(starts)-1, func(s int) bool { return int(starts[s+1]) > v })
 }
 
-// NewShardedGraphFromEdges builds a global-graph-less sharded graph on n
-// vertices from an edge stream, partitioned into k near-even contiguous
-// shards (the NewShardedGraph partition). One pass over the stream routes
-// every edge to its owner slices; no global CSR is ever materialized.
+// NewShardedGraphFromEdges builds a sharded graph on n vertices from an edge
+// stream, partitioned into k near-even contiguous shards (the
+// NewShardedGraph partition). One pass over the stream routes every edge to
+// its owner slices; no global CSR is ever materialized.
 func NewShardedGraphFromEdges(n, k int, stream EdgeStream) (*ShardedGraph, error) {
 	starts, err := EvenStarts(n, k)
 	if err != nil {

@@ -126,17 +126,14 @@ func (e *Engine[C]) FillSamples(t int, seed uint64, phase string) error {
 	return e.exchange(phase+"/samples", func(s int) *sketch.Arena[C] { return &e.states[s].samples })
 }
 
-// CollectOptions mirrors sketch.CollectOptions with global vertex ids: Pred
-// receives the global endpoints and the global CSR slot, so the same
-// memoized predicates (the acd buddy bitmap) drive sharded and unsharded
-// runs identically. On global-graph-less slices there is no global slot —
-// Pred then receives slot = -1, and predicates memoized per edge should use
-// LocalPred instead, which takes precedence over Pred and receives the
-// shard, the local endpoint ids, and the local directed slot of the owned
-// row being folded.
+// CollectOptions mirrors sketch.CollectOptions on the partition. Pred
+// filters by the global endpoints. Predicates memoized per edge (the acd
+// buddy bitmap) use LocalPred instead, which takes precedence over Pred and
+// receives the shard, the local endpoint ids, and the local directed slot of
+// the owned row being folded.
 type CollectOptions struct {
 	IncludeSelf bool
-	Pred        func(v, u, slot int) bool
+	Pred        func(v, u int) bool
 	LocalPred   func(s, lv, lu, lslot int) bool
 }
 
@@ -163,17 +160,10 @@ func (e *Engine[C]) Collect(cg *cluster.CG, phase string, opts CollectOptions) (
 			localOpts.Pred = func(lv, lu, lslot int) bool {
 				return pred(s, lv, lu, lslot)
 			}
-		case opts.Pred != nil && sl.SlotToGlobal != nil:
-			pred := opts.Pred
-			localOpts.Pred = func(lv, lu, lslot int) bool {
-				return pred(sl.Lo+lv, sl.ToGlobal(lu), int(sl.SlotToGlobal[lslot]))
-			}
 		case opts.Pred != nil:
-			// Streaming slices carry no slot map; slot-free predicates (the
-			// profile wave) still work with the sentinel.
 			pred := opts.Pred
 			localOpts.Pred = func(lv, lu, lslot int) bool {
-				return pred(sl.Lo+lv, sl.ToGlobal(lu), -1)
+				return pred(sl.Lo+lv, sl.ToGlobal(lu))
 			}
 		}
 		bits, err := sketch.CollectRows(sl.CSR, e.Kernel, &st.samples, &st.out, localOpts, sl.Own(), e.pools[s])

@@ -97,15 +97,19 @@ func TestShardedCollectByteIdentity(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	preds := map[string]func(v, u, slot int) bool{
+	preds := map[string]func(v, u int) bool{
 		"all":  nil,
-		"even": func(v, u, slot int) bool { return (v+u)%2 == 0 },
+		"even": func(v, u int) bool { return (v+u)%2 == 0 },
 	}
 	const width = 48
 	for gname, h := range graphs {
 		cg := testCG(t, h, 3)
 		for pname, pred := range preds {
-			want, wantBits, wantRounds := runUnsharded(t, cg, width, sketch.CollectOptions{Pred: pred})
+			var unsharded sketch.CollectOptions
+			if pred != nil {
+				unsharded.Pred = func(v, u, slot int) bool { return pred(v, u) }
+			}
+			want, wantBits, wantRounds := runUnsharded(t, cg, width, unsharded)
 			for _, shards := range []int{1, 2, 4, 7} {
 				for _, par := range []int{1, 4} {
 					got, gotBits, gotRounds, stats := runSharded(t, cg, shards, par, width, CollectOptions{Pred: pred})

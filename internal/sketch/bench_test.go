@@ -31,11 +31,16 @@ func benchRows16(width int) (dst, src []int16) {
 	return dst, src
 }
 
+// acdRowWidth is the row width the decomposition runs at the default
+// ε = 0.25 on n = 10⁵ vertices: its sketches use the doubled accuracy
+// ξ/2 = ε/4, and fingerprint.TrialsFor(0.0625, 10⁵) = 1604 cells.
+const acdRowWidth = 1604
+
 // BenchmarkMergeMax8 measures the 8-lane SWAR merge — the decomposition's
 // hot inner loop — on an arena-aligned row of the width the decomposition
-// actually runs (t ≈ 1099 at ξ = 0.125, n = 10⁵).
+// actually runs (acdRowWidth).
 func BenchmarkMergeMax8(b *testing.B) {
-	dst, src := benchRows8(1099)
+	dst, src := benchRows8(acdRowWidth)
 	b.SetBytes(int64(2 * len(dst)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,7 +52,7 @@ func BenchmarkMergeMax8(b *testing.B) {
 // ratio to BenchmarkMergeMax8 is the SWAR speedup reported in
 // BENCH_sketch.json.
 func BenchmarkMergeMax8Generic(b *testing.B) {
-	dst, src := benchRows8(1099)
+	dst, src := benchRows8(acdRowWidth)
 	b.SetBytes(int64(2 * len(dst)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +63,7 @@ func BenchmarkMergeMax8Generic(b *testing.B) {
 // BenchmarkMergeMax measures the 4-lane int16 merge kept for the fingerprint
 // adapter's wide rows, on the same values as the narrow benchmarks.
 func BenchmarkMergeMax(b *testing.B) {
-	dst, src := benchRows16(1099)
+	dst, src := benchRows16(acdRowWidth)
 	b.SetBytes(int64(2 * 2 * len(dst)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +73,7 @@ func BenchmarkMergeMax(b *testing.B) {
 
 // BenchmarkMergeMaxGeneric is the scalar int16 reference on the same rows.
 func BenchmarkMergeMaxGeneric(b *testing.B) {
-	dst, src := benchRows16(1099)
+	dst, src := benchRows16(acdRowWidth)
 	b.SetBytes(int64(2 * 2 * len(dst)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +88,7 @@ var benchEstimate float64
 // per-edge hot-path shape: two collected rows whose union the buddy
 // predicate thresholds.
 func BenchmarkEstimateMerged(b *testing.B) {
-	x, y := benchRows8(1099)
+	x, y := benchRows8(acdRowWidth)
 	var sc Scratch[int8]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,7 +100,7 @@ func BenchmarkEstimateMerged(b *testing.B) {
 // fused kernel replaced; the ratio to BenchmarkEstimateMerged is the fusion
 // win.
 func BenchmarkEstimateMergeTwo(b *testing.B) {
-	x, y := benchRows8(1099)
+	x, y := benchRows8(acdRowWidth)
 	var sc Scratch[int8]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +131,7 @@ func BenchmarkMergeKMV(b *testing.B) {
 // parallelism.
 func BenchmarkArenaFill(b *testing.B) {
 	var a Arena[int8]
-	a.Reset(4096, 1099)
+	a.Reset(4096, acdRowWidth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.Fill(MaxKernel{}, 7); err != nil {
@@ -140,7 +145,7 @@ func BenchmarkArenaFill(b *testing.B) {
 // BenchmarkMergeMax8 iterations.
 func BenchmarkMergeMax8Pair(b *testing.B) {
 	var ar Arena[int8]
-	ar.Reset(3, 1099)
+	ar.Reset(3, acdRowWidth)
 	dst, x, y := ar.Row(0), ar.Row(1), ar.Row(2)
 	k := MaxKernel{}
 	k.Fill(dst, parwork.RowSeed(3, 0))
