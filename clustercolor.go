@@ -134,8 +134,10 @@ type Options struct {
 	// Singleton).
 	MachinesPerCluster int
 	// RedundantLinks is the number of parallel network links per input
-	// edge (default 1). Higher values exercise the double-counting
-	// hazards the paper's aggregation primitives are designed for.
+	// edge (default 1), capped at MachinesPerCluster², the distinct
+	// machine pairs between two clusters. Higher values exercise the
+	// double-counting hazards the paper's aggregation primitives are
+	// designed for.
 	RedundantLinks int
 	// BandwidthBits is the per-link per-round budget (default
 	// 2·⌈log₂ n⌉ + 16, the model's Θ(log n)).
@@ -240,8 +242,14 @@ func Verify(h *Graph, colors []int) error {
 	if len(colors) != h.N() {
 		return fmt.Errorf("clustercolor: %d colors for %d vertices", len(colors), h.N())
 	}
+	maxColor := h.MaxDegree() + 1
 	col := coloring.New(h.N(), h.MaxDegree())
 	for v, c := range colors {
+		// Range-check the int before narrowing: int32(c) wraps, so a color
+		// like 5 + 1<<32 would otherwise reach Set as 5.
+		if c < 1 || c > maxColor {
+			return fmt.Errorf("clustercolor: vertex %d: color %d out of [1,%d]", v, c, maxColor)
+		}
 		if err := col.Set(v, int32(c)); err != nil {
 			return fmt.Errorf("clustercolor: vertex %d: %w", v, err)
 		}

@@ -2,6 +2,7 @@ package clustercolor
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,6 +90,14 @@ func TestVerifyRejectsBadColorings(t *testing.T) {
 	bad2[0] = h.MaxDegree() + 2
 	if err := Verify(h, bad2); err == nil {
 		t.Fatal("out-of-range color accepted")
+	}
+	// Colors that narrow to a valid int32: good[0] ± 2³² wraps to good[0].
+	for _, c := range []int{good[0] + 1<<32, good[0] - 1<<32} {
+		bad3 := append([]int(nil), good...)
+		bad3[0] = c
+		if err := Verify(h, bad3); err == nil {
+			t.Fatalf("color %d accepted (wraps to %d in int32)", c, int32(c))
+		}
 	}
 }
 
@@ -205,6 +214,58 @@ func TestExplicitParamsRespected(t *testing.T) {
 	bad.Eps = 0.9
 	if _, err := Color(h, Options{Seed: 4, Params: bad}); err == nil {
 		t.Fatal("invalid explicit Params silently accepted")
+	}
+}
+
+// TestColorHugeRedundantLinks pins the RedundantLinks cap at the library
+// boundary: two 2-machine clusters have four machine pairs, so a request
+// for 2⁵⁰ links per edge is served as four, not looped over or used to size
+// a buffer.
+func TestColorHugeRedundantLinks(t *testing.T) {
+	h := Clique(7) // 21 edges
+	res, err := Color(h, Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: 1 << 50, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(h, res.Colors()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBuildClusterGraphSharesH pins the CONGEST fast path at the library
+// boundary: with one machine per cluster the communication network is the
+// input graph itself, and building the cluster layer costs O(n) bytes, not a
+// rebuilt copy of H's O(m) adjacency (at least 16·m bytes of packed pairs and
+// CSR; m ≈ 1.12M here).
+func TestBuildClusterGraphSharesH(t *testing.T) {
+	h := Clique(1500)
+	n := h.N()
+	for name, opts := range map[string]Options{
+		"singleton":           {Seed: 1},
+		"tree-1-machine-3-rl": {Topology: TreeCluster, MachinesPerCluster: 1, RedundantLinks: 3, Seed: 1},
+	} {
+		build := func() {
+			cg, _, err := buildClusterGraph(h, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cg.G != h {
+				t.Fatalf("%s: the network is a copy of H, want H itself", name)
+			}
+		}
+		build()
+		best := ^uint64(0)
+		for trial := 0; trial < 3; trial++ {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			build()
+			runtime.ReadMemStats(&m1)
+			best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if limit := uint64(128 * n); best > limit {
+			t.Fatalf("%s: building the cluster layer allocated %d bytes, want ≤ %d (O(n), n=%d, m=%d)", name, best, limit, n, h.M())
+		}
 	}
 }
 

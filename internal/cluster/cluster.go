@@ -80,12 +80,19 @@ func New(h *graph.Graph, exp *graph.Expansion, cost *network.CostModel) (*CG, er
 	// Support trees for all clusters are built by one scratch BFS: clusters
 	// are vertex-disjoint, so a single depth array (-1 = unvisited) and a
 	// reused queue serve every cluster, making construction O(|G| + |E(G)|)
-	// total instead of O(n) fresh arrays per cluster.
+	// total instead of O(n) fresh arrays per cluster. A one-machine cluster
+	// is its own support tree, so it skips the scan of its links — in the
+	// CONGEST case that is every cluster, and construction is O(|G|).
 	var queue []int32
 	for v := 0; v < h.N(); v++ {
 		ms := exp.Machines[v]
 		if len(ms) == 0 {
 			return nil, fmt.Errorf("cluster: vertex %d has no machines", v)
+		}
+		if len(ms) == 1 {
+			cg.Leader[v] = ms[0]
+			cg.TreeDepth[ms[0]] = 0
+			continue
 		}
 		leader := ms[0]
 		for _, m := range ms {

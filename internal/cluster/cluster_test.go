@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"clustercolor/internal/graph"
@@ -63,6 +64,63 @@ func TestNewComputesSupportTrees(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// mixedLinks are the G-links of newMixedCG: v1 wired 1-2-3, v3 wired
+// 5-6, and inter-cluster links 0-3, 2-4, 4-6. Each one-machine cluster's
+// machine links into a multi-machine cluster, so a tree walk that crossed
+// cluster boundaries would show in the trees.
+var mixedLinks = [][2]int{{1, 2}, {2, 3}, {5, 6}, {0, 3}, {2, 4}, {4, 6}}
+
+// newMixedCG hand-builds an expansion of Path(4) whose clusters mix
+// one-machine and multi-machine sizes, v0 = {0}, v1 = {3, 1, 2}, v2 = {4},
+// v3 = {6, 5}, over the given G-links, and runs New on it.
+func newMixedCG(t *testing.T, links [][2]int) (*CG, error) {
+	t.Helper()
+	b := graph.NewBuilder(7)
+	for _, e := range links {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exp := &graph.Expansion{
+		G:         b.Build(),
+		ClusterOf: []int{0, 1, 1, 1, 2, 3, 3},
+		Machines:  [][]int32{{0}, {3, 1, 2}, {4}, {6, 5}},
+	}
+	cost, err := network.NewCostModel(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(graph.Path(4), exp, cost)
+}
+
+func TestNewMixedClusterSizes(t *testing.T) {
+	cg, err := newMixedCG(t, mixedLinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{0, 1, 4, 5}; !slices.Equal(cg.Leader, want) {
+		t.Fatalf("Leader = %v, want %v", cg.Leader, want)
+	}
+	if want := []int32{-1, -1, 1, 2, -1, -1, 5}; !slices.Equal(cg.TreeParent, want) {
+		t.Fatalf("TreeParent = %v, want %v", cg.TreeParent, want)
+	}
+	if want := []int{0, 0, 1, 2, 0, 0, 1}; !slices.Equal(cg.TreeDepth, want) {
+		t.Fatalf("TreeDepth = %v, want %v", cg.TreeDepth, want)
+	}
+	if cg.Dilation != 2 {
+		t.Fatalf("Dilation = %d, want 2", cg.Dilation)
+	}
+}
+
+func TestNewRejectsDisconnectedCluster(t *testing.T) {
+	// Without v1's 2-3 link machine 3 is cut off from its leader; the
+	// one-machine clusters beside it must not skip the check.
+	links := slices.DeleteFunc(slices.Clone(mixedLinks), func(e [2]int) bool { return e == [2]int{2, 3} })
+	if _, err := newMixedCG(t, links); err == nil {
+		t.Fatal("disconnected cluster accepted")
 	}
 }
 

@@ -47,13 +47,16 @@ type ExpandSpec struct {
 	MachinesPerCluster int
 	// RedundantLinks, when >= 1, is the number of parallel G-links created
 	// per H-edge (between distinct machine pairs when possible). Values
-	// above 1 exercise the double-counting hazards of Section 1.1.
+	// above 1 exercise the double-counting hazards of Section 1.1. It is
+	// capped at MachinesPerCluster², the number of distinct machine pairs
+	// between two clusters.
 	RedundantLinks int
 }
 
 // Expansion is the result of expanding H into a communication network.
 type Expansion struct {
-	// G is the communication network.
+	// G is the communication network. With one machine per cluster it is h
+	// itself: graphs are immutable, so the CONGEST case shares H's CSR.
 	G *Graph
 	// ClusterOf maps each machine of G to its H-vertex.
 	ClusterOf []int
@@ -64,6 +67,10 @@ type Expansion struct {
 // Expand builds a communication network realizing h as a cluster graph
 // (Definition 3.1): each h-vertex becomes a connected cluster of machines
 // and each h-edge becomes at least one inter-cluster link.
+//
+// When every cluster has one machine (TopologySingleton, or any topology
+// with MachinesPerCluster 1) the network is h itself: Expansion.G is h, the
+// machine of vertex v is v, and nothing is drawn from rng.
 func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 	size := spec.MachinesPerCluster
 	if spec.Topology == TopologySingleton {
@@ -72,9 +79,18 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("graph: MachinesPerCluster %d < 1", size)
 	}
-	redundant := spec.RedundantLinks
-	if redundant < 1 {
-		redundant = 1
+	if h.N() > 0 && (spec.Topology < TopologySingleton || spec.Topology > TopologyTree) {
+		return nil, fmt.Errorf("graph: unknown topology %v", spec.Topology)
+	}
+	if size == 1 {
+		return oneMachineExpansion(h), nil
+	}
+	// Two clusters have only size² machine pairs, so more links per H-edge
+	// than that cannot be distinct. The division keeps the bound from
+	// overflowing on absurd sizes.
+	redundant := max(spec.RedundantLinks, 1)
+	if redundant/size >= size {
+		redundant = size * size
 	}
 	nG := h.N() * size
 	b := NewBuilder(nG)
@@ -132,32 +148,39 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 	return &Expansion{G: b.Build(), ClusterOf: clusterOf, Machines: machines}, nil
 }
 
-func wireCluster(b *Builder, base, size int, topo ClusterTopology, rng *rand.Rand) error {
-	switch topo {
-	case TopologySingleton:
-		return nil
-	case TopologyPath:
-		for i := 1; i < size; i++ {
-			if err := b.AddEdge(base+i-1, base+i); err != nil {
-				return err
-			}
-		}
-		return nil
-	case TopologyStar:
-		for i := 1; i < size; i++ {
-			if err := b.AddEdge(base, base+i); err != nil {
-				return err
-			}
-		}
-		return nil
-	case TopologyTree:
-		for i := 1; i < size; i++ {
-			if err := b.AddEdge(base+rng.IntN(i), base+i); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("graph: unknown topology %v", topo)
+// oneMachineExpansion is the CONGEST case H = G: machine v is H-vertex v,
+// and each H-edge {v,w} is the single link {v,w}, so the network is h.
+// Sharing h instead of building an identical CSR leaves O(n) work for the
+// identity maps.
+func oneMachineExpansion(h *Graph) *Expansion {
+	n := h.N()
+	clusterOf := make([]int, n)
+	flat := make([]int32, n)
+	machines := make([][]int32, n)
+	for v := range clusterOf {
+		clusterOf[v] = v
+		flat[v] = int32(v)
+		machines[v] = flat[v : v+1 : v+1]
 	}
+	return &Expansion{G: h, ClusterOf: clusterOf, Machines: machines}
+}
+
+// wireCluster links the machines base..base+size-1 of one multi-machine
+// cluster; Expand has already rejected unknown topologies.
+func wireCluster(b *Builder, base, size int, topo ClusterTopology, rng *rand.Rand) error {
+	for i := 1; i < size; i++ {
+		var parent int
+		switch topo {
+		case TopologyPath:
+			parent = base + i - 1
+		case TopologyStar:
+			parent = base
+		default: // TopologyTree
+			parent = base + rng.IntN(i)
+		}
+		if err := b.AddEdge(parent, base+i); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // edgeKey normalizes an undirected pair for use as a map key in tests.
 func edgeKey(u, v int) [2]int32 {
@@ -82,8 +85,66 @@ func TestExpandRejectsBadSpec(t *testing.T) {
 	if _, err := Expand(Path(3), ExpandSpec{Topology: TopologyPath, MachinesPerCluster: 0}, rng); err == nil {
 		t.Fatal("zero machines accepted")
 	}
-	if _, err := Expand(Path(3), ExpandSpec{Topology: ClusterTopology(99), MachinesPerCluster: 2}, rng); err == nil {
-		t.Fatal("unknown topology accepted")
+	for _, size := range []int{1, 2} {
+		if _, err := Expand(Path(3), ExpandSpec{Topology: ClusterTopology(99), MachinesPerCluster: size}, rng); err == nil {
+			t.Fatalf("unknown topology accepted at size %d", size)
+		}
+	}
+}
+
+// TestExpandOneMachineSharesH pins the CONGEST fast path: with one machine
+// per cluster, for every topology and redundancy, the network is h itself,
+// machine v is vertex v, and rng is not advanced.
+func TestExpandOneMachineSharesH(t *testing.T) {
+	h := MustGNP(60, 0.1, NewRand(3))
+	for _, topo := range []ClusterTopology{TopologySingleton, TopologyPath, TopologyStar, TopologyTree} {
+		for _, redundant := range []int{0, 1, 3} {
+			spec := ExpandSpec{Topology: topo, MachinesPerCluster: 1, RedundantLinks: redundant}
+			rng := NewRand(9)
+			exp, err := Expand(h, spec, rng)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			if exp.G != h {
+				t.Fatalf("%+v: the network is a copy of H, want H itself", spec)
+			}
+			if len(exp.ClusterOf) != h.N() || len(exp.Machines) != h.N() {
+				t.Fatalf("%+v: %d machines, %d clusters for n=%d", spec, len(exp.ClusterOf), len(exp.Machines), h.N())
+			}
+			for v := 0; v < h.N(); v++ {
+				if exp.ClusterOf[v] != v || len(exp.Machines[v]) != 1 || exp.Machines[v][0] != int32(v) {
+					t.Fatalf("%+v: vertex %d: ClusterOf %d, Machines %v; want the identity", spec, v, exp.ClusterOf[v], exp.Machines[v])
+				}
+			}
+			if got, want := rng.Uint64(), NewRand(9).Uint64(); got != want {
+				t.Fatalf("%+v: rng advanced", spec)
+			}
+		}
+	}
+}
+
+// TestExpandRedundantLinksCapped pins the cap of RedundantLinks at size²:
+// larger requests draw exactly what size² draws.
+func TestExpandRedundantLinksCapped(t *testing.T) {
+	h := Clique(6)
+	expand := func(redundant int) *Expansion {
+		exp, err := Expand(h, ExpandSpec{Topology: TopologyTree, MachinesPerCluster: 2, RedundantLinks: redundant}, NewRand(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exp
+	}
+	ref := expand(4)
+	for _, redundant := range []int{5, 1 << 20, 1 << 50} {
+		exp := expand(redundant)
+		if exp.G.M() != ref.G.M() {
+			t.Fatalf("RedundantLinks %d: %d links, want the size² expansion's %d", redundant, exp.G.M(), ref.G.M())
+		}
+		for m := 0; m < ref.G.N(); m++ {
+			if !slices.Equal(exp.G.Neighbors(m), ref.G.Neighbors(m)) {
+				t.Fatalf("RedundantLinks %d: machine %d links %v, want %v", redundant, m, exp.G.Neighbors(m), ref.G.Neighbors(m))
+			}
+		}
 	}
 }
 
