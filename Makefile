@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWave$$' -fuzztime 10s ./internal/distsim
 	$(GO) test -run '^$$' -fuzz '^FuzzACD$$' -fuzztime 10s ./internal/acd
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime 10s ./internal/sketch
+	$(GO) test -run '^$$' -fuzz '^FuzzCutoff$$' -fuzztime 10s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz '^FuzzShardStream$$' -fuzztime 10s ./internal/graph
 
 bench:

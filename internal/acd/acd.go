@@ -13,11 +13,15 @@
 // idempotent, so every shard count and parallelism level produces
 // byte-identical output), and the buddy predicate is memoized into a packed
 // bitmap keyed by local directed slots that the dense classification, the
-// component labelling, and the second wave all read for free. The unsharded
-// entry points (Compute, ComputeWith, BuildProfile, BuildProfileWith) run
-// the one-slice partition, whose local CSR is the caller's graph. A
-// Workspace owns the reusable buffers so repeated decompositions allocate
-// O(1) objects regardless of n.
+// component labelling, and the second wave all read for free. The
+// decomposition asks its sketches only yes/no questions — is a degree, a
+// joint neighborhood or a buddy count past its threshold — and a
+// sketch.Cutoff answers each from the raw harmonic statistic, with the same
+// answers the inverted estimates would give; only the profile wave, which
+// needs ẽ_v itself, estimates. The unsharded entry points (Compute,
+// ComputeWith, BuildProfile, BuildProfileWith) run the one-slice partition,
+// whose local CSR is the caller's graph. A Workspace owns the reusable
+// buffers so repeated decompositions allocate O(1) objects regardless of n.
 //
 // An exact (centralized) reference decomposition is provided for testing and
 // for experiments that need ground truth.
@@ -68,16 +72,16 @@ func Sparsity(g *graph.Graph, v int) float64 {
 // engine the unsharded entry points run on (its arenas back Compute's two
 // waves and BuildProfile's external-degree wave; each wave refills them from
 // an independent seed, so the lemmas' independence requirements hold), the
-// per-vertex estimate buffers, the packed buddy-edge bitmap, and the
+// per-vertex threshold flags, the packed buddy-edge bitmap, and the
 // component-labelling buffers. One Workspace serves one decomposition at a
 // time; reusing it across calls (core does, per Color run) keeps allocation
 // counts independent of n.
 type Workspace struct {
-	one      *shard.Engine[int8]
-	onePar   int // the parallelism one's pool was split from
-	deg      []float64
-	count    []float64
-	dense    []bool
+	one    *shard.Engine[int8]
+	onePar int // the parallelism one's pool was split from
+	// above[v] holds v's latest per-vertex threshold decision: the degree
+	// test while the buddy bits are filled, then the dense test.
+	above    []bool
 	buddy    []uint64
 	buddySrc []uint64
 	label    []int32
@@ -332,15 +336,17 @@ func ComputeWith(cg *cluster.CG, eps float64, rng *rand.Rand, ws *Workspace) (*D
 }
 
 // ComputeShardedWith runs the distributed decomposition of Proposition 4.3
-// on the engine's partition: fingerprint waves approximate degrees and joint
-// neighborhood sizes (Lemma 5.8), each edge solves the buddy predicate
-// locally (memoized into the workspace's packed bitmap by fillBuddyBits), a
-// further wave counts incident buddy edges, and an O(1)-round BFS labels the
-// components. Each slice folds its own arenas over its local CSR on its
-// worker-pool share, with boundary-exchange phases shipping sample and
-// sketch rows into the halos between the waves. All randomness derives from
+// on the engine's partition: a fingerprint wave sketches neighborhoods,
+// each vertex decides whether its degree passes (1−1.5ξ)Δ, each edge decides
+// the buddy predicate locally from the merged sketches of its endpoints
+// (Lemma 5.8; memoized into the workspace's packed bitmap by fillBuddyBits),
+// a further wave decides which vertices have enough incident buddy edges to
+// be dense, and an O(1)-round BFS labels the components. Each slice folds
+// its own arenas over its local CSR on its worker-pool share, with
+// boundary-exchange phases shipping sample and sketch rows into the halos
+// between the waves. All randomness derives from
 // one draw of rng through parwork.RowSeed streams keyed by global vertex id,
-// and every estimate comes from rows the kernel's semilattice merge makes
+// and every decision comes from rows the kernel's semilattice merge makes
 // independent of the partition, so the decomposition — and the cost-model
 // charges, issued once globally per logical wave — is byte-identical at
 // every shard count and parallelism level. Cross-shard traffic lands in the
@@ -372,14 +378,14 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 		return d, nil
 	}
 	xi := eps / 2
-	// The buddy predicate conjoins several noisy estimates, so its sketches
-	// use double accuracy (ξ/2) relative to the decision margins.
+	// The buddy predicate conjoins several noisy sketch decisions, so its
+	// sketches use double accuracy (ξ/2) relative to the decision margins.
 	t, err := fingerprint.TrialsFor(xi/2, n)
 	if err != nil {
 		return nil, err
 	}
-	// Wave 1: per-vertex neighborhood sketches (degrees + reusable for the
-	// joint-neighborhood estimates on edges).
+	// Wave 1: per-vertex neighborhood sketches, for the degree test and,
+	// merged across each edge, the joint-neighborhood test.
 	if err := se.FillSamples(t, parwork.RowSeed(seed, 0), "acd/nbhd"); err != nil {
 		return nil, err
 	}
@@ -387,22 +393,25 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 	if err != nil {
 		return nil, err
 	}
-	ws.deg = grow(ws.deg, n)
-	if err := estimateSlices(se, ws.deg, nil); err != nil {
+	// Only vertices whose degree is at least (1−1.5ξ)Δ can have buddies.
+	// Every sketch question of the decomposition is a threshold, so each is
+	// decided from the raw statistic by a Cutoff, never by an estimate.
+	lowCut := sketch.NewCutoff((1 - 1.5*xi) * delta)
+	ws.above = grow(ws.above, n)
+	if err := decideSlices(se, lowCut, ws.above); err != nil {
 		return nil, err
 	}
-	// Edge exchange: endpoints merge sketches and estimate |N(u) ∪ N(v)|.
-	// One H-round with a sketch payload (Lemma 5.8).
+	// Edge exchange: endpoints merge sketches and decide whether
+	// |N(u) ∪ N(v)| ≤ (1+1.5ξ)Δ. One H-round with a sketch payload
+	// (Lemma 5.8).
 	cg.ChargeHRounds("acd/buddy-exchange", 1, maxBits)
-	lowCut := (1 - 1.5*xi) * delta
-	joinCut := (1 + 1.5*xi) * delta
+	joinCut := sketch.NewCutoff((1 + 1.5*xi) * delta)
 	buddy, wordOff, err := fillBuddyBits(se, ws, t,
-		func(v int) bool { return ws.deg[v] >= lowCut },
+		func(v int) bool { return ws.above[v] },
 		func(sc *sketch.Scratch[int8], s, lv, lu int) bool {
-			// F ≤ (1+1.5ξ)Δ means the joint neighborhood is small, i.e. the
-			// neighborhoods overlap heavily: a buddy edge. The fused kernel
-			// estimates the union without materializing the merged row.
-			return sc.Est.EstimateMerged(se.OutRowLocal(s, lv), se.OutRowLocal(s, lu)) <= joinCut
+			// A small joint neighborhood means the neighborhoods overlap
+			// heavily: a buddy edge. The merged row is never materialized.
+			return joinCut.MergedAtMost(&sc.Est, se.OutRowLocal(s, lv), se.OutRowLocal(s, lu))
 		})
 	if err != nil {
 		return nil, err
@@ -410,8 +419,8 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 	isBuddy := func(s, lslot int) bool {
 		return buddy[wordOff[s]+(lslot>>6)]&(1<<(lslot&63)) != 0
 	}
-	// Wave 2 (Proposition 4.3): approximate the number of incident buddy
-	// edges with the fingerprint counter (Lemma 5.7), reusing the arenas.
+	// Wave 2 (Proposition 4.3): sketch each vertex's incident buddy edges
+	// with the fingerprint counter (Lemma 5.7), reusing the arenas.
 	// The dense test sits ~1.5ξ from the count it thresholds and members of
 	// one block fail together (their sketches merge nearly the same sample
 	// set), so this wave keeps the same doubled accuracy (ξ/2, hence the
@@ -424,40 +433,40 @@ func ComputeShardedWith(cg *cluster.CG, se *shard.Engine[int8], eps float64, rng
 	}); err != nil {
 		return nil, err
 	}
-	ws.count = grow(ws.count, n)
-	if err := estimateSlices(se, ws.count, nil); err != nil {
+	// A vertex is dense when it has at least (1−1.5ξ)Δ buddy edges — the
+	// degree test's cut, so its Cutoff serves again. The degree flags are
+	// no longer read, so the dense flags overwrite them.
+	if err := decideSlices(se, lowCut, ws.above); err != nil {
 		return nil, err
-	}
-	ws.dense = grow(ws.dense, n)
-	denseCut := (1 - 1.5*xi) * delta
-	for v := 0; v < n; v++ {
-		ws.dense[v] = ws.count[v] >= denseCut
 	}
 	// O(1)-round BFS for leader election in each (diameter-2) component.
 	cg.ChargeHRounds("acd/leaders", 3, cg.IDBits())
-	return assembleSlices(se, eps, ws.dense, isBuddy, ws)
+	return assembleSlices(se, eps, ws.above, isBuddy, ws)
 }
 
-// estimateSlices fills out[v] with the estimator applied to v's collected
-// row, per slice on its pool share. A non-nil keep predicate gates which
-// vertices receive an estimate (others keep their zero value) — the profile
-// wave estimates clique members only.
-func estimateSlices(se *shard.Engine[int8], out []float64, keep func(v int) bool) error {
+// forOwnedRows calls body for every vertex v a slice owns, with v's
+// collected row, per slice on its pool share. Each chunk gets its own
+// estimator.
+func forOwnedRows(se *shard.Engine[int8], body func(est *sketch.MaxEstimator[int8], v int, row []int8)) error {
 	_, err := parwork.ForEach(se.SG.NumShards(), func(s int) (struct{}, error) {
 		sl := se.SG.Slices[s]
 		return struct{}{}, se.Pool(s).ForRange(sl.Own(), func(lo, hi int) error {
 			var est sketch.MaxEstimator[int8]
 			for lv := lo; lv < hi; lv++ {
-				v := sl.Lo + lv
-				if keep != nil && !keep(v) {
-					continue
-				}
-				out[v] = est.Estimate(se.OutRowLocal(s, lv))
+				body(&est, sl.Lo+lv, se.OutRowLocal(s, lv))
 			}
 			return nil
 		})
 	})
 	return err
+}
+
+// decideSlices sets out[v] to whether the estimate of v's collected row is
+// at least cut's threshold.
+func decideSlices(se *shard.Engine[int8], cut *sketch.Cutoff, out []bool) error {
+	return forOwnedRows(se, func(est *sketch.MaxEstimator[int8], v int, row []int8) {
+		out[v] = cut.AtLeast(est, row)
+	})
 }
 
 // assembleSlices is assemble over the partition: the propagation pass walks

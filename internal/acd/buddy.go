@@ -47,12 +47,8 @@ func edgeBlockRows(rowBytes int) int {
 // the sketch-row width in bytes). Setting bits is order-free, so the bitmap
 // is byte-identical to a per-source scan at any parallelism.
 func fillBuddyBits(se *shard.Engine[int8], ws *Workspace, rowBytes int, admit func(v int) bool, judge func(sc *sketch.Scratch[int8], s, lv, lu int) bool) ([]uint64, []int, error) {
-	k := se.SG.NumShards()
-	wordOff := make([]int, k+1)
-	for s, sl := range se.SG.Slices {
-		wordOff[s+1] = wordOff[s] + (sl.CSR.AdjOffset(sl.Own())+63)/64
-	}
-	ws.buddy = grow(ws.buddy, wordOff[k])
+	wordOff := buddyWordOffsets(se.SG)
+	ws.buddy = grow(ws.buddy, wordOff[len(wordOff)-1])
 	clear(ws.buddy)
 	bits := ws.buddy
 	blockRows := edgeBlockRows(rowBytes)
@@ -90,6 +86,16 @@ func fillBuddyBits(se *shard.Engine[int8], ws *Workspace, rowBytes int, admit fu
 		return nil, nil, err
 	}
 	return bits, wordOff, nil
+}
+
+// buddyWordOffsets returns the first word of each slice's region of the
+// buddy bitmap, plus the total word count at the end.
+func buddyWordOffsets(sg *graph.ShardedGraph) []int {
+	wordOff := make([]int, sg.NumShards()+1)
+	for s, sl := range sg.Slices {
+		wordOff[s+1] = wordOff[s] + (sl.CSR.AdjOffset(sl.Own())+63)/64
+	}
+	return wordOff
 }
 
 // eachOwnedChunk runs body over every slice's owned rows, cut into

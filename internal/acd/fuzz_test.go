@@ -47,8 +47,10 @@ func checkConsistency(t *testing.T, g *graph.Graph, d *Decomposition, label stri
 // whatever (n, eps, seed, edge list) the fuzzer invents, Exact and Compute
 // must return structurally consistent decompositions without panicking,
 // Exact must satisfy Definition 4.2's size bound under a generous check
-// tolerance, Compute must be byte-identical at parallelism 1 and 4, and the
-// two must agree on the dense/sparse split within sketch tolerance. The
+// tolerance, Compute must be byte-identical at parallelism 1 and 4, every
+// threshold decision of Compute must match the inverted estimates (Δ = 1
+// graphs at eps 0.3 reach the smallest cut, 0.775), and Exact and Compute
+// must agree on the dense/sparse split within sketch tolerance. The
 // agreement bound is deliberately loose — on graphs this small every margin
 // sits near a threshold, and near-threshold vertices may legitimately land
 // on either side — but it catches gross regressions (an inverted predicate
@@ -61,6 +63,8 @@ func FuzzACD(f *testing.F) {
 	f.Add([]byte{6, 2, 9, 0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4})
 	// Two dense blocks joined by one bridge.
 	f.Add([]byte{10, 3, 5, 0, 1, 0, 2, 1, 2, 0, 3, 1, 3, 2, 3, 4, 5, 4, 6, 5, 6, 4, 7, 5, 7, 6, 7, 3, 4})
+	// A perfect matching at eps 0.3: Δ = 1, the smallest cuts.
+	f.Add([]byte{8, 3, 5, 0, 1, 2, 3, 4, 5, 6, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -88,18 +92,20 @@ func FuzzACD(f *testing.F) {
 			t.Fatalf("Exact violates the size bound: %v", err)
 		}
 		cg := asCG(t, h, seed^0xfeed)
-		run := func(par int) *Decomposition {
+		run := func(par int, ws *Workspace) *Decomposition {
 			prev := parwork.SetParallelism(par)
 			defer parwork.SetParallelism(prev)
-			d, err := ComputeWith(cg, eps, parwork.StreamRNG(seed), NewWorkspace())
+			d, err := ComputeWith(cg, eps, parwork.StreamRNG(seed), ws)
 			if err != nil {
 				t.Fatalf("Compute(n=%d, eps=%v, par=%d): %v", h.N(), eps, par, err)
 			}
 			return d
 		}
-		d1 := run(1)
+		ws := NewWorkspace()
+		d1 := run(1, ws)
 		checkConsistency(t, h, d1, "compute")
-		d4 := run(4)
+		checkDecisions(t, cg, ws.one.SG, eps, parwork.StreamRNG(seed), ws)
+		d4 := run(4, NewWorkspace())
 		if len(d1.CliqueOf) != len(d4.CliqueOf) {
 			t.Fatal("parallelism changed CliqueOf length")
 		}

@@ -8,6 +8,7 @@ import (
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/parwork"
 	"clustercolor/internal/shard"
+	"clustercolor/internal/sketch"
 )
 
 // Profile carries the per-vertex and per-clique quantities of Section 4.1
@@ -92,7 +93,13 @@ func BuildProfileShardedWith(cg *cluster.CG, se *shard.Engine[int8], d *Decompos
 		}); err != nil {
 			return nil, err
 		}
-		if err := estimateSlices(se, p.ExtDeg, func(v int) bool { return d.CliqueOf[v] >= 0 }); err != nil {
+		// The profile needs ẽ_v itself, so this wave estimates, for clique
+		// members only.
+		if err := forOwnedRows(se, func(est *sketch.MaxEstimator[int8], v int, row []int8) {
+			if d.CliqueOf[v] >= 0 {
+				p.ExtDeg[v] = est.Estimate(row)
+			}
+		}); err != nil {
 			return nil, err
 		}
 		// Per-clique BFS trees (disjoint subgraphs → parallel, Lemma 3.2).

@@ -303,3 +303,43 @@ func TestManySeedsAllProper(t *testing.T) {
 		runAndVerify(t, h, p)
 	}
 }
+
+// TestPutAsideCoverMatchesPairwiseScan checks the one-pass forbidden-donor
+// marking against a per-cabal scan: for every cabal, a vertex is forbidden
+// exactly when it is in, or adjacent to, another cabal's put-aside set.
+// Put-aside sets are disjoint and drawn so that vertices are covered by
+// none, one, or several cabals, including several times by one.
+func TestPutAsideCoverMatchesPairwiseScan(t *testing.T) {
+	rng := graph.NewRand(11)
+	h, err := graph.GNP(300, 0.03, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putAside := make([][]int, 9)
+	for v, p := range rng.Perm(h.N())[:60] {
+		if j := v % 10; j < len(putAside) {
+			putAside[j] = append(putAside[j], p)
+		}
+	}
+	putAside[4] = nil
+	cover := coverPutAside(h, putAside)
+	for self := range putAside {
+		foreign := make([]bool, h.N())
+		for j, ps := range putAside {
+			if j == self {
+				continue
+			}
+			for _, v := range ps {
+				foreign[v] = true
+				for _, u := range h.Neighbors(v) {
+					foreign[u] = true
+				}
+			}
+		}
+		for v := range foreign {
+			if got := cover.foreign(v, self); got != foreign[v] {
+				t.Fatalf("cabal %d, vertex %d: forbidden %v, pairwise scan says %v", self, v, got, foreign[v])
+			}
+		}
+	}
+}

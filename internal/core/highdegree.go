@@ -335,6 +335,7 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 	donateWall := time.Now()
 	lg := bits.Len(uint(h.N()))
 	donateSeed := rng.Uint64()
+	cover := coverPutAside(h, putAside)
 	tasks := make([]DonateTask, len(cabals))
 	for idx := range cabals {
 		members := cabalMembers[idx]
@@ -353,9 +354,8 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 		if len(task.PutAside) > 0 {
 			// Forbidden-donor marking only matters where donation will run
 			// (DonateJob is a no-op on an empty put-aside set).
-			foreign := foreignAdjacency(h, putAside, idx)
 			for j, v := range members {
-				task.Forbidden[j] = foreign[v]
+				task.Forbidden[j] = cover.foreign(v, idx)
 			}
 		}
 		tasks[idx] = task
@@ -395,22 +395,45 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 	return nil
 }
 
-// foreignAdjacency marks vertices adjacent to put-aside vertices of other
-// cabals (forbidden donors, Lemma 7.2 Property 2).
-func foreignAdjacency(h *graph.Graph, putAside [][]int, self int) map[int]bool {
-	foreign := make(map[int]bool)
-	for j, ps := range putAside {
-		if j == self {
-			continue
+// putAsideCover records, for every vertex, which cabals' put-aside sets
+// cover it — contain it or one of its neighbors: first[v] is the lowest
+// such cabal index (-1 for none) and twice[v] reports a second, distinct
+// one.
+type putAsideCover struct {
+	first []int32
+	twice []bool
+}
+
+// coverPutAside builds the cover in one pass over every put-aside set.
+func coverPutAside(h *graph.Graph, putAside [][]int) putAsideCover {
+	c := putAsideCover{first: make([]int32, h.N()), twice: make([]bool, h.N())}
+	for v := range c.first {
+		c.first[v] = -1
+	}
+	mark := func(v, j int) {
+		switch f := c.first[v]; {
+		case f < 0:
+			c.first[v] = int32(j)
+		case int(f) != j:
+			c.twice[v] = true
 		}
+	}
+	for j, ps := range putAside {
 		for _, v := range ps {
-			foreign[v] = true
+			mark(v, j)
 			for _, u := range h.Neighbors(v) {
-				foreign[int(u)] = true
+				mark(int(u), j)
 			}
 		}
 	}
-	return foreign
+	return c
+}
+
+// foreign reports whether a cabal other than k covers v: for a member v of
+// cabal k, that makes v a forbidden donor (Lemma 7.2 Property 2).
+func (c putAsideCover) foreign(v, k int) bool {
+	f := c.first[v]
+	return f >= 0 && (int(f) != k || c.twice[v])
 }
 
 // runMatchings executes the colorful matching per clique in parallel

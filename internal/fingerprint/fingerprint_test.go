@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -179,6 +180,58 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("nil buffer decoded")
+	}
+}
+
+// packBits packs bits in the order the deviation decoder reads them: the
+// lowest bit of each byte first.
+func packBits(bits ...[]int) []byte {
+	var buf []byte
+	n := 0
+	for _, run := range bits {
+		for _, b := range run {
+			if n%8 == 0 {
+				buf = append(buf, 0)
+			}
+			buf[n/8] |= byte(b) << (n % 8)
+			n++
+		}
+	}
+	return buf
+}
+
+// gamma returns the Elias-gamma code of x ≥ 1.
+func gamma(x uint64) []int {
+	n := bits.Len64(x)
+	code := make([]int, 2*n-1)
+	for i := 0; i < n; i++ {
+		code[n-1+i] = int(x >> (n - 1 - i) & 1)
+	}
+	return code
+}
+
+// TestDecodeRejectsOutOfRange: buffers that no sketch encodes to must
+// decode to an error — not a panic, and not a sketch whose values wrapped
+// or sit below Empty, on which Estimate would panic.
+func TestDecodeRejectsOutOfRange(t *testing.T) {
+	cases := map[string][]byte{
+		// t = 2⁶²−1 trials announced in 16 bytes.
+		"huge trial count": packBits(gamma(1<<62), gamma(2)),
+		// k = −1, one trial with deviation −3: value −4.
+		"below Empty": packBits(gamma(2), gamma(1), []int{1, 1, 1, 1, 0}),
+		// k = 65537, one trial with deviation 0: would wrap to 1.
+		"above MaxInt16": packBits(gamma(2), gamma(65539), []int{0, 0}),
+		// A trial count of 2⁶⁴+1, which would wrap to 1 (zero trials).
+		"past 64 bits": packBits(make([]int, 64), []int{1}, make([]int, 63), []int{1}, gamma(2)),
+	}
+	if n := len(cases["huge trial count"]); n != 16 {
+		t.Fatalf("huge trial count case is %d bytes, want 16", n)
+	}
+	for name, buf := range cases {
+		s, err := Decode(buf)
+		if err == nil {
+			t.Errorf("%s: decoded to %v, want an error", name, s)
+		}
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzDecode hardens the deviation decoder against arbitrary byte strings:
-// it must either return a valid sketch or an error — never panic and never
-// return a sketch disagreeing with a re-encode round trip.
+// it must either return a valid sketch or an error — never panic, never
+// return a sketch disagreeing with a re-encode round trip, and never return
+// one that Estimate cannot take.
 func FuzzDecode(f *testing.F) {
 	rng := graph.NewRand(1)
 	for _, d := range []int{0, 1, 100} {
@@ -25,6 +26,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_ = s.Estimate()
 		// A successfully decoded sketch must round-trip.
 		again, err := Decode(s.Encode())
 		if err != nil {

@@ -96,6 +96,81 @@ func BenchmarkEstimateMerged(b *testing.B) {
 	}
 }
 
+// benchDegree is planted-high's degree scale, and benchJoinCut the buddy
+// predicate's cut (1+1.5ξ)Δ there at the default ε = 0.25.
+const (
+	benchDegree  = 150
+	benchJoinCut = 1.1875 * benchDegree
+)
+
+// collectedRows8 builds an aligned pair of neighbouring collected rows: each
+// folds benchDegree singleton fills, and they share all but 10 of them, so
+// their union sits just under benchJoinCut as a buddy edge's does.
+func collectedRows8(width int) (x, y []int8) {
+	var a Arena[int8]
+	a.Reset(3, width)
+	x, y, tmp := a.Row(0), a.Row(1), a.Row(2)
+	for i := range x {
+		x[i], y[i] = Empty, Empty
+	}
+	k := MaxKernel{}
+	for p := 0; p < benchDegree+10; p++ {
+		k.Fill(tmp, parwork.RowSeed(4, p))
+		if p < benchDegree {
+			k.Merge(x, tmp)
+		}
+		if p >= 10 {
+			k.Merge(y, tmp)
+		}
+	}
+	return x, y
+}
+
+// BenchmarkEstimateMergedCollected is BenchmarkEstimateMerged, plus the
+// compare, on collected rows at the buddy predicate's cut.
+func BenchmarkEstimateMergedCollected(b *testing.B) {
+	x, y := collectedRows8(acdRowWidth)
+	var sc Scratch[int8]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sc.Est.EstimateMerged(x, y) <= benchJoinCut {
+			benchEstimate++
+		}
+	}
+}
+
+// BenchmarkCutoffMerged decides the buddy predicate on the rows of
+// BenchmarkEstimateMerged without inverting; the ratio of the two is the
+// saving per edge.
+func BenchmarkCutoffMerged(b *testing.B) {
+	x, y := benchRows8(acdRowWidth)
+	benchCutoffMerged(b, x, y)
+}
+
+// BenchmarkCutoffMergedCollected is BenchmarkCutoffMerged on the rows of
+// BenchmarkEstimateMergedCollected.
+func BenchmarkCutoffMergedCollected(b *testing.B) {
+	x, y := collectedRows8(acdRowWidth)
+	benchCutoffMerged(b, x, y)
+}
+
+// benchCutoffMerged times MergedAtMost on one row pair at benchJoinCut. It
+// fails if a decision needed the inversion, which would time the fallback.
+func benchCutoffMerged(b *testing.B, x, y []int8) {
+	c := NewCutoff(benchJoinCut)
+	var sc Scratch[int8]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.MergedAtMost(&sc.Est, x, y) {
+			benchEstimate++
+		}
+	}
+	b.StopTimer()
+	if c.Inverted() != 0 {
+		b.Fatalf("%d of %d decisions fell inside the guard band", c.Inverted(), b.N)
+	}
+}
+
 // BenchmarkEstimateMergeTwo is the materialize-then-estimate baseline the
 // fused kernel replaced; the ratio to BenchmarkEstimateMerged is the fusion
 // win.

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -82,7 +83,9 @@ func (r *bitReader) readEliasGamma() (uint64, error) {
 		if b == 1 {
 			break
 		}
-		zeros++
+		if zeros++; zeros > 63 {
+			return 0, fmt.Errorf("sketch: Elias-gamma value exceeds 64 bits")
+		}
 	}
 	x := uint64(1)
 	for i := 0; i < zeros; i++ {
@@ -176,24 +179,32 @@ func eliasGammaBits(x uint64) int { return 2*bits.Len64(x) - 1 }
 
 // DecodeDeviation reverses EncodeDeviation. Values decode into int16 — wide
 // enough for any cell width's values; narrow-row callers re-clamp with
-// SaturateCell8 if they need cells back.
+// SaturateCell8 if they need cells back. It returns an error, never a
+// panic or a wrapped value, for a buffer no row encodes to: a truncated
+// one, an Elias-gamma code past 64 bits, a trial count the remaining bits
+// cannot hold (checked before the row is allocated), or a baseline or
+// value outside [Empty, MaxInt16].
 func DecodeDeviation(buf []byte) ([]int16, error) {
 	r := &bitReader{buf: buf}
 	tPlus, err := r.readEliasGamma()
 	if err != nil {
 		return nil, err
 	}
-	if tPlus < 1 {
-		return nil, fmt.Errorf("sketch: bad trial count")
-	}
-	t := int(tPlus - 1)
 	kPlus, err := r.readEliasGamma()
 	if err != nil {
 		return nil, err
 	}
+	// Every trial takes at least two bits: a sign and a unary terminator.
+	t := tPlus - 1
+	if t > uint64(len(buf)*8-r.nbit)/2 {
+		return nil, fmt.Errorf("sketch: trial count %d exceeds the encoding", t)
+	}
+	if kPlus > math.MaxInt16+2 {
+		return nil, fmt.Errorf("sketch: baseline %d out of range", kPlus-2)
+	}
 	k := int(kPlus) - 2
 	s := make([]int16, t)
-	for i := 0; i < t; i++ {
+	for i := range s {
 		sign, err := r.readBit()
 		if err != nil {
 			return nil, err
@@ -205,7 +216,11 @@ func DecodeDeviation(buf []byte) ([]int16, error) {
 		if sign == 1 {
 			dev = -dev
 		}
-		s[i] = int16(k + dev)
+		v := k + dev
+		if v < Empty || v > math.MaxInt16 {
+			return nil, fmt.Errorf("sketch: trial %d decodes to %d, outside [%d, %d]", i, v, Empty, math.MaxInt16)
+		}
+		s[i] = int16(v)
 	}
 	return s, nil
 }

@@ -61,6 +61,10 @@ func harmonicMean(d float64) float64 {
 // The struct is the reusable scratch: a value histogram filled in one pass
 // over the row, from which both statistics derive. A MaxEstimator is owned
 // by one goroutine; the zero value is ready to use.
+//
+// A caller that only compares the estimate against a fixed threshold should
+// ask a Cutoff instead: it gives the same answer from the raw statistic,
+// without the inversion, which is most of the cost of an estimate.
 type MaxEstimator[C Cell] struct {
 	hist []int
 }
@@ -115,9 +119,7 @@ func (e *MaxEstimator[C]) fillMerged(a, b []C) {
 }
 
 // estimateFromHist inverts the filled histogram: S = (1/t)·Σ 2^−Y_i, then
-// damped log-Newton against harmonicMean (harmonicMean(d) ≈ c/d, so each
-// step is a near-exact Newton step in ln d). It allocates nothing beyond the
-// reused histogram.
+// invertStatistic. It allocates nothing beyond the reused histogram.
 func (e *MaxEstimator[C]) estimateFromHist(t int) float64 {
 	if e.hist[0] == t {
 		// No trial saw any element: the counted set is empty.
@@ -131,7 +133,15 @@ func (e *MaxEstimator[C]) estimateFromHist(t int) float64 {
 			sum += float64(c) * math.Exp2(-float64(k-1))
 		}
 	}
-	S := sum / float64(t)
+	return invertStatistic(sum / float64(t))
+}
+
+// invertStatistic solves harmonicMean(d) = S for d by damped log-Newton
+// (harmonicMean(d) ≈ c/d, so each step is a near-exact Newton step in ln d),
+// starting at d = 1/S and stopping at a 1e-10 relative residual or after 48
+// steps. Cutoff's constructor checks its guard band against this same
+// function.
+func invertStatistic(S float64) float64 {
 	d := 1 / S
 	for i := 0; i < 48; i++ {
 		g := harmonicMean(d)
@@ -159,10 +169,10 @@ func (e *MaxEstimator[C]) Estimate(s []C) float64 {
 
 // EstimateMerged is the fused merge+estimate kernel: it returns
 // Estimate(max(a, b)) — bit-identical floats — in one pass over the two
-// rows, with no materialized merged row and no separate histogram fill. It
-// is the per-edge hot path of the decomposition's buddy predicate, which
-// previously copied a into scratch, merged b, and re-scanned the result. It
-// panics if the lengths differ.
+// rows, with no materialized merged row and no separate histogram fill. The
+// decomposition's buddy predicate only compares this estimate against a
+// cut, so it asks Cutoff.MergedAtMost instead. It panics if the lengths
+// differ.
 func (e *MaxEstimator[C]) EstimateMerged(a, b []C) float64 {
 	if len(a) != len(b) {
 		panic("sketch: EstimateMerged length mismatch")

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
@@ -113,4 +114,64 @@ func canonKMV(raw []int16) []int16 {
 		row[i] = kmvSentinel
 	}
 	return row
+}
+
+// FuzzCutoff checks both Cutoff questions against the inverting estimator
+// on arbitrary in-contract rows — cells in [Empty, MaxCell8], any width
+// including 0, aligned and misaligned — and cuts of at least 0.75, the
+// smallest the decomposition produces. A non-zero nudge instead places the
+// cut within nudge·1e-9 (relative) of the merged row's own estimate, which
+// puts the statistic in or beside the guard band; the seeds sit just inside
+// and just outside it.
+func FuzzCutoff(f *testing.F) {
+	for i, rel := range []float64{-1.001e-6, -0.999e-6, 0, 0.999e-6, 1.001e-6} {
+		for _, cut := range []float64{0.775, 178.125} {
+			row := rowWithStatistic(256, int(cut)+1, harmonicMean(cut)*(1+rel), uint64(i))
+			raw := make([]byte, len(row))
+			for j, y := range row {
+				raw[j] = byte(y)
+			}
+			f.Add(raw, []byte{}, cut, int16(0))
+		}
+	}
+	f.Add([]byte{}, []byte{}, 0.75, int16(0))
+	f.Add([]byte{0xff, 0xff, 0xff}, []byte{0x7f}, 1.0, int16(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, []byte{3, 3, 3}, 0.0, int16(700))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, cut float64, nudge int16) {
+		width := len(rawA)
+		off := len(rawB) % 8
+		back := make([]int8, 2*(width+8))
+		a := back[off : off+width]
+		b := back[width+8+off : width+8+off+width]
+		for i := range a {
+			a[i] = int8(rawA[i])
+			b[i] = Empty
+			if i < len(rawB) {
+				b[i] = int8(rawB[i])
+			}
+		}
+		copy(a, canonMax8(a))
+		copy(b, canonMax8(b))
+		merged := cloneRow(a)
+		MergeMax8Generic(merged, b)
+		var est MaxEstimator[int8]
+		if nudge != 0 {
+			cut = est.Estimate(merged) * (1 + float64(nudge)*1e-9)
+		} else {
+			cut = 0.75 + math.Abs(cut)
+		}
+		if !(cut >= 0.75) || math.IsInf(cut, 0) {
+			return
+		}
+		c := NewCutoff(cut)
+		if got, want := c.MergedAtMost(&est, a, b), est.EstimateMerged(a, b) <= cut; got != want {
+			t.Fatalf("cut %v, width %d: MergedAtMost = %v, inversion says %v\n a=%v\n b=%v", cut, width, got, want, a, b)
+		}
+		if got, want := c.AtLeast(&est, merged), est.Estimate(merged) >= cut; got != want {
+			t.Fatalf("cut %v, width %d: AtLeast = %v, inversion says %v\n row=%v", cut, width, got, want, merged)
+		}
+		if got, want := c.AtLeast(&est, a), est.Estimate(a) >= cut; got != want {
+			t.Fatalf("cut %v, width %d: AtLeast = %v, inversion says %v\n row=%v", cut, width, got, want, a)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 // Package sketch is the generic mergeable-sketch engine behind the
 // decomposition's approximate counting: flat arenas of fixed-width cell
 // rows, a pluggable merge kernel whose fold is commutative, associative, and
-// idempotent, and estimators that invert a merged row back into a count.
+// idempotent, estimators that invert a merged row back into a count, and
+// Cutoff, which decides whether that count passes a threshold without
+// inverting it.
 //
 // The shape is the one federated aggregation systems use for
 // communication-efficient, order-independent state: because merging is a
