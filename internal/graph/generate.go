@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // NewRand returns a deterministic PCG-backed random source for the given
@@ -49,8 +50,16 @@ func MustGNP(n int, p float64, rng *rand.Rand) *Graph {
 }
 
 // gnpInto adds the edges of G(hi-lo, p) on the vertex window [lo, hi) of b.
-// p must already be validated to [0,1].
+// p must already be validated to [0,1]. It first reserves b's pair buffer
+// for mean + 6σ of the Binomial(k(k−1)/2, p) edge count, so the buffer is
+// allocated once instead of regrown and copied as edges arrive; a total past
+// the edge cap reserves nothing, and AddEdge reports the cap if it is hit.
 func gnpInto(b *Builder, lo, hi int, p float64, rng *rand.Rand) error {
+	k := float64(hi - lo)
+	mean := k * (k - 1) / 2 * p
+	if want := float64(len(b.edges)) + math.Ceil(mean+6*math.Sqrt(mean*(1-p))); want <= maxBuilderEdges {
+		b.edges = slices.Grow(b.edges, int(want)-len(b.edges))
+	}
 	return gnpPairs(hi-lo, p, rng, func(v, w int) error {
 		return b.AddEdge(lo+v, lo+w)
 	})

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -37,8 +38,8 @@ const maxBuilderEdges = 1<<30 - 1
 
 // Builder accumulates edges for a Graph. Endpoints are validated at Add
 // time (range, self-loops); duplicate edges are buffered freely and merged
-// by a single sort+scan in Build, so no per-edge hash map is kept and adding
-// an edge is a bounds check plus one append.
+// per row in Build, so no per-edge hash map is kept and adding an edge is a
+// bounds check plus one append.
 type Builder struct {
 	n     int
 	edges []uint64 // packed lo<<32 | hi with lo < hi
@@ -55,14 +56,18 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge buffers the undirected edge {u, v}. It returns an error for
-// out-of-range endpoints and self-loops. Duplicate edges are accepted and
-// merged in Build, so the resulting graph is always simple.
+// out-of-range endpoints (including ids the int32 CSR cannot hold),
+// self-loops, and a Builder that has already been built. Duplicate edges are
+// accepted and merged in Build, so the resulting graph is always simple.
 func (b *Builder) AddEdge(u, v int) error {
 	if b.built {
-		panic("graph: Builder used after Build")
+		return fmt.Errorf("graph: Builder used after Build")
 	}
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
+	}
+	if u > math.MaxInt32 || v > math.MaxInt32 {
+		return fmt.Errorf("graph: edge {%d,%d} exceeds the int32 vertex id range", u, v)
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at %d", u)
@@ -77,45 +82,65 @@ func (b *Builder) AddEdge(u, v int) error {
 	return nil
 }
 
-// Build finalizes the graph: sorts the buffered endpoint pairs, drops
-// duplicates in one scan, and lays the survivors out in CSR form. Because
-// the pairs are normalized (lo < hi) and sorted lexicographically, filling
-// both directions in pair order yields sorted neighbor lists without any
-// per-vertex sort. The Builder must not be used afterwards: AddEdge and
-// Build panic on a finalized Builder rather than silently dropping the
-// pre-Build edges.
+// Build finalizes the graph in time linear in the buffered pairs: it counts
+// both endpoints of every pair, prefix-sums the counts into row offsets, and
+// scatters each pair into both rows in arrival order. Pairs that arrive in
+// row order — (lo, hi) or (hi, lo) ascending, as the clique and GNP
+// generators emit them — fill every row smaller neighbors first, then larger
+// ones, each ascending, so those rows are already sorted. One pass then
+// sorts only the rows that are not, merges duplicates, and closes the gaps
+// they leave, so the CSR is canonical (rows strictly ascending, arrays
+// exactly sized) whatever the arrival order. Build has no error result, so a
+// second Build panics; AddEdge on a built Builder returns an error.
 func (b *Builder) Build() *Graph {
 	if b.built {
 		panic("graph: Builder used after Build")
 	}
 	b.built = true
-	slices.Sort(b.edges)
-	edges := slices.Compact(b.edges)
+	// Counts fit int32: maxBuilderEdges bounds 2·len(edges), duplicates
+	// included.
 	offsets := make([]int32, b.n+1)
-	for _, e := range edges {
+	for _, e := range b.edges {
 		offsets[e>>32+1]++
 		offsets[uint32(e)+1]++
 	}
-	maxDeg := 0
 	for v := 0; v < b.n; v++ {
-		if d := int(offsets[v+1]); d > maxDeg {
-			maxDeg = d
-		}
 		offsets[v+1] += offsets[v]
 	}
 	cursor := make([]int32, b.n)
 	copy(cursor, offsets[:b.n])
-	nbrs := make([]int32, 2*len(edges))
-	for _, e := range edges {
+	nbrs := make([]int32, 2*len(b.edges))
+	for _, e := range b.edges {
 		u, v := int32(e>>32), int32(uint32(e))
 		nbrs[cursor[u]] = v
 		cursor[u]++
 		nbrs[cursor[v]] = u
 		cursor[v]++
 	}
-	g := &Graph{offsets: offsets, nbrs: nbrs, m: len(edges), maxDeg: maxDeg}
 	b.edges = nil
-	return g
+	// Row pass: w is the compacted write position; offsets[v+1] still holds
+	// row v's scattered end when row v is reached.
+	w, start, maxDeg := int32(0), int32(0), 0
+	for v := 0; v < b.n; v++ {
+		row := nbrs[start:offsets[v+1]]
+		if !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
+		row = slices.Compact(row)
+		if w != start {
+			copy(nbrs[w:], row)
+		}
+		start = offsets[v+1]
+		w += int32(len(row))
+		offsets[v+1] = w
+		maxDeg = max(maxDeg, len(row))
+	}
+	if int(w) < len(nbrs) {
+		exact := make([]int32, w)
+		copy(exact, nbrs)
+		nbrs = exact
+	}
+	return &Graph{offsets: offsets, nbrs: nbrs, m: int(w) / 2, maxDeg: maxDeg}
 }
 
 // N returns the number of vertices.

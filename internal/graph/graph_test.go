@@ -7,16 +7,19 @@ import (
 
 func TestBuilderRejectsBadEdges(t *testing.T) {
 	tests := []struct {
-		name string
-		u, v int
+		name    string
+		n, u, v int
 	}{
-		{name: "self loop", u: 1, v: 1},
-		{name: "negative", u: -1, v: 2},
-		{name: "out of range", u: 0, v: 5},
+		{name: "self loop", n: 5, u: 1, v: 1},
+		{name: "negative", n: 5, u: -1, v: 2},
+		{name: "out of range", n: 5, u: 0, v: 5},
+		// Below n but past the int32 CSR's ids. The builder allocates
+		// nothing before Build, so the huge n costs no memory.
+		{name: "beyond int32", n: 1<<31 + 1, u: 1 << 31, v: 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			b := NewBuilder(5)
+			b := NewBuilder(tt.n)
 			if err := b.AddEdge(tt.u, tt.v); err == nil {
 				t.Fatalf("AddEdge(%d,%d) = nil error, want error", tt.u, tt.v)
 			}
@@ -48,18 +51,43 @@ func TestBuilderMergesDuplicates(t *testing.T) {
 	}
 }
 
-func TestBuilderPanicsAfterBuild(t *testing.T) {
+// TestBuilderUseAfterBuild pins the finalized-builder contract: AddEdge
+// returns an error instead of silently dropping the edge, ShardedBuilder's
+// AddEdge and Build do the same, and Builder.Build — which has no error
+// result — panics on a second call.
+func TestBuilderUseAfterBuild(t *testing.T) {
 	b := NewBuilder(3)
 	if err := b.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	b.Build()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddEdge on a finalized Builder did not panic")
-		}
+	if err := b.AddEdge(1, 2); err == nil {
+		t.Fatal("AddEdge on a finalized Builder returned nil")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second Build on a Builder did not panic")
+			}
+		}()
+		b.Build()
 	}()
-	_ = b.AddEdge(1, 2)
+	sb, err := NewShardedBuilder(3, []int32{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sb.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.AddEdge(1, 2); err == nil {
+		t.Fatal("AddEdge on a finalized ShardedBuilder returned nil")
+	}
+	if sg, err := sb.Build(); err == nil || sg != nil {
+		t.Fatalf("second ShardedBuilder.Build = %v, %v; want nil, error", sg, err)
+	}
 }
 
 func TestGraphBasics(t *testing.T) {

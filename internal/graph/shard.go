@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clustercolor/internal/parwork"
@@ -151,8 +152,8 @@ func buildSlice(g *Graph, sg *ShardedGraph, shard, lo, hi int) (*ShardSlice, err
 			}
 		}
 	}
-	sort.Slice(halo, func(i, j int) bool { return halo[i] < halo[j] })
-	halo = dedupe(halo)
+	slices.Sort(halo)
+	halo = slices.Compact(halo)
 	sl.Halo = halo
 	sl.HaloOwner = make([]int32, len(halo))
 	for i, u := range halo {
@@ -216,14 +217,4 @@ func validStarts(n int, starts []int32) error {
 		}
 	}
 	return nil
-}
-
-func dedupe(s []int32) []int32 {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

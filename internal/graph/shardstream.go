@@ -72,9 +72,10 @@ func (sb *ShardedBuilder) owner(v int) int {
 // AddEdge buffers the undirected edge {u, v} with Builder's validation
 // (range, self-loops; duplicates merged at Build). The edge is routed to
 // both endpoint owners' buffers; each buffer is capped at maxBuilderEdges.
+// On a built ShardedBuilder it returns an error.
 func (sb *ShardedBuilder) AddEdge(u, v int) error {
 	if sb.built {
-		panic("graph: ShardedBuilder used after Build")
+		return fmt.Errorf("graph: ShardedBuilder used after Build")
 	}
 	if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
 		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, sb.n)
@@ -113,10 +114,11 @@ func (sb *ShardedBuilder) push(s int, e uint64) error {
 func (sb *ShardedBuilder) PeakBufferedEdges() int { return sb.peak }
 
 // Build finalizes every slice in parallel and returns the ShardedGraph, with
-// no global graph. The builder must not be used afterwards.
+// no global graph. The builder must not be used afterwards: a second Build
+// returns an error.
 func (sb *ShardedBuilder) Build() (*ShardedGraph, error) {
 	if sb.built {
-		panic("graph: ShardedBuilder used after Build")
+		return nil, fmt.Errorf("graph: ShardedBuilder used after Build")
 	}
 	sb.built = true
 	k := len(sb.starts) - 1
@@ -145,46 +147,34 @@ func (sb *ShardedBuilder) Build() (*ShardedGraph, error) {
 	return sg, nil
 }
 
-// sliceFromEdges builds one ShardSlice from the deduped edges touching it:
-// the same halo/local-CSR layout buildSlice derives from the global CSR, so
-// the two constructions are byte-identical.
+// sliceFromEdges builds one ShardSlice from the edges touching it,
+// duplicates included: the same halo/local-CSR layout buildSlice derives
+// from the global CSR, so the two constructions are byte-identical. The
+// local Builder is the only dedupe.
 func sliceFromEdges(starts []int32, shard int, edges []uint64) *ShardSlice {
 	lo, hi := int(starts[shard]), int(starts[shard+1])
 	sl := &ShardSlice{Shard: shard, Lo: lo, Hi: hi}
 	own := hi - lo
-	slices.Sort(edges)
-	edges = slices.Compact(edges)
 	// Halo: distinct out-of-range endpoints, ascending. Every buffered edge
-	// touches the shard, so at most one endpoint is out of range and each
-	// cross edge is exactly one directed owned→halo edge.
+	// touches the shard, so at most one endpoint is out of range.
 	var halo []int32
-	boundary := make([]bool, own)
 	for _, e := range edges {
 		a, b := int(e>>32), int(uint32(e))
 		if a < lo || a >= hi {
 			halo = append(halo, int32(a))
-			boundary[b-lo] = true
-			sl.BoundaryEdges++
 		} else if b < lo || b >= hi {
 			halo = append(halo, int32(b))
-			boundary[a-lo] = true
-			sl.BoundaryEdges++
 		}
 	}
-	sort.Slice(halo, func(i, j int) bool { return halo[i] < halo[j] })
-	halo = dedupe(halo)
+	slices.Sort(halo)
+	halo = slices.Compact(halo)
 	sl.Halo = halo
 	sl.HaloOwner = make([]int32, len(halo))
 	for i, u := range halo {
 		sl.HaloOwner[i] = int32(ownerOf(starts, int(u)))
 	}
-	for lv, isB := range boundary {
-		if isB {
-			sl.Boundary = append(sl.Boundary, int32(lv))
-		}
-	}
-	// Local CSR over owned-then-halo ids. The edges are already simple, and
-	// Builder's sort lays rows out sorted, matching the materialized slice.
+	// Local CSR over owned-then-halo ids; Build sorts the rows and merges
+	// duplicates, matching the materialized slice.
 	bld := NewBuilder(own + len(halo))
 	local := func(g int) int {
 		if g >= lo && g < hi {
@@ -200,6 +190,16 @@ func sliceFromEdges(starts []int32, shard int, edges []uint64) *ShardSlice {
 		}
 	}
 	sl.CSR = bld.Build()
+	// Boundary: owned rows with halo neighbors. Halo ids follow every owned
+	// id, so they end each sorted row; each is one directed owned→halo edge.
+	for lv := 0; lv < own; lv++ {
+		row := sl.CSR.Neighbors(lv)
+		first, _ := slices.BinarySearch(row, int32(own))
+		if cross := len(row) - first; cross > 0 {
+			sl.Boundary = append(sl.Boundary, int32(lv))
+			sl.BoundaryEdges += cross
+		}
+	}
 	return sl
 }
 
