@@ -19,7 +19,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzColor$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/fingerprint
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz '^FuzzWave$$' -fuzztime 10s ./internal/distsim
 	$(GO) test -run '^$$' -fuzz '^FuzzACD$$' -fuzztime 10s ./internal/acd
 	$(GO) test -run '^$$' -fuzz '^FuzzSketchMerge$$' -fuzztime 10s ./internal/sketch
@@ -49,8 +49,8 @@ bench-acd:
 	$(GO) run ./cmd/benchtables -acdbench BENCH_acd.json
 
 # Sketch-engine microbench: merge kernels in isolation, collect waves at
-# parallelism 1/2/4/NumCPU, and the bits-per-vertex/accuracy profile of every
-# estimator variant.
+# parallelism 1/2/4/NumCPU, and the bits-per-vertex/accuracy profile of the
+# estimator.
 bench-sketch:
 	$(GO) run ./cmd/benchtables -sketchbench BENCH_sketch.json
 

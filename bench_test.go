@@ -7,6 +7,7 @@ package clustercolor
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"clustercolor/internal/graph"
 	"clustercolor/internal/matching"
 	"clustercolor/internal/network"
+	"clustercolor/internal/sketch"
 	"clustercolor/internal/trials"
 )
 
@@ -358,28 +360,35 @@ func BenchmarkFullPipelineLowDegree(b *testing.B) {
 	}
 }
 
-func BenchmarkFingerprintEstimate(b *testing.B) {
-	rng := graph.NewRand(3)
-	s := fingerprint.NewSketch(256)
-	for j := 0; j < 1000; j++ {
-		_ = s.AddSamples(fingerprint.NewSamples(256, rng))
+// benchFingerprint returns the 256-trial fingerprint of 1000 parties.
+func benchFingerprint(rng *rand.Rand) []int8 {
+	s := make([]int8, 256)
+	for i := range s {
+		s[i] = sketch.Empty
 	}
+	party := make([]int8, len(s))
+	for j := 0; j < 1000; j++ {
+		fingerprint.Draw(party, rng)
+		sketch.MergeMax8(s, party)
+	}
+	return s
+}
+
+func BenchmarkFingerprintEstimate(b *testing.B) {
+	s := benchFingerprint(graph.NewRand(3))
+	var est sketch.MaxEstimator[int8]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Estimate()
+		_ = est.Estimate(s)
 	}
 }
 
 func BenchmarkFingerprintEncodeDecode(b *testing.B) {
-	rng := graph.NewRand(4)
-	s := fingerprint.NewSketch(256)
-	for j := 0; j < 1000; j++ {
-		_ = s.AddSamples(fingerprint.NewSamples(256, rng))
-	}
+	s := benchFingerprint(graph.NewRand(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := s.Encode()
-		if _, err := fingerprint.Decode(buf); err != nil {
+		buf := sketch.EncodeDeviation(s)
+		if _, err := sketch.DecodeDeviation(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

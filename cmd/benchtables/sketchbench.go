@@ -15,11 +15,11 @@ import (
 )
 
 // sketchBenchReport is the BENCH_sketch.json schema: the isolated merge
-// kernels (the SWAR word-at-a-time max against its scalar reference, and the
-// KMV insertion merge), one collect-wave timing per workload and parallelism
-// level, and the wire-size/accuracy profile of every estimator variant. It
-// tracks the sketch engine the way BENCH_acd.json tracks the decomposition
-// built on top of it.
+// kernels (the SWAR word-at-a-time max against its scalar reference, the
+// paired fold, and the fused and materialized union estimates), one
+// collect-wave timing per workload and parallelism level, and the
+// wire-size/accuracy profile of the estimator. It tracks the sketch engine
+// the way BENCH_acd.json tracks the decomposition built on top of it.
 type sketchBenchReport struct {
 	Schema      string `json:"schema"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
@@ -50,9 +50,9 @@ type sketchWaveResult struct {
 	SketchBits int `json:"sketch_bits"`
 }
 
-// sketchEstimatorStat profiles one estimator variant on one workload's wave
-// output: mean encoded row size (bits/vertex) and mean relative error
-// against exact degrees.
+// sketchEstimatorStat profiles the estimator on one workload's wave output:
+// mean encoded row size (bits/vertex) and mean relative error against exact
+// degrees.
 type sketchEstimatorStat struct {
 	Workload      string  `json:"workload"`
 	Kernel        string  `json:"kernel"`
@@ -62,12 +62,12 @@ type sketchEstimatorStat struct {
 	MeanRelErr    float64 `json:"mean_rel_err"`
 }
 
-// mergeBench times one merge function on arena-aligned rows filled by fill.
-func mergeBench[C sketch.Cell](width int, fill func(row []C, rowSeed uint64), merge func(dst, src []C)) testing.BenchmarkResult {
-	var a sketch.Arena[C]
+// mergeBench times one merge function on arena-aligned max-kernel rows.
+func mergeBench(width int, merge func(dst, src []int8)) testing.BenchmarkResult {
+	var a sketch.Arena[int8]
 	a.Reset(2, width)
-	fill(a.Row(0), parwork.RowSeed(1, 0))
-	fill(a.Row(1), parwork.RowSeed(1, 1))
+	sketch.MaxKernel{}.Fill(a.Row(0), parwork.RowSeed(1, 0))
+	sketch.MaxKernel{}.Fill(a.Row(1), parwork.RowSeed(1, 1))
 	dst, src := a.Row(0), a.Row(1)
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -151,23 +151,10 @@ func emitSketchBenchWorkloads(path string, seed uint64, maxN int, workloads []be
 	if err != nil {
 		return err
 	}
-	kmvWidth := sketch.KMVWidthFor(0.125)
-	// The int16 reference kernels (kept for the fingerprint adapter's wide
-	// rows) bench on the same geometric values, widened from the narrow fill.
-	wideFill := func(row []int16, rowSeed uint64) {
-		narrow := make([]int8, len(row))
-		sketch.MaxKernel{}.Fill(narrow, rowSeed)
-		for i, v := range narrow {
-			row[i] = int16(v)
-		}
-	}
 	report.Kernels = append(report.Kernels,
-		record(fmt.Sprintf("MergeMax8/t=%d", t0), mergeBench(t0, sketch.MaxKernel{}.Fill, sketch.MergeMax8)),
-		record(fmt.Sprintf("MergeMax8Generic/t=%d", t0), mergeBench(t0, sketch.MaxKernel{}.Fill, sketch.MergeMax8Generic)),
+		record(fmt.Sprintf("MergeMax8/t=%d", t0), mergeBench(t0, sketch.MergeMax8)),
+		record(fmt.Sprintf("MergeMax8Generic/t=%d", t0), mergeBench(t0, sketch.MergeMax8Generic)),
 		record(fmt.Sprintf("MergeMax8Pair/t=%d", t0), mergePairBench(t0)),
-		record(fmt.Sprintf("MergeMax/t=%d", t0), mergeBench(t0, wideFill, sketch.MergeMax)),
-		record(fmt.Sprintf("MergeMaxGeneric/t=%d", t0), mergeBench(t0, wideFill, sketch.MergeMaxGeneric)),
-		record(fmt.Sprintf("MergeKMV/k=%d", kmvWidth), mergeBench(kmvWidth, sketch.KMVKernel{}.Fill, sketch.MergeKMV)),
 		record(fmt.Sprintf("EstimateMerged/t=%d", t0), estimateMergedBench(t0, true)),
 		record(fmt.Sprintf("EstimateMergeTwo/t=%d", t0), estimateMergedBench(t0, false)),
 	)
@@ -236,33 +223,17 @@ func emitSketchBenchWorkloads(path string, seed uint64, maxN int, workloads []be
 		report.Curves = append(report.Curves, curveFromNs(w.Name, "collect", levels, waveNs))
 		// Estimator profile: rerun the plain-neighborhood wave so the rows
 		// match what the parallelism sweep's last iteration may have
-		// overwritten, then sweep each variant.
+		// overwritten, then sweep the estimator.
 		if _, err := benchwork.RunSketchWave(cg, eng, trials, seed); err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		var harmonic sketch.MaxEstimator[int8]
-		var threshold sketch.ThresholdEstimator[int8]
-		for _, est := range []sketch.Estimator[int8]{&harmonic, &threshold} {
-			s := benchwork.SketchEstimatorStats(h, eng, est)
-			report.Estimators = append(report.Estimators, sketchEstimatorStat{
-				Workload:      w.Name,
-				Kernel:        eng.Kernel.Name(),
-				Estimator:     est.Name(),
-				Width:         trials,
-				BitsPerVertex: s.BitsPerVertex,
-				MeanRelErr:    s.MeanRelErr,
-			})
-		}
-		kmvEng := sketch.NewEngine[int16](sketch.KMVKernel{})
-		if _, err := benchwork.RunSketchWave(cg, kmvEng, kmvWidth, seed); err != nil {
-			return fmt.Errorf("%s: %w", w.Name, err)
-		}
-		s := benchwork.SketchEstimatorStats(h, kmvEng, sketch.KMVEstimator{})
+		var est sketch.MaxEstimator[int8]
+		s := benchwork.SketchEstimatorStats(h, eng, &est)
 		report.Estimators = append(report.Estimators, sketchEstimatorStat{
 			Workload:      w.Name,
-			Kernel:        kmvEng.Kernel.Name(),
-			Estimator:     sketch.KMVEstimator{}.Name(),
-			Width:         kmvWidth,
+			Kernel:        eng.Kernel.Name(),
+			Estimator:     est.Name(),
+			Width:         trials,
 			BitsPerVertex: s.BitsPerVertex,
 			MeanRelErr:    s.MeanRelErr,
 		})

@@ -57,8 +57,8 @@ func TestEmitSketchBench(t *testing.T) {
 	if report.MaxN != 1000 {
 		t.Fatalf("max_n = %d, want 1000", report.MaxN)
 	}
-	if len(report.Kernels) != 8 {
-		t.Fatalf("got %d kernel records, want 8 (narrow/wide SWAR + generics, paired fold, kmv, fused/materialized estimate)", len(report.Kernels))
+	if len(report.Kernels) != 5 {
+		t.Fatalf("got %d kernel records, want 5 (SWAR + generic, paired fold, fused/materialized estimate)", len(report.Kernels))
 	}
 	for _, k := range report.Kernels {
 		if k.Iterations <= 0 || k.NsPerOp <= 0 {
@@ -91,10 +91,10 @@ func TestEmitSketchBench(t *testing.T) {
 			t.Fatalf("no wave record at parallelism %d", par)
 		}
 	}
-	if len(report.Estimators) != 3 {
-		t.Fatalf("got %d estimator records, want 3 (harmonic, threshold, kmv)", len(report.Estimators))
+	if len(report.Estimators) != 1 {
+		t.Fatalf("got %d estimator records, want 1 (harmonic)", len(report.Estimators))
 	}
-	wantEst := map[string]bool{"max/harmonic": false, "max/threshold": false, "kmv": false}
+	wantEst := map[string]bool{"max/harmonic": false}
 	for _, e := range report.Estimators {
 		if _, ok := wantEst[e.Estimator]; !ok {
 			t.Fatalf("unexpected estimator variant %q", e.Estimator)
@@ -103,8 +103,8 @@ func TestEmitSketchBench(t *testing.T) {
 		if e.BitsPerVertex <= 0 || e.Width <= 0 {
 			t.Fatalf("estimator record missing wire size: %+v", e)
 		}
-		// Degree ≈ 24 with these widths: every variant should land within
-		// 50% mean relative error by a wide margin.
+		// Degree ≈ 24 at this width: the estimate should land within 50%
+		// mean relative error by a wide margin.
 		if e.MeanRelErr <= 0 || e.MeanRelErr > 0.5 {
 			t.Fatalf("estimator %s mean relative error %v out of range", e.Estimator, e.MeanRelErr)
 		}

@@ -19,8 +19,7 @@ type SketchWorkload struct {
 	Name string
 	// N is the vertex count.
 	N int
-	// Xi is the wave accuracy (fixes the max-kernel trial count and the KMV
-	// width).
+	// Xi is the wave accuracy (fixes the max-kernel trial count).
 	Xi float64
 	// Build constructs the instance (once per workload; waves are what the
 	// benchmark times).
@@ -60,16 +59,16 @@ func SketchTrials(xi float64, n int) (int, error) {
 // parallel CSR collect — and returns the peak encoded payload in bits. The
 // engine's arenas are reused across calls, so steady-state allocations are
 // independent of n.
-func RunSketchWave[C sketch.Cell](cg *cluster.CG, eng *sketch.Engine[C], t int, seed uint64) (int, error) {
+func RunSketchWave(cg *cluster.CG, eng *sketch.Engine[int8], t int, seed uint64) (int, error) {
 	if err := eng.FillSamples(cg.H.N(), t, parwork.RowSeed(seed, 0)); err != nil {
 		return 0, err
 	}
 	return eng.Collect(cg, "bench/sketch", sketch.CollectOptions{})
 }
 
-// EstimatorStats aggregates one estimator variant over the engine's latest
-// wave: the mean encoded row size and the mean relative error of the
-// estimates against the exact neighborhood sizes.
+// EstimatorStats aggregates the estimator over the engine's latest wave:
+// the mean encoded row size and the mean relative error of the estimates
+// against the exact neighborhood sizes.
 type EstimatorStats struct {
 	// BitsPerVertex is the mean encoded row size in bits.
 	BitsPerVertex float64
@@ -81,7 +80,7 @@ type EstimatorStats struct {
 // SketchEstimatorStats sweeps the latest wave's output rows with est. The
 // wave must have collected plain neighborhoods (no predicate, no self), so
 // deg(v) is the exact count each estimate targets.
-func SketchEstimatorStats[C sketch.Cell](h *graph.Graph, eng *sketch.Engine[C], est sketch.Estimator[C]) EstimatorStats {
+func SketchEstimatorStats(h *graph.Graph, eng *sketch.Engine[int8], est *sketch.MaxEstimator[int8]) EstimatorStats {
 	n := h.N()
 	var bits, errSum float64
 	counted := 0

@@ -11,7 +11,10 @@
 // compute the information a vertex legitimately learns and charge the
 // corresponding rounds and bandwidth to a network.CostModel:
 //
-//   - CollectNeighbors: one H-round of per-neighbor payload exchange,
+//   - ChargeHRounds: the cost of H-rounds of per-neighbor exchange (the
+//     neighbor-sketch waves of internal/sketch's Collect charge through it),
+//   - LeaderRound: the canonical H-round at machine level — broadcast down
+//     the trees, exchange over inter-cluster links, aggregate back up,
 //   - BFSForest (Lemma 3.2): parallel BFS in vertex-disjoint subgraphs,
 //   - PrefixSums (Lemma 3.3): ordered-tree prefix sums,
 //   - Broadcast/Aggregate helpers for within-cluster dissemination.
@@ -192,119 +195,4 @@ func (cg *CG) ChargeHRounds(phase string, k, payloadBits int) int {
 		total += cg.cost.Charge(phase, payloadBits, cg.HopsPerRound())
 	}
 	return total
-}
-
-// NeighborScratch holds the announcement and accumulator buffers of a
-// CollectNeighbors exchange, so callers that run an exchange per iteration
-// reuse two n-sized slices instead of allocating them every round. A scratch
-// belongs to one exchange at a time; the slice the With variants return
-// aliases it and is valid until the next exchange through the same scratch.
-// The zero value is ready to use.
-type NeighborScratch[T any] struct {
-	vals []T
-	out  []T
-}
-
-// scratchBuf resizes buf to n, reusing the backing when possible. When clear
-// is set, reused cells are reset to the zero value (fresh allocations
-// already are) — the subset exchange relies on untouched cells reading as
-// zero.
-func scratchBuf[T any](buf []T, n int, clear bool) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	if clear {
-		var zero T
-		for i := range buf {
-			buf[i] = zero
-		}
-	}
-	return buf
-}
-
-// CollectNeighbors performs one H-round: every vertex v announces
-// value(v), every neighbor aggregates the announcements with fold, starting
-// from zero(v). payloadBits is the announced message size; the exchange is
-// charged as one H-round. Aggregation along support trees combines values,
-// so the per-link bits stay at payloadBits (the paper's central point —
-// aggregation, not concatenation).
-func CollectNeighbors[T any](cg *CG, phase string, payloadBits int,
-	zero func(v int) T,
-	value func(v int) T,
-	fold func(v int, acc T, u int, uval T) T,
-) []T {
-	return CollectNeighborsWith(cg, phase, payloadBits, &NeighborScratch[T]{}, zero, value, fold)
-}
-
-// CollectNeighborsWith is CollectNeighbors with caller-owned scratch: hot
-// paths that exchange every iteration hold one NeighborScratch and stop
-// allocating per round. The returned slice aliases sc.
-func CollectNeighborsWith[T any](cg *CG, phase string, payloadBits int, sc *NeighborScratch[T],
-	zero func(v int) T,
-	value func(v int) T,
-	fold func(v int, acc T, u int, uval T) T,
-) []T {
-	cg.ChargeHRounds(phase, 1, payloadBits)
-	n := cg.H.N()
-	// Values are computed before folding so that the exchange is
-	// simultaneous (round-based), not sequential. Every cell is written, so
-	// stale scratch contents never leak through.
-	sc.vals = scratchBuf(sc.vals, n, false)
-	sc.out = scratchBuf(sc.out, n, false)
-	vals, out := sc.vals, sc.out
-	for v := 0; v < n; v++ {
-		vals[v] = value(v)
-	}
-	for v := 0; v < n; v++ {
-		acc := zero(v)
-		for _, u := range cg.H.Neighbors(v) {
-			acc = fold(v, acc, int(u), vals[u])
-		}
-		out[v] = acc
-	}
-	return out
-}
-
-// CollectNeighborsSubset is CollectNeighbors restricted to an active vertex
-// set: only active vertices announce, and only active vertices listen.
-func CollectNeighborsSubset[T any](cg *CG, phase string, payloadBits int, active []bool,
-	zero func(v int) T,
-	value func(v int) T,
-	fold func(v int, acc T, u int, uval T) T,
-) []T {
-	return CollectNeighborsSubsetWith(cg, phase, payloadBits, active, &NeighborScratch[T]{}, zero, value, fold)
-}
-
-// CollectNeighborsSubsetWith is CollectNeighborsSubset with caller-owned
-// scratch (see CollectNeighborsWith). Inactive vertices read as the zero
-// value, exactly as with fresh slices.
-func CollectNeighborsSubsetWith[T any](cg *CG, phase string, payloadBits int, active []bool, sc *NeighborScratch[T],
-	zero func(v int) T,
-	value func(v int) T,
-	fold func(v int, acc T, u int, uval T) T,
-) []T {
-	cg.ChargeHRounds(phase, 1, payloadBits)
-	n := cg.H.N()
-	sc.vals = scratchBuf(sc.vals, n, true)
-	sc.out = scratchBuf(sc.out, n, true)
-	vals, out := sc.vals, sc.out
-	for v := 0; v < n; v++ {
-		if active[v] {
-			vals[v] = value(v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !active[v] {
-			continue
-		}
-		acc := zero(v)
-		for _, u := range cg.H.Neighbors(v) {
-			if active[u] {
-				acc = fold(v, acc, int(u), vals[u])
-			}
-		}
-		out[v] = acc
-	}
-	return out
 }

@@ -136,51 +136,6 @@ func TestNewRejectsNilCost(t *testing.T) {
 	}
 }
 
-func TestCollectNeighborsComputesMax(t *testing.T) {
-	cg := mustCG(t, graph.Cycle(6), graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3}, 7)
-	before := cg.Cost().Rounds()
-	vals := CollectNeighbors(cg, "test", 16,
-		func(v int) int { return -1 },
-		func(v int) int { return v * 10 },
-		func(v int, acc int, u int, uval int) int {
-			if uval > acc {
-				return uval
-			}
-			return acc
-		})
-	for v := 0; v < 6; v++ {
-		want := -1
-		for _, u := range cg.H.Neighbors(v) {
-			if int(u)*10 > want {
-				want = int(u) * 10
-			}
-		}
-		if vals[v] != want {
-			t.Fatalf("vals[%d] = %d, want %d", v, vals[v], want)
-		}
-	}
-	if cg.Cost().Rounds() <= before {
-		t.Fatal("CollectNeighbors charged no rounds")
-	}
-}
-
-func TestCollectNeighborsSubset(t *testing.T) {
-	cg := mustCG(t, graph.Path(5), graph.ExpandSpec{Topology: graph.TopologySingleton}, 7)
-	active := []bool{true, false, true, true, false}
-	sums := CollectNeighborsSubset(cg, "test", 8, active,
-		func(v int) int { return 0 },
-		func(v int) int { return 1 },
-		func(v int, acc int, u int, uval int) int { return acc + uval })
-	// Path 0-1-2-3-4; active {0,2,3}. Active neighbors: 0 has none (1
-	// inactive), 2 has 3, 3 has 2.
-	want := []int{0, 0, 1, 1, 0}
-	for v, w := range want {
-		if sums[v] != w {
-			t.Fatalf("sums[%d] = %d, want %d", v, sums[v], w)
-		}
-	}
-}
-
 func TestHopsPerRoundAndCharge(t *testing.T) {
 	cg := mustCG(t, graph.Path(3), graph.ExpandSpec{Topology: graph.TopologyPath, MachinesPerCluster: 4}, 7)
 	if got, want := cg.HopsPerRound(), 2*3+1; got != want {
@@ -416,15 +371,9 @@ func TestNewAbstract(t *testing.T) {
 	if cg.HopsPerRound() != 5 {
 		t.Fatalf("HopsPerRound = %d, want 5", cg.HopsPerRound())
 	}
-	// Vertex-level primitives work without machine structure.
-	vals := CollectNeighbors(cg, "x", 8,
-		func(v int) int { return 0 },
-		func(v int) int { return 1 },
-		func(v int, acc int, u int, uval int) int { return acc + uval })
-	for v, s := range vals {
-		if s != 2 {
-			t.Fatalf("cycle vertex %d sum = %d, want 2", v, s)
-		}
+	// Vertex-level charging works without machine structure.
+	if got := cg.ChargeHRounds("x", 1, 8); got != 5 || cost.Rounds() != 5 {
+		t.Fatalf("ChargeHRounds = %d (model %d rounds), want 5", got, cost.Rounds())
 	}
 	if _, err := NewAbstract(h, g, -1, cost); err == nil {
 		t.Fatal("negative dilation accepted")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"clustercolor/internal/cluster"
@@ -230,6 +231,43 @@ func TestParamsValidation(t *testing.T) {
 				t.Fatal("invalid params accepted")
 			}
 		})
+	}
+	// Every field crossed with NaN, ±Inf and its bounds: each range check is
+	// a negated in-range test, so NaN (which fails every comparison) and
+	// infinities are rejected, while the closed ends of each range validate.
+	nan, inf := math.NaN(), math.Inf(1)
+	type field struct {
+		name   string
+		set    func(*Params, float64)
+		reject []float64
+		accept []float64
+	}
+	fields := []field{
+		{"Eps", func(p *Params, x float64) { p.Eps = x }, []float64{nan, inf, -inf, 0, 1.0 / 3, -0.1}, []float64{1e-9, 0.33}},
+		{"ReservedCapFrac", func(p *Params, x float64) { p.ReservedCapFrac = x }, []float64{nan, inf, -inf, 0, 1}, []float64{1e-9, 0.999}},
+		{"EllFactor", func(p *Params, x float64) { p.EllFactor = x }, []float64{nan, inf, -inf, 0, -1}, []float64{1e-9, 1e300}},
+		{"ReservedFactor", func(p *Params, x float64) { p.ReservedFactor = x }, []float64{nan, inf, -inf, 0, -1}, []float64{1e-9, 250}},
+		{"SlackActivation", func(p *Params, x float64) { p.SlackActivation = x }, []float64{nan, inf, -inf, 0, -1, 1.0000001, 2}, []float64{1e-9, 1}},
+		{"InlierExtFactor", func(p *Params, x float64) { p.InlierExtFactor = x }, []float64{nan, inf, -inf, 0, 0.999}, []float64{1, 1e300}},
+		{"MatchingTrialFactor", func(p *Params, x float64) { p.MatchingTrialFactor = int(x) }, []float64{0, -1}, []float64{1}},
+		{"MaxFallbackRounds", func(p *Params, x float64) { p.MaxFallbackRounds = int(x) }, []float64{0, -1}, []float64{1}},
+		{"Shards", func(p *Params, x float64) { p.Shards = int(x) }, []float64{-1}, []float64{0, 4}},
+	}
+	for _, f := range fields {
+		for _, x := range f.reject {
+			p := DefaultParams(100)
+			f.set(&p, x)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v validated", f.name, x)
+			}
+		}
+		for _, x := range f.accept {
+			p := DefaultParams(100)
+			f.set(&p, x)
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s = %v rejected: %v", f.name, x, err)
+			}
+		}
 	}
 }
 

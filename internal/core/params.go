@@ -79,22 +79,26 @@ func DefaultParams(n int) Params {
 // substitute DefaultParams" signal rather than comparing structs inline.
 func (p Params) IsZero() bool { return p == (Params{}) }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Each range is written as a negated
+// in-range test, so NaN — which fails every comparison — is rejected too.
 func (p Params) Validate() error {
-	if p.Eps <= 0 || p.Eps >= 1.0/3 {
+	if !(p.Eps > 0 && p.Eps < 1.0/3) {
 		return fmt.Errorf("core: Eps %v out of (0, 1/3)", p.Eps)
 	}
-	if p.ReservedCapFrac <= 0 || p.ReservedCapFrac >= 1 {
+	if !(p.ReservedCapFrac > 0 && p.ReservedCapFrac < 1) {
 		return fmt.Errorf("core: ReservedCapFrac %v out of (0,1)", p.ReservedCapFrac)
 	}
-	if p.EllFactor <= 0 {
-		return fmt.Errorf("core: EllFactor %v must be positive", p.EllFactor)
+	if !(p.EllFactor > 0 && p.EllFactor <= math.MaxFloat64) {
+		return fmt.Errorf("core: EllFactor %v must be positive and finite", p.EllFactor)
 	}
-	if p.ReservedFactor <= 0 {
-		return fmt.Errorf("core: ReservedFactor %v must be positive", p.ReservedFactor)
+	if !(p.ReservedFactor > 0 && p.ReservedFactor <= math.MaxFloat64) {
+		return fmt.Errorf("core: ReservedFactor %v must be positive and finite", p.ReservedFactor)
 	}
-	if p.InlierExtFactor < 1 {
-		return fmt.Errorf("core: InlierExtFactor %v must be >= 1", p.InlierExtFactor)
+	if !(p.SlackActivation > 0 && p.SlackActivation <= 1) {
+		return fmt.Errorf("core: SlackActivation %v out of (0,1]", p.SlackActivation)
+	}
+	if !(p.InlierExtFactor >= 1 && p.InlierExtFactor <= math.MaxFloat64) {
+		return fmt.Errorf("core: InlierExtFactor %v must be finite and >= 1", p.InlierExtFactor)
 	}
 	if p.MatchingTrialFactor < 1 {
 		return fmt.Errorf("core: MatchingTrialFactor %v must be >= 1", p.MatchingTrialFactor)

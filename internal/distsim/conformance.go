@@ -10,9 +10,9 @@ import (
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/core"
-	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/network"
+	"clustercolor/internal/sketch"
 )
 
 // Conformance is the differential harness that validates the vertex-level
@@ -145,20 +145,23 @@ func Conformance(sc Scenario, seed uint64, engineBandwidth int, sched network.Sc
 }
 
 func conformWave(cg *cluster.CG, seed uint64, engineBandwidth int, sched network.Scheduler, rep *Report) error {
-	samples := fingerprint.SampleAll(cg.H.N(), 24, graph.NewRand(seed^0x5eed))
+	samples := drawSamples(cg.H.N(), 24, graph.NewRand(seed^0x5eed))
 	sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 	if err != nil {
 		return err
 	}
-	want := fingerprint.CollectNeighborSketches(cg.WithCost(sub), "conf/wave", samples, fingerprint.CollectOptions{})
+	var want sketch.Arena[int8]
+	if _, err := sketch.Collect(cg.WithCost(sub), "conf/wave", sketch.MaxKernel{}, samples, &want, sketch.CollectOptions{}); err != nil {
+		return fmt.Errorf("wave: vertex level: %w", err)
+	}
 	got, stats, err := FingerprintWaveWith(cg, samples, engineBandwidth, sched)
 	if err != nil {
 		return fmt.Errorf("wave: %w", err)
 	}
 	for v := 0; v < cg.H.N(); v++ {
-		for i := range want[v] {
-			if got[v][i] != want[v][i] {
-				return fmt.Errorf("wave: vertex %d trial %d: machine %d != vertex %d", v, i, got[v][i], want[v][i])
+		for i, w := range want.Row(v) {
+			if got[v][i] != w {
+				return fmt.Errorf("wave: vertex %d trial %d: machine %d != vertex %d", v, i, got[v][i], w)
 			}
 		}
 	}

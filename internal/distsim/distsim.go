@@ -10,11 +10,13 @@
 // the pipeline relies on:
 //
 //   - the fingerprint aggregation wave (Section 5 / Lemma 5.7) in this
-//     file: leaders broadcast their cluster's geometric samples down the
+//     file: leaders broadcast their cluster's geometric sample row down the
 //     support trees, boundary machines exchange sketches over
 //     inter-cluster links, and the per-link maxima aggregate back up;
 //     idempotence of max makes it immune to redundant inter-cluster links
-//     (the Section 1.1 double-counting hazard);
+//     (the Section 1.1 double-counting hazard). Rows are the int8 max-kernel
+//     rows of internal/sketch, merged by sketch.MergeMax8, and the vertex-level
+//     reference is sketch.Collect over the same sample arena;
 //   - the canonical leader broadcast/exchange/convergecast H-round
 //     (leaderround.go), the machine counterpart of cluster.CG.LeaderRound;
 //   - the per-clique stage primitives — colorful matching, synchronized
@@ -30,12 +32,14 @@ package distsim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/network"
+	"clustercolor/internal/sketch"
 )
 
 // phase tags of the wave protocol.
@@ -46,8 +50,8 @@ const (
 )
 
 type payload struct {
-	phase  int
-	sketch fingerprint.Sketch
+	phase int
+	row   []int8
 }
 
 // waveMachine is one machine of the communication network running the
@@ -58,12 +62,12 @@ type waveMachine struct {
 	id int
 
 	mu sync.Mutex
-	// own is the cluster's sample vector (held by the leader).
-	own fingerprint.Samples
+	// own is the cluster's sample row (held by the leader).
+	own []int8
 	// down is the sketch received from the parent (own samples at leader).
-	down fingerprint.Sketch
+	down []int8
 	// acc accumulates the neighbor maxima on the way up.
-	acc fingerprint.Sketch
+	acc []int8
 	// pendingUp counts children yet to report.
 	pendingUp int
 	// pendingExchange counts cross-link peers yet to send their sketch
@@ -74,8 +78,10 @@ type waveMachine struct {
 	exchanged       bool
 	sentUp          bool
 	// result is the final neighbor sketch (leader only).
-	result fingerprint.Sketch
+	result []int8
 	done   bool
+	// counts is the deviation-encoding scratch of send.
+	counts []int
 }
 
 func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Message, error) {
@@ -92,10 +98,10 @@ func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Messag
 			if m.down != nil {
 				return nil, fmt.Errorf("distsim: machine %d double down", m.id)
 			}
-			m.down = p.sketch.Clone()
+			m.down = cloneRow(p.row)
 		case phaseExchange:
 			// Merge the neighbor cluster's sketch into the accumulator.
-			if err := m.acc.Merge(p.sketch); err != nil {
+			if err := mergeRow(m.acc, p.row); err != nil {
 				return nil, err
 			}
 			m.pendingExchange--
@@ -103,7 +109,7 @@ func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Messag
 				return nil, fmt.Errorf("distsim: machine %d got excess exchange messages", m.id)
 			}
 		case phaseUp:
-			if err := m.acc.Merge(p.sketch); err != nil {
+			if err := mergeRow(m.acc, p.row); err != nil {
 				return nil, err
 			}
 			m.pendingUp--
@@ -114,10 +120,7 @@ func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Messag
 	}
 	// Leader seeds the down phase in round 0.
 	if m.t.leader[m.id] && m.down == nil {
-		m.down = fingerprint.NewSketch(len(m.own))
-		if err := m.down.AddSamples(m.own); err != nil {
-			return nil, err
-		}
+		m.down = cloneRow(m.own)
 	}
 	// Forward down once the sketch arrived.
 	if m.down != nil && !m.sentDown {
@@ -138,7 +141,7 @@ func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Messag
 	if m.exchanged && m.pendingUp == 0 && m.pendingExchange == 0 && !m.sentUp {
 		m.sentUp = true
 		if m.t.leader[m.id] {
-			m.result = m.acc.Clone()
+			m.result = cloneRow(m.acc)
 			m.done = true
 		} else {
 			out = append(out, m.send(int(m.t.parent[m.id]), phaseUp, m.acc))
@@ -147,13 +150,50 @@ func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Messag
 	return out, nil
 }
 
-func (m *waveMachine) send(to, phase int, s fingerprint.Sketch) network.Message {
+func (m *waveMachine) send(to, phase int, row []int8) network.Message {
 	return network.Message{
 		From:    m.id,
 		To:      to,
-		Bits:    s.EncodedBits(),
-		Payload: payload{phase: phase, sketch: s.Clone()},
+		Bits:    sketch.MaxKernel{}.EncodedBits(row, &m.counts),
+		Payload: payload{phase: phase, row: cloneRow(row)},
 	}
+}
+
+// cloneRow returns a copy of row (non-nil even when empty: a nil down row
+// means "not yet received").
+func cloneRow(row []int8) []int8 {
+	out := make([]int8, len(row))
+	copy(out, row)
+	return out
+}
+
+// mergeRow folds src into dst. A row of the wrong length is a malformed
+// message, so it is an error returned from Step, not MergeMax8's panic.
+func mergeRow(dst, src []int8) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("distsim: sketch lengths %d != %d", len(src), len(dst))
+	}
+	sketch.MergeMax8(dst, src)
+	return nil
+}
+
+// emptyRow fills row with the max kernel's identity and returns it.
+func emptyRow(row []int8) []int8 {
+	for i := range row {
+		row[i] = sketch.Empty
+	}
+	return row
+}
+
+// drawSamples draws a fingerprint sample row of t cells for each of n
+// vertices, in vertex order.
+func drawSamples(n, t int, rng *rand.Rand) *sketch.Arena[int8] {
+	var samples sketch.Arena[int8]
+	samples.Reset(n, t)
+	for v := 0; v < n; v++ {
+		fingerprint.Draw(samples.Row(v), rng)
+	}
+	return &samples
 }
 
 // WaveRoundBudget is the provable round bound of the fingerprint wave on a
@@ -175,20 +215,21 @@ func (m *waveMachine) send(to, phase int, s fingerprint.Sketch) network.Message 
 func WaveRoundBudget(dilation int) int { return 2 * (dilation + 1) }
 
 // FingerprintWave executes the Lemma 5.7 aggregation at machine level: each
-// vertex's samples live at its leader; the returned sketches are the
-// per-vertex neighbor maxima, computed purely by message passing. The
-// engine's LinkStats are returned for bandwidth inspection.
+// vertex's sample row lives at its leader; the returned rows are the
+// per-vertex neighbor maxima, computed purely by message passing — the same
+// rows sketch.Collect folds at vertex level. The engine's LinkStats are
+// returned for bandwidth inspection.
 //
 // bandwidthBits caps per-link traffic per round; sketches larger than the
 // cap make the engine fail, mirroring the model (callers pick the cap or
 // pass 0 to disable, accounting pipelining separately).
-func FingerprintWave(cg *cluster.CG, samples []fingerprint.Samples, bandwidthBits int) ([]fingerprint.Sketch, network.LinkStats, error) {
+func FingerprintWave(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits int) ([][]int8, network.LinkStats, error) {
 	return FingerprintWaveWith(cg, samples, bandwidthBits, network.SchedulerPooled)
 }
 
 // FingerprintWaveWith is FingerprintWave under an explicit engine
 // scheduler; the wave must behave identically under all of them.
-func FingerprintWaveWith(cg *cluster.CG, samples []fingerprint.Samples, bandwidthBits int, sched network.Scheduler) ([]fingerprint.Sketch, network.LinkStats, error) {
+func FingerprintWaveWith(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits int, sched network.Scheduler) ([][]int8, network.LinkStats, error) {
 	wave, err := buildWaveMachines(cg, samples)
 	if err != nil {
 		return nil, network.LinkStats{}, err
@@ -214,7 +255,7 @@ func FingerprintWaveWith(cg *cluster.CG, samples []fingerprint.Samples, bandwidt
 // boundary-exchange phase. The returned sketches and LinkStats must be
 // byte-identical to FingerprintWave at every shard count; the exchanged row
 // count is returned for traffic inspection.
-func FingerprintWaveSharded(cg *cluster.CG, samples []fingerprint.Samples, bandwidthBits, shards int) ([]fingerprint.Sketch, network.LinkStats, int64, error) {
+func FingerprintWaveSharded(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits, shards int) ([][]int8, network.LinkStats, int64, error) {
 	wave, err := buildWaveMachines(cg, samples)
 	if err != nil {
 		return nil, network.LinkStats{}, 0, err
@@ -241,25 +282,22 @@ func FingerprintWaveSharded(cg *cluster.CG, samples []fingerprint.Samples, bandw
 }
 
 // buildWaveMachines constructs the wave protocol's machine set for cg.
-func buildWaveMachines(cg *cluster.CG, samples []fingerprint.Samples) ([]*waveMachine, error) {
+func buildWaveMachines(cg *cluster.CG, samples *sketch.Arena[int8]) ([]*waveMachine, error) {
 	g := cg.G
-	if len(samples) != cg.H.N() {
-		return nil, fmt.Errorf("distsim: %d sample vectors for %d vertices", len(samples), cg.H.N())
+	if samples.Rows() != cg.H.N() {
+		return nil, fmt.Errorf("distsim: %d sample rows for %d vertices", samples.Rows(), cg.H.N())
 	}
-	t := 0
-	if len(samples) > 0 {
-		t = len(samples[0])
-	}
+	t := samples.Trials()
 	topo := newMachineTopo(cg)
 	wave := make([]*waveMachine, g.N())
 	for mID := 0; mID < g.N(); mID++ {
 		wm := &waveMachine{
 			t:   topo,
 			id:  mID,
-			acc: fingerprint.NewSketch(t),
+			acc: emptyRow(make([]int8, t)),
 		}
 		if topo.leader[mID] {
-			wm.own = samples[int(topo.cluster[mID])]
+			wm.own = samples.Row(int(topo.cluster[mID]))
 		}
 		wm.pendingUp = len(topo.children[mID])
 		wm.pendingExchange = len(topo.cross[mID])
@@ -286,8 +324,8 @@ func waveDone(wave []*waveMachine) func() bool {
 }
 
 // waveResults gathers the per-vertex neighbor sketches from the leaders.
-func waveResults(cg *cluster.CG, wave []*waveMachine) []fingerprint.Sketch {
-	out := make([]fingerprint.Sketch, cg.H.N())
+func waveResults(cg *cluster.CG, wave []*waveMachine) [][]int8 {
+	out := make([][]int8, cg.H.N())
 	if len(wave) == 0 {
 		return out
 	}
@@ -295,7 +333,7 @@ func waveResults(cg *cluster.CG, wave []*waveMachine) []fingerprint.Sketch {
 	for v := 0; v < cg.H.N(); v++ {
 		wm := wave[topo.leaderOf[v]]
 		wm.mu.Lock()
-		out[v] = wm.result.Clone()
+		out[v] = cloneRow(wm.result)
 		wm.mu.Unlock()
 	}
 	return out

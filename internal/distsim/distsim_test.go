@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"clustercolor/internal/cluster"
-	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/network"
+	"clustercolor/internal/sketch"
 )
 
 func buildCG(t *testing.T, h *graph.Graph, spec graph.ExpandSpec, seed uint64) *cluster.CG {
@@ -27,21 +27,32 @@ func buildCG(t *testing.T, h *graph.Graph, spec graph.ExpandSpec, seed uint64) *
 	return cg
 }
 
+// collectRows is the vertex-level reference of the wave: one sketch.Collect
+// of the same sample rows.
+func collectRows(t testing.TB, cg *cluster.CG, phase string, samples *sketch.Arena[int8]) *sketch.Arena[int8] {
+	t.Helper()
+	var out sketch.Arena[int8]
+	if _, err := sketch.Collect(cg, phase, sketch.MaxKernel{}, samples, &out, sketch.CollectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 // assertMatchesVertexLevel checks the machine-level wave against the
 // vertex-level cluster layer on the same instance and samples.
 func assertMatchesVertexLevel(t *testing.T, cg *cluster.CG, trials int, seed uint64) network.LinkStats {
 	t.Helper()
-	samples := fingerprint.SampleAll(cg.H.N(), trials, graph.NewRand(seed))
+	samples := drawSamples(cg.H.N(), trials, graph.NewRand(seed))
 	got, stats, err := FingerprintWave(cg, samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint.CollectNeighborSketches(cg, "ref", samples, fingerprint.CollectOptions{})
+	want := collectRows(t, cg, "ref", samples)
 	for v := 0; v < cg.H.N(); v++ {
 		for i := 0; i < trials; i++ {
-			if got[v][i] != want[v][i] {
+			if got[v][i] != want.Row(v)[i] {
 				t.Fatalf("vertex %d trial %d: machine-level %d != vertex-level %d",
-					v, i, got[v][i], want[v][i])
+					v, i, got[v][i], want.Row(v)[i])
 			}
 		}
 	}
@@ -101,7 +112,7 @@ func TestWaveRoundsBoundedByDilation(t *testing.T) {
 	} {
 		t.Run(spec.Topology.String(), func(t *testing.T) {
 			cg := buildCG(t, h, spec, 23)
-			samples := fingerprint.SampleAll(h.N(), 8, graph.NewRand(25))
+			samples := drawSamples(h.N(), 8, graph.NewRand(25))
 			_, stats, err := FingerprintWave(cg, samples, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +130,7 @@ func TestWaveSchedulersAgree(t *testing.T) {
 	rng := graph.NewRand(43)
 	h := graph.MustGNP(30, 0.2, rng)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyTree, MachinesPerCluster: 6}, 45)
-	samples := fingerprint.SampleAll(h.N(), 24, graph.NewRand(47))
+	samples := drawSamples(h.N(), 24, graph.NewRand(47))
 	pooled, statsPooled, err := FingerprintWaveWith(cg, samples, 0, network.SchedulerPooled)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +158,7 @@ func TestWaveBandwidthObserved(t *testing.T) {
 	rng := graph.NewRand(27)
 	h := graph.MustGNP(20, 0.3, rng)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3}, 29)
-	samples := fingerprint.SampleAll(h.N(), 32, graph.NewRand(31))
+	samples := drawSamples(h.N(), 32, graph.NewRand(31))
 	_, stats, err := FingerprintWave(cg, samples, 1<<16)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +170,7 @@ func TestWaveBandwidthObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fingerprint.CollectNeighborSketches(cg.WithCost(sub), "budget/wave", samples, fingerprint.CollectOptions{})
+	collectRows(t, cg.WithCost(sub), "budget/wave", samples)
 	if err := CheckBudget("wave", stats, sub.Rounds(), 1<<16); err != nil {
 		t.Fatal(err)
 	}
@@ -177,22 +188,38 @@ func TestWaveBandwidthObserved(t *testing.T) {
 func TestWaveValidation(t *testing.T) {
 	h := graph.Path(3)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologySingleton}, 1)
-	if _, _, err := FingerprintWave(cg, make([]fingerprint.Samples, 1), 0); err == nil {
+	if _, _, err := FingerprintWave(cg, drawSamples(1, 8, graph.NewRand(1)), 0); err == nil {
 		t.Fatal("sample count mismatch accepted")
+	}
+}
+
+// TestWaveRejectsWrongLengthRow: a sketch message of the wrong width is a
+// malformed message, which Step must return as an error rather than panic.
+func TestWaveRejectsWrongLengthRow(t *testing.T) {
+	cg := buildCG(t, graph.Path(3), graph.ExpandSpec{Topology: graph.TopologySingleton}, 1)
+	wave, err := buildWaveMachines(cg, drawSamples(3, 8, graph.NewRand(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []int{phaseExchange, phaseUp} {
+		msg := network.Message{From: 1, To: 0, Payload: payload{phase: phase, row: make([]int8, 5)}}
+		if _, err := wave[0].Step(0, []network.Message{msg}); err == nil {
+			t.Fatalf("phase %d: a 5-cell row merged into an 8-cell sketch", phase)
+		}
 	}
 }
 
 func TestWaveIsolatedVertices(t *testing.T) {
 	h := graph.NewBuilder(4).Build() // no edges
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3}, 33)
-	samples := fingerprint.SampleAll(4, 8, graph.NewRand(35))
+	samples := drawSamples(4, 8, graph.NewRand(35))
 	got, _, err := FingerprintWave(cg, samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
 		for i := 0; i < 8; i++ {
-			if got[v][i] != fingerprint.Empty {
+			if got[v][i] != sketch.Empty {
 				t.Fatalf("isolated vertex %d has non-empty sketch", v)
 			}
 		}
@@ -205,15 +232,16 @@ func TestWaveEstimatesDegrees(t *testing.T) {
 	rng := graph.NewRand(37)
 	h := graph.MustGNP(80, 0.3, rng)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 2}, 39)
-	samples := fingerprint.SampleAll(h.N(), 512, graph.NewRand(41))
+	samples := drawSamples(h.N(), 512, graph.NewRand(41))
 	sketches, _, err := FingerprintWave(cg, samples, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ok := 0
+	var est sketch.MaxEstimator[int8]
 	for v := 0; v < h.N(); v++ {
 		d := float64(h.Degree(v))
-		e := sketches[v].Estimate()
+		e := est.Estimate(sketches[v])
 		if d == 0 && e == 0 || (e > 0.6*d && e < 1.4*d) {
 			ok++
 		}

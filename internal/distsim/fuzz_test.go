@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"clustercolor/internal/cluster"
-	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/network"
 )
@@ -61,7 +60,7 @@ func FuzzWave(f *testing.F) {
 			t.Fatalf("cluster.New: %v", err)
 		}
 		trials := int(seed%12) + 1
-		samples := fingerprint.SampleAll(h.N(), trials, graph.NewRand(seed))
+		samples := drawSamples(h.N(), trials, graph.NewRand(seed))
 		got, stats, err := FingerprintWave(cg, samples, 0)
 		if err != nil {
 			t.Fatalf("wave failed on n=%d m=%d topo=%v seed=%d: %v", h.N(), h.M(), topo, seed, err)
@@ -70,12 +69,12 @@ func FuzzWave(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := fingerprint.CollectNeighborSketches(cg.WithCost(sub), "fuzz/wave", samples, fingerprint.CollectOptions{})
+		want := collectRows(t, cg.WithCost(sub), "fuzz/wave", samples)
 		for v := 0; v < h.N(); v++ {
 			for i := 0; i < trials; i++ {
-				if got[v][i] != want[v][i] {
+				if got[v][i] != want.Row(v)[i] {
 					t.Fatalf("vertex %d trial %d: machine %d != vertex %d (n=%d topo=%v seed=%d)",
-						v, i, got[v][i], want[v][i], h.N(), topo, seed)
+						v, i, got[v][i], want.Row(v)[i], h.N(), topo, seed)
 				}
 			}
 		}

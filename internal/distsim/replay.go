@@ -10,6 +10,7 @@ import (
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/parwork"
 	"clustercolor/internal/prng"
+	"clustercolor/internal/sketch"
 )
 
 // A clique's leaders replay the vertex-level decision procedure of their
@@ -233,31 +234,23 @@ func (st *cliqueState) replayFingerprintMatching(in []int, trials, targetPairs i
 	if len(in) < 2 {
 		return nil, fmt.Errorf("distsim: cabal of size %d too small", len(in))
 	}
-	inSet := make(map[int]bool, len(in))
-	for _, i := range in {
-		inSet[i] = true
+	var samples, yV sketch.Arena[int8]
+	samples.Reset(len(in), k)
+	for a := range in {
+		fingerprint.Draw(samples.Row(a), rng)
 	}
-	samples := make(map[int]fingerprint.Samples, len(in))
-	for _, i := range in {
-		samples[i] = fingerprint.NewSamples(k, rng)
+	yK := emptyRow(make([]int8, k))
+	for a := range in {
+		sketch.MergeMax8(yK, samples.Row(a))
 	}
-	yK := fingerprint.NewSketch(k)
-	for _, i := range in {
-		if err := yK.AddSamples(samples[i]); err != nil {
-			return nil, err
-		}
-	}
-	yV := make(map[int]fingerprint.Sketch, len(in))
-	for _, i := range in {
-		s := fingerprint.NewSketch(k)
-		for _, j := range in {
+	yV.Reset(len(in), k)
+	for a, i := range in {
+		s := emptyRow(yV.Row(a))
+		for b, j := range in {
 			if j != i && st.hasEdge(i, j) {
-				if err := s.AddSamples(samples[j]); err != nil {
-					return nil, err
-				}
+				sketch.MergeMax8(s, samples.Row(b))
 			}
 		}
-		yV[i] = s
 	}
 	uniqueMaxCount := make(map[int]int)
 	type trial struct {
@@ -268,8 +261,8 @@ func (st *cliqueState) replayFingerprintMatching(in []int, trials, targetPairs i
 	for t := 0; t < k; t++ {
 		maxVal := yK[t]
 		var holder, count int
-		for _, i := range in {
-			if samples[i][t] == maxVal {
+		for a, i := range in {
+			if samples.Row(a)[t] == maxVal {
 				holder = i
 				count++
 				if count > 1 {
@@ -285,8 +278,8 @@ func (st *cliqueState) replayFingerprintMatching(in []int, trials, targetPairs i
 			continue
 		}
 		var anti []int
-		for _, i := range in {
-			if i != holder && yV[i][t] != maxVal {
+		for a, i := range in {
+			if i != holder && yV.Row(a)[t] != maxVal {
 				anti = append(anti, i)
 			}
 		}

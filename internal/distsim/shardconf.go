@@ -8,7 +8,6 @@ import (
 	"clustercolor/internal/acd"
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/core"
-	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/network"
 	"clustercolor/internal/parwork"
@@ -101,12 +100,15 @@ func ShardConformance(sc Scenario, seed uint64, engineBandwidth, shards int) (*S
 // conformShardWave runs the machine-granularity fingerprint wave on both
 // substrates and asserts byte-identical sketches and LinkStats.
 func conformShardWave(cg *cluster.CG, seed uint64, engineBandwidth, shards int, rep *ShardReport) error {
-	samples := fingerprint.SampleAll(cg.H.N(), 24, graph.NewRand(seed^0x5eed))
+	samples := drawSamples(cg.H.N(), 24, graph.NewRand(seed^0x5eed))
 	sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 	if err != nil {
 		return err
 	}
-	fingerprint.CollectNeighborSketches(cg.WithCost(sub), "conf/wave", samples, fingerprint.CollectOptions{})
+	var ref sketch.Arena[int8]
+	if _, err := sketch.Collect(cg.WithCost(sub), "conf/wave", sketch.MaxKernel{}, samples, &ref, sketch.CollectOptions{}); err != nil {
+		return fmt.Errorf("wave: vertex level: %w", err)
+	}
 	want, wantStats, err := FingerprintWaveWith(cg, samples, engineBandwidth, network.SchedulerPooled)
 	if err != nil {
 		return fmt.Errorf("wave: %w", err)

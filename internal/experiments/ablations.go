@@ -6,10 +6,10 @@ import (
 
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/core"
-	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/matching"
 	"clustercolor/internal/putaside"
+	"clustercolor/internal/sketch"
 	"clustercolor/internal/trials"
 )
 
@@ -28,13 +28,9 @@ func A1Encoding(trialCounts []int, dTrue int, bandwidth int, seed uint64) (*Tabl
 	rows, err := forEach(len(trialCounts), func(i int) ([]string, error) {
 		trials := trialCounts[i]
 		rng := graph.NewRand(rowSeed(seed, i))
-		s := fingerprint.NewSketch(trials)
-		for j := 0; j < dTrue; j++ {
-			if err := s.AddSamples(fingerprint.NewSamples(trials, rng)); err != nil {
-				return nil, err
-			}
-		}
-		dev := s.EncodedBits()
+		s := fingerprintOf(dTrue, trials, rng)
+		var sc sketch.Scratch[int8]
+		dev := sc.EncodedBits(s)
 		maxY := 1
 		for _, y := range s {
 			if int(y) > maxY {

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 
 	"clustercolor/internal/acd"
@@ -14,6 +15,7 @@ import (
 	"clustercolor/internal/core"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
+	"clustercolor/internal/sketch"
 )
 
 // Table is one regenerated table or figure series.
@@ -191,17 +193,12 @@ func E3FingerprintAccuracy(trialCounts []int, dTrue int, reps int, seed uint64) 
 	rows, err := forEach(len(trialCounts), func(i int) ([]string, error) {
 		trials := trialCounts[i]
 		rng := graph.NewRand(rowSeed(seed, i))
-		var est fingerprint.Estimator
+		var est sketch.MaxEstimator[int8]
 		lemmaErrs := make([]float64, 0, reps)
 		harmErrs := make([]float64, 0, reps)
 		for r := 0; r < reps; r++ {
-			s := fingerprint.NewSketch(trials)
-			for j := 0; j < dTrue; j++ {
-				if err := s.AddSamples(fingerprint.NewSamples(trials, rng)); err != nil {
-					return nil, err
-				}
-			}
-			lemmaErrs = append(lemmaErrs, math.Abs(est.EstimateThreshold(s)-float64(dTrue))/float64(dTrue))
+			s := fingerprintOf(dTrue, trials, rng)
+			lemmaErrs = append(lemmaErrs, math.Abs(lemmaEstimate(s)-float64(dTrue))/float64(dTrue))
 			harmErrs = append(harmErrs, math.Abs(est.Estimate(s)-float64(dTrue))/float64(dTrue))
 		}
 		lemmaMean, lemmaP95 := meanP95(lemmaErrs)
@@ -215,6 +212,70 @@ func E3FingerprintAccuracy(trialCounts []int, dTrue int, reps int, seed uint64) 
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// fingerprintOf returns the fingerprint of d parties: the pointwise max of
+// d rows of trials fresh samples each, drawn party by party.
+func fingerprintOf(d, trials int, rng *rand.Rand) []int8 {
+	row := make([]int8, trials)
+	for i := range row {
+		row[i] = sketch.Empty
+	}
+	party := make([]int8, trials)
+	for j := 0; j < d; j++ {
+		fingerprint.Draw(party, rng)
+		sketch.MergeMax8(row, party)
+	}
+	return row
+}
+
+// lemmaEstimate is the literal Lemma 5.2 statistic: compute
+// Z_k = |{i : Y_i < k}|, pick K* = min{k : Z_k ≥ (27/40)t}, and return
+//
+//	d̂ = ln(Z_K*/t) / ln(1 − 2^−K*).
+//
+// It returns 0 when most trials saw no element at all. Values above 64 count
+// as 64, as in the production estimator's histogram. The production paths
+// use sketch.MaxEstimator's harmonic extraction of the same row (about half
+// the error); E3 measures both.
+func lemmaEstimate(row []int8) float64 {
+	t := len(row)
+	if t == 0 {
+		return 0
+	}
+	// hist[k] counts trials whose maximum is k−1 (hist[0]: Empty).
+	var hist [66]int
+	for _, y := range row {
+		hist[min(int(y), 64)+1]++
+	}
+	threshold := int(math.Ceil(27.0 / 40.0 * float64(t)))
+	z := 0
+	for k, c := range hist {
+		z += c
+		if z < threshold {
+			continue
+		}
+		if k == 0 {
+			// Most trials empty: the counted set is (near) empty.
+			return 0
+		}
+		zk := z
+		if zk == t {
+			// Degenerate small-d corner: all maxima below k. Clamp so the
+			// logarithm stays informative.
+			zk = t - 1
+			if zk < 1 {
+				return 0
+			}
+		}
+		num := math.Log(float64(zk) / float64(t))
+		den := math.Log(1 - math.Pow(2, -float64(k)))
+		if den == 0 {
+			return 0
+		}
+		return num / den
+	}
+	return 0
 }
 
 func meanP95(xs []float64) (mean, p95 float64) {
@@ -250,13 +311,9 @@ func E4FingerprintEncoding(trialCounts, dValues []int, seed uint64) (*Table, err
 		trials := trialCounts[i/len(dValues)]
 		dv := dValues[i%len(dValues)]
 		rng := graph.NewRand(rowSeed(seed, i))
-		s := fingerprint.NewSketch(trials)
-		for j := 0; j < dv; j++ {
-			if err := s.AddSamples(fingerprint.NewSamples(trials, rng)); err != nil {
-				return nil, err
-			}
-		}
-		bits := s.EncodedBits()
+		s := fingerprintOf(dv, trials, rng)
+		var sc sketch.Scratch[int8]
+		bits := sc.EncodedBits(s)
 		maxY := 1
 		for _, y := range s {
 			if int(y) > maxY {

@@ -1,21 +1,19 @@
-// Package fingerprint implements the sketching technique of Section 5:
-// aggregating maxima of independent geometric random variables to
-// approximately count in cluster graphs.
+// Package fingerprint holds the paper-level pieces of the Section 5
+// fingerprint: approximately counting in cluster graphs by aggregating
+// maxima of independent geometric random variables.
 //
-// A fingerprint (Sketch) is a vector of t maxima of geometric(1/2)
-// variables. Maxima are idempotent under merging, so fingerprints survive
-// the redundant-path aggregation hazards of Section 1.1. Estimation
-// recovers the count d within (1±ξ) w.h.p. per Lemma 5.2 (production paths
-// use the variance-optimal harmonic extraction of the same statistic; see
-// Sketch.Estimate), and the deviation encoding of Lemmas 5.5–5.6 serializes
-// a sketch in O(t + log log d) bits.
+// A fingerprint is a row of t per-trial maxima of geometric(1/2) samples.
+// Maxima are idempotent under merging, so fingerprints survive the
+// redundant-path aggregation hazards of Section 1.1. Estimation recovers the
+// count d within (1±ξ) w.h.p. per Lemma 5.2, and the deviation encoding of
+// Lemmas 5.5–5.6 serializes a row in O(t + log log d) bits.
 //
-// The package is the paper-semantics adapter over internal/sketch, which
-// owns the mechanics: the max-merge kernel, the arena storage and parallel
-// CSR folds, the estimators, and the deviation encoding (along with the
-// arena ownership contract) all live there. What stays here is the paper's
-// vocabulary — Samples, Sketch, the Lemma 5.2 trial budget, and the
-// Lemma 5.7/9.4 cluster-graph counting protocols.
+// Rows are the int8 max-kernel rows of internal/sketch, which owns every
+// mechanism: the merge (MergeMax8), the arenas and the collect wave, the
+// estimator, Cutoff and the deviation encoding. What stays here is the
+// paper's vocabulary: the sample draws (Draw, MaxGeometricOf), the Lemma 5.2
+// trial budget (TrialsFor), and the Lemma 9.4 weighted-sum protocol
+// (ApproxWeightedSum).
 package fingerprint
 
 import (
@@ -24,69 +22,16 @@ import (
 	"math/rand/v2"
 
 	"clustercolor/internal/prng"
-	"clustercolor/internal/sketch"
 )
 
-// Empty is the sketch cell value for "no element seen": every geometric
-// sample is ≥ 0, so -1 acts as the identity of max-aggregation.
-const Empty = sketch.Empty
-
-// Samples is one party's vector of geometric(1/2) samples (X_{v,1..t}).
-type Samples []int16
-
-// NewSamples draws t independent geometric(1/2) samples.
-func NewSamples(t int, rng *rand.Rand) Samples {
-	s := make(Samples, t)
-	for i := range s {
-		v := prng.GeometricHalf(rng)
-		if v > math.MaxInt16 {
-			v = math.MaxInt16
-		}
-		s[i] = int16(v)
+// Draw fills row with one party's independent geometric(1/2) samples
+// (X_{v,1..t}), one prng.GeometricHalf call per cell in cell order. A sample
+// is the trailing-zero count of a non-zero word, at most 63, so the max
+// kernel's int8 cells hold it exactly.
+func Draw(row []int8, rng *rand.Rand) {
+	for i := range row {
+		row[i] = int8(prng.GeometricHalf(rng))
 	}
-	return s
-}
-
-// Sketch is a vector of per-trial maxima (Y_1..Y_t). The zero-length sketch
-// is invalid; use NewSketch.
-type Sketch []int16
-
-// NewSketch returns the empty sketch with t trials.
-func NewSketch(t int) Sketch {
-	s := make(Sketch, t)
-	for i := range s {
-		s[i] = Empty
-	}
-	return s
-}
-
-// Clone returns a copy of the sketch.
-func (s Sketch) Clone() Sketch {
-	out := make(Sketch, len(s))
-	copy(out, s)
-	return out
-}
-
-// AddSamples merges one party's samples into the sketch (pointwise max).
-func (s Sketch) AddSamples(x Samples) error {
-	if len(x) != len(s) {
-		return fmt.Errorf("fingerprint: sample length %d != sketch length %d", len(x), len(s))
-	}
-	sketch.MergeMax(s, x)
-	return nil
-}
-
-// Merge folds another sketch into s (pointwise max). Merging is commutative,
-// associative, and idempotent — the property that makes fingerprints safe to
-// aggregate over redundant paths. The fold goes through the sketch package's
-// max kernel, so vertex-level waves and the machine-level distsim replays
-// share one merge implementation.
-func (s Sketch) Merge(other Sketch) error {
-	if len(other) != len(s) {
-		return fmt.Errorf("fingerprint: sketch lengths %d != %d", len(other), len(s))
-	}
-	sketch.MergeMax(s, other)
-	return nil
 }
 
 // TrialsFor returns the number of trials t needed for accuracy ξ and failure
@@ -95,7 +40,7 @@ func (s Sketch) Merge(other Sketch) error {
 // empirical relative error is ≈ 1.1/√t, so a calibrated constant keeps the
 // same Θ(ξ⁻² log n) shape at simulation-friendly sizes.
 func TrialsFor(xi float64, n int) (int, error) {
-	if xi <= 0 || xi >= 1 {
+	if !(xi > 0 && xi < 1) {
 		return 0, fmt.Errorf("fingerprint: xi %v out of (0,1)", xi)
 	}
 	if n < 2 {
@@ -106,37 +51,4 @@ func TrialsFor(xi float64, n int) (int, error) {
 		t = 64
 	}
 	return t, nil
-}
-
-// Estimator is the reusable harmonic/threshold estimator of the max kernel
-// (moved to internal/sketch; the alias keeps the paper-side name). An
-// Estimator is owned by one goroutine; the zero value is ready to use.
-type Estimator = sketch.MaxEstimator[int16]
-
-// Estimate recovers d from the per-trial maxima. It returns 0 when no trial
-// saw any element. Hot loops that estimate many sketches should hold an
-// Estimator and call its Estimate to reuse the histogram scratch.
-//
-// The extraction is sketch.MaxEstimator's harmonic-sum statistic
-// S = (1/t)·Σ_i 2^−Y_i, inverted against the exact law E[2^−Y] of the
-// maximum of d geometrics — the Flajolet–Martin/HyperLogLog aggregation
-// applied to the paper's sketch. It uses every trial (empirical error
-// ≈ 1.04/√t, the rate TrialsFor is calibrated for) instead of the
-// single-threshold count of the Lemma 5.2 proof, whose statistic is ~2×
-// noisier with heavy tails at the decision margins the decomposition cares
-// about; the lemma's literal estimator remains available as
-// Estimator.EstimateThreshold. Sketch semantics, communication, and the
-// Θ(ξ⁻² log n) trial bound are unchanged.
-func (s Sketch) Estimate() float64 {
-	var e Estimator
-	return e.Estimate(s)
-}
-
-// EstimateInt returns the rounded estimate, never negative.
-func (s Sketch) EstimateInt() int {
-	e := int(math.Round(s.Estimate()))
-	if e < 0 {
-		return 0
-	}
-	return e
 }

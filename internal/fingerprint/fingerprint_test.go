@@ -3,59 +3,60 @@ package fingerprint
 import (
 	"math"
 	"math/bits"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"clustercolor/internal/graph"
+	"clustercolor/internal/prng"
+	"clustercolor/internal/sketch"
 )
 
+// fingerprintOf returns the fingerprint of d parties: the pointwise max of
+// d rows of t fresh draws each.
+func fingerprintOf(d, t int, rng *rand.Rand) []int8 {
+	row := make([]int8, t)
+	for i := range row {
+		row[i] = sketch.Empty
+	}
+	party := make([]int8, t)
+	for j := 0; j < d; j++ {
+		Draw(party, rng)
+		sketch.MergeMax8(row, party)
+	}
+	return row
+}
+
+// TestSketchMergeIsIdempotentCommutativeAssociative: fingerprints of drawn
+// rows merge as a semilattice join — the property that makes them safe to
+// aggregate over redundant paths (Section 1.1).
 func TestSketchMergeIsIdempotentCommutativeAssociative(t *testing.T) {
 	rng := graph.NewRand(1)
-	a := NewSketch(32)
-	b := NewSketch(32)
-	c := NewSketch(32)
-	for i := 0; i < 5; i++ {
-		_ = a.AddSamples(NewSamples(32, rng))
-		_ = b.AddSamples(NewSamples(32, rng))
-		_ = c.AddSamples(NewSamples(32, rng))
-	}
-	// Idempotent: a ∪ a = a.
-	aa := a.Clone()
-	_ = aa.Merge(a)
-	assertEqual(t, aa, a, "idempotence")
-	// Commutative: a ∪ b = b ∪ a.
-	ab := a.Clone()
-	_ = ab.Merge(b)
-	ba := b.Clone()
-	_ = ba.Merge(a)
-	assertEqual(t, ab, ba, "commutativity")
-	// Associative: (a ∪ b) ∪ c = a ∪ (b ∪ c).
-	abc1 := a.Clone()
-	_ = abc1.Merge(b)
-	_ = abc1.Merge(c)
-	bc := b.Clone()
-	_ = bc.Merge(c)
-	abc2 := a.Clone()
-	_ = abc2.Merge(bc)
-	assertEqual(t, abc1, abc2, "associativity")
-}
-
-func assertEqual(t *testing.T, a, b Sketch, what string) {
-	t.Helper()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s violated at trial %d: %d != %d", what, i, a[i], b[i])
+	a, b, c := fingerprintOf(5, 32, rng), fingerprintOf(5, 32, rng), fingerprintOf(5, 32, rng)
+	merge := func(rows ...[]int8) []int8 {
+		out := slices.Clone(rows[0])
+		for _, r := range rows[1:] {
+			sketch.MergeMax8(out, r)
 		}
+		return out
 	}
+	assertEqual(t, merge(a, a), a, "idempotence")
+	assertEqual(t, merge(a, b), merge(b, a), "commutativity")
+	assertEqual(t, merge(a, b, c), merge(a, merge(b, c)), "associativity")
 }
 
-func TestSketchLengthMismatch(t *testing.T) {
-	s := NewSketch(8)
-	if err := s.AddSamples(make(Samples, 4)); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if err := s.Merge(NewSketch(4)); err == nil {
-		t.Fatal("length mismatch accepted")
+// TestDrawConsumesOneGeometricPerCell pins Draw's RNG contract: cell i holds
+// the i-th prng.GeometricHalf draw of the stream, so every consumer that
+// moved onto Draw sees the same values in the same order.
+func TestDrawConsumesOneGeometricPerCell(t *testing.T) {
+	row := make([]int8, 300)
+	Draw(row, graph.NewRand(8))
+	ref := graph.NewRand(8)
+	for i, y := range row {
+		if want := prng.GeometricHalf(ref); int(y) != want {
+			t.Fatalf("cell %d = %d, want %d", i, y, want)
+		}
 	}
 }
 
@@ -63,16 +64,10 @@ func TestEstimateAccuracy(t *testing.T) {
 	// Lemma 5.2: with t = Θ(ξ⁻² log n) trials the estimate is within
 	// (1±ξ)d. Check across magnitudes with ξ = 0.25 and generous trials.
 	rng := graph.NewRand(2)
+	var est sketch.MaxEstimator[int8]
 	for _, d := range []int{1, 4, 16, 100, 1000, 20000} {
 		t.Run("", func(t *testing.T) {
-			const trials = 2048
-			s := NewSketch(trials)
-			for j := 0; j < d; j++ {
-				if err := s.AddSamples(NewSamples(trials, rng)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got := s.Estimate()
+			got := est.Estimate(fingerprintOf(d, 2048, rng))
 			if got < 0.75*float64(d) || got > 1.25*float64(d) {
 				t.Fatalf("Estimate for d=%d: %.1f (off by more than 25%%)", d, got)
 			}
@@ -81,25 +76,20 @@ func TestEstimateAccuracy(t *testing.T) {
 }
 
 func TestEstimateEmpty(t *testing.T) {
-	s := NewSketch(64)
-	if got := s.Estimate(); got != 0 {
-		t.Fatalf("empty sketch estimate = %v, want 0", got)
+	var est sketch.MaxEstimator[int8]
+	if got := est.Estimate(fingerprintOf(0, 64, graph.NewRand(1))); got != 0 {
+		t.Fatalf("fingerprint of no parties estimates %v, want 0", got)
 	}
-	if got := s.EstimateInt(); got != 0 {
-		t.Fatalf("empty sketch EstimateInt = %d, want 0", got)
-	}
-	var zero Sketch
-	if zero.Estimate() != 0 {
-		t.Fatal("zero-length sketch estimate != 0")
+	if got := est.Estimate(nil); got != 0 {
+		t.Fatalf("zero-length fingerprint estimates %v, want 0", got)
 	}
 }
 
 func TestTrialsFor(t *testing.T) {
-	if _, err := TrialsFor(0, 100); err == nil {
-		t.Fatal("xi=0 accepted")
-	}
-	if _, err := TrialsFor(1, 100); err == nil {
-		t.Fatal("xi=1 accepted")
+	for _, xi := range []float64{0, 1, -0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := TrialsFor(xi, 100); err == nil {
+			t.Fatalf("xi=%v accepted", xi)
+		}
 	}
 	t1, err := TrialsFor(0.5, 1000)
 	if err != nil {
@@ -111,6 +101,24 @@ func TestTrialsFor(t *testing.T) {
 	}
 	if t2 <= t1 {
 		t.Fatalf("smaller xi should need more trials: %d vs %d", t1, t2)
+	}
+}
+
+// encodedBits prices a row with the max kernel's deviation encoding.
+func encodedBits(row []int8) int {
+	var counts []int
+	return sketch.MaxKernel{}.EncodedBits(row, &counts)
+}
+
+func assertEqual(t *testing.T, a, b []int8, what string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: lengths %d != %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s violated at trial %d: %d != %d", what, i, a[i], b[i])
+		}
 	}
 }
 
@@ -129,17 +137,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s := NewSketch(tt.t)
-			for j := 0; j < tt.d; j++ {
-				_ = s.AddSamples(NewSamples(tt.t, rng))
-			}
-			buf := s.Encode()
-			got, err := Decode(buf)
+			s := fingerprintOf(tt.d, tt.t, rng)
+			buf := sketch.EncodeDeviation(s)
+			got, err := sketch.DecodeDeviation(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertEqual(t, got, s, "round trip")
-			if want := s.EncodedBits(); (want+7)/8 != len(buf) {
+			if want := encodedBits(s); (want+7)/8 != len(buf) {
 				t.Fatalf("EncodedBits=%d but buffer is %d bytes", want, len(buf))
 			}
 		})
@@ -148,14 +153,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(seed uint64, dRaw uint16) bool {
-		rng := graph.NewRand(seed)
-		d := int(dRaw%500) + 1
-		s := NewSketch(48)
-		for j := 0; j < d; j++ {
-			_ = s.AddSamples(NewSamples(48, rng))
-		}
-		got, err := Decode(s.Encode())
-		if err != nil {
+		s := fingerprintOf(int(dRaw%500)+1, 48, graph.NewRand(seed))
+		got, err := sketch.DecodeDeviation(sketch.EncodeDeviation(s))
+		if err != nil || len(got) != len(s) {
 			return false
 		}
 		for i := range s {
@@ -171,14 +171,11 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	rng := graph.NewRand(4)
-	s := NewSketch(32)
-	_ = s.AddSamples(NewSamples(32, rng))
-	buf := s.Encode()
-	if _, err := Decode(buf[:1]); err == nil {
+	buf := sketch.EncodeDeviation(fingerprintOf(1, 32, graph.NewRand(4)))
+	if _, err := sketch.DecodeDeviation(buf[:1]); err == nil {
 		t.Fatal("truncated buffer decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := sketch.DecodeDeviation(nil); err == nil {
 		t.Fatal("nil buffer decoded")
 	}
 }
@@ -210,15 +207,20 @@ func gamma(x uint64) []int {
 	return code
 }
 
-// TestDecodeRejectsOutOfRange: buffers that no sketch encodes to must
-// decode to an error — not a panic, and not a sketch whose values wrapped
-// or sit below Empty, on which Estimate would panic.
+// TestDecodeRejectsOutOfRange: buffers that no fingerprint encodes to must
+// decode to an error — not a panic, and not a row whose values wrapped or
+// sit outside the cell range [Empty, MaxCell8], on which Estimate would
+// panic or the max kernel's laws would not hold.
 func TestDecodeRejectsOutOfRange(t *testing.T) {
 	cases := map[string][]byte{
 		// t = 2⁶²−1 trials announced in 16 bytes.
 		"huge trial count": packBits(gamma(1<<62), gamma(2)),
 		// k = −1, one trial with deviation −3: value −4.
 		"below Empty": packBits(gamma(2), gamma(1), []int{1, 1, 1, 1, 0}),
+		// k = 127, one trial with deviation +1: value 128.
+		"above MaxCell8": packBits(gamma(2), gamma(129), []int{0, 1, 0}),
+		// k = 128, one trial with deviation −1: the baseline is out of range.
+		"baseline above MaxCell8": packBits(gamma(2), gamma(130), []int{1, 1, 0}),
 		// k = 65537, one trial with deviation 0: would wrap to 1.
 		"above MaxInt16": packBits(gamma(2), gamma(65539), []int{0, 0}),
 		// A trial count of 2⁶⁴+1, which would wrap to 1 (zero trials).
@@ -227,8 +229,12 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	if n := len(cases["huge trial count"]); n != 16 {
 		t.Fatalf("huge trial count case is %d bytes, want 16", n)
 	}
+	// The largest legal cell still decodes: k = 127, one trial at 127.
+	if s, err := sketch.DecodeDeviation(packBits(gamma(2), gamma(129), []int{0, 0})); err != nil || len(s) != 1 || s[0] != sketch.MaxCell8 {
+		t.Fatalf("MaxCell8 row decoded to %v, %v", s, err)
+	}
 	for name, buf := range cases {
-		s, err := Decode(buf)
+		s, err := sketch.DecodeDeviation(buf)
 		if err == nil {
 			t.Errorf("%s: decoded to %v, want an error", name, s)
 		}
@@ -241,11 +247,7 @@ func TestEncodedBitsIsCompact(t *testing.T) {
 	rng := graph.NewRand(5)
 	const trials = 256
 	for _, d := range []int{16, 256, 4096, 65536} {
-		s := NewSketch(trials)
-		for j := 0; j < d; j++ {
-			_ = s.AddSamples(NewSamples(trials, rng))
-		}
-		bits := s.EncodedBits()
+		bits := encodedBits(fingerprintOf(d, trials, rng))
 		// 8t is the Lemma 5.5 deviation bound; allow the full budget plus
 		// per-entry overhead and headers.
 		budget := 10*trials + 64
@@ -256,8 +258,8 @@ func TestEncodedBitsIsCompact(t *testing.T) {
 }
 
 func TestBaselineIsMedianMinimizer(t *testing.T) {
-	s := Sketch{3, 3, 4, 4, 4, 5, 9}
-	k := s.baseline()
+	s := []int8{3, 3, 4, 4, 4, 5, 9}
+	k, _ := sketch.DeviationBaseline(s, nil)
 	cost := func(k int) int {
 		c := 0
 		for _, y := range s {
@@ -281,13 +283,10 @@ func TestEstimateMatchesExactCountDistribution(t *testing.T) {
 	// the mean should be within 10%.
 	rng := graph.NewRand(6)
 	const d, trials, reps = 200, 1024, 30
+	var est sketch.MaxEstimator[int8]
 	sum := 0.0
 	for r := 0; r < reps; r++ {
-		s := NewSketch(trials)
-		for j := 0; j < d; j++ {
-			_ = s.AddSamples(NewSamples(trials, rng))
-		}
-		sum += s.Estimate()
+		sum += est.Estimate(fingerprintOf(d, trials, rng))
 	}
 	mean := sum / reps
 	if math.Abs(mean-d) > 0.1*d {

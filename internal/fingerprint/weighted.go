@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 
 	"clustercolor/internal/cluster"
+	"clustercolor/internal/sketch"
 )
 
 // This file implements Lemma 9.4: approximating weighted neighborhood sums
@@ -18,15 +19,17 @@ import (
 
 // MaxGeometricOf samples max of k independent geometric(1/2) variables in
 // O(1) expected time via inverse-transform sampling:
-// Pr[max < y] = (1 − 2^−y)^k.
-func MaxGeometricOf(k int64, rng *rand.Rand) int16 {
+// Pr[max < y] = (1 − 2^−y)^k. The sample is at most about ⌈53 + log₂k⌉ − 1,
+// below 117 for any int64 k (64 for k = 1), so it fits an int8 cell;
+// SaturateCell8 guards the conversion anyway.
+func MaxGeometricOf(k int64, rng *rand.Rand) int8 {
 	if k <= 0 {
-		return Empty
+		return sketch.Empty
 	}
 	if k == 1 {
 		v := rng.Uint64()
-		// GeometricHalf inline to avoid the prng import cycle risk:
-		// trailing zeros of a uniform word.
+		// Trailing zeros of one uniform word; unlike prng.GeometricHalf,
+		// an all-zero word counts as 64 instead of being redrawn.
 		if v == 0 {
 			return 64
 		}
@@ -35,7 +38,7 @@ func MaxGeometricOf(k int64, rng *rand.Rand) int16 {
 			n++
 			v >>= 1
 		}
-		return int16(n)
+		return int8(n)
 	}
 	u := rng.Float64()
 	if u <= 0 {
@@ -54,27 +57,20 @@ func MaxGeometricOf(k int64, rng *rand.Rand) int16 {
 	if y < 0 {
 		y = 0
 	}
-	if y > math.MaxInt16 {
-		y = math.MaxInt16
-	}
-	return int16(y)
-}
-
-// WeightedSamples returns a party's fingerprint contribution when it counts
-// with integer multiplicity k: per trial, the maximum of k geometric
-// samples.
-func WeightedSamples(t int, k int64, rng *rand.Rand) Samples {
-	s := make(Samples, t)
-	for i := range s {
-		s[i] = MaxGeometricOf(k, rng)
-	}
-	return s
+	return sketch.SaturateCell8(int(y))
 }
 
 // ApproxWeightedSum implements Lemma 9.4 on a cluster graph: every vertex v
 // estimates W_v = Σ_{u∈N(v)} α(v,u)·x_u where x_u = weights[u]/2^b (alpha
 // nil means all ones). The result is within (1±ξ)W_v w.h.p. for
-// t = Θ(ξ⁻² log n) trials.
+// t = Θ(ξ⁻² log n) trials. With unit weights and b = 0 it is Lemma 5.7's
+// approximate count of the admitted neighbors.
+//
+// Each party's row holds, per trial, the maximum of its k_u geometric
+// samples (MaxGeometricOf), drawn vertex by vertex in cell order; one
+// sketch.Collect wave folds them. Collect evaluates alpha concurrently, so
+// alpha must be safe for concurrent calls and must not depend on evaluation
+// order.
 func ApproxWeightedSum(cg *cluster.CG, phase string, xi float64, b int,
 	weights []int64, alpha func(v, u int) bool, rng *rand.Rand) ([]float64, error) {
 	if b < 0 || b > 62 {
@@ -93,17 +89,26 @@ func ApproxWeightedSum(cg *cluster.CG, phase string, xi float64, b int,
 	if err != nil {
 		return nil, err
 	}
-	samples := make([]Samples, n)
+	var samples, rows sketch.Arena[int8]
+	samples.Reset(n, t)
 	for v := 0; v < n; v++ {
-		samples[v] = WeightedSamples(t, weights[v], rng)
+		row := samples.Row(v)
+		for i := range row {
+			row[i] = MaxGeometricOf(weights[v], rng)
+		}
 	}
-	sketches := CollectNeighborSketches(cg, phase, samples, CollectOptions{
-		Pred: alpha,
-	})
+	var opts sketch.CollectOptions
+	if alpha != nil {
+		opts.Pred = func(v, u, _ int) bool { return alpha(v, u) }
+	}
+	if _, err := sketch.Collect(cg, phase, sketch.MaxKernel{}, &samples, &rows, opts); err != nil {
+		return nil, err
+	}
 	scale := float64(int64(1) << uint(b))
 	out := make([]float64, n)
-	for v, s := range sketches {
-		out[v] = s.Estimate() / scale
+	var est sketch.MaxEstimator[int8]
+	for v := range out {
+		out[v] = est.Estimate(rows.Row(v)) / scale
 	}
 	return out, nil
 }

@@ -3,17 +3,39 @@ package fingerprint
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"clustercolor/internal/cluster"
 	"clustercolor/internal/graph"
+	"clustercolor/internal/network"
 	"clustercolor/internal/sketch"
 )
+
+func testCG(t *testing.T, h *graph.Graph, seed uint64) *cluster.CG {
+	t.Helper()
+	rng := graph.NewRand(seed)
+	exp, err := graph.Expand(h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3, RedundantLinks: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := network.NewCostModel(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := cluster.New(h, exp, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cg
+}
 
 func TestMaxGeometricOfMatchesExplicitMax(t *testing.T) {
 	// Distributional check: CDF of MaxGeometricOf(k) vs the explicit max
 	// of k GeometricHalf samples, compared at a few points.
 	rng := graph.NewRand(1)
 	const samples = 60000
+	row := make([]int8, 32)
 	for _, k := range []int64{1, 4, 32} {
 		direct := make([]int, 40)
 		explicit := make([]int, 40)
@@ -22,13 +44,8 @@ func TestMaxGeometricOfMatchesExplicitMax(t *testing.T) {
 			if d < len(direct) {
 				direct[d]++
 			}
-			m := int16(Empty)
-			s := NewSamples(int(k), rng)
-			for _, x := range s {
-				if x > m {
-					m = x
-				}
-			}
+			Draw(row[:k], rng)
+			m := slices.Max(row[:k])
 			if int(m) < len(explicit) {
 				explicit[int(m)]++
 			}
@@ -47,10 +64,10 @@ func TestMaxGeometricOfMatchesExplicitMax(t *testing.T) {
 
 func TestMaxGeometricOfZeroWeight(t *testing.T) {
 	rng := graph.NewRand(2)
-	if got := MaxGeometricOf(0, rng); got != Empty {
+	if got := MaxGeometricOf(0, rng); got != sketch.Empty {
 		t.Fatalf("weight 0 contribution = %d, want Empty", got)
 	}
-	if got := MaxGeometricOf(-3, rng); got != Empty {
+	if got := MaxGeometricOf(-3, rng); got != sketch.Empty {
 		t.Fatalf("negative weight contribution = %d, want Empty", got)
 	}
 }
@@ -78,13 +95,19 @@ func TestWeightedSketchEstimatesSum(t *testing.T) {
 		total += float64(k)
 	}
 	const trials = 2048
-	s := NewSketch(trials)
-	for _, k := range weights {
-		if err := s.AddSamples(WeightedSamples(trials, k, rng)); err != nil {
-			t.Fatal(err)
-		}
+	s := make([]int8, trials)
+	for i := range s {
+		s[i] = sketch.Empty
 	}
-	got := s.Estimate()
+	party := make([]int8, trials)
+	for _, k := range weights {
+		for i := range party {
+			party[i] = MaxGeometricOf(k, rng)
+		}
+		sketch.MergeMax8(s, party)
+	}
+	var est sketch.MaxEstimator[int8]
+	got := est.Estimate(s)
 	if got < 0.75*total || got > 1.25*total {
 		t.Fatalf("weighted estimate %.0f far from %.0f", got, total)
 	}
@@ -190,12 +213,10 @@ func (s *extremeSource) Uint64() uint64 {
 }
 
 // TestMaxGeometricOfFitsNarrowCells pins the value-range contract the sketch
-// package's narrow int8 cells depend on: over every weight up to 10⁸ — the
-// largest n the simulations target — the sample is bounded by
-// ⌈53 + log₂k⌉ − 1 ≈ 79 even at the extreme edges of the uniform draw, well
-// inside sketch.MaxCell8. (The sketch arenas store these via the int16
-// fingerprint adapter today; this test is what licenses the narrow width for
-// every organically fillable value.)
+// package's int8 cells depend on: over every weight up to 10⁸ — the largest
+// n the simulations target — the sample is bounded by ⌈53 + log₂k⌉ − 1 ≈ 79
+// even at the extreme edges of the uniform draw, well inside
+// sketch.MaxCell8, so SaturateCell8 never clamps an organic draw.
 func TestMaxGeometricOfFitsNarrowCells(t *testing.T) {
 	sources := func() []*extremeSource {
 		return []*extremeSource{
@@ -207,12 +228,12 @@ func TestMaxGeometricOfFitsNarrowCells(t *testing.T) {
 		}
 	}
 	for _, k := range []int64{1, 2, 3, 1000, 1 << 26, 100_000_000} {
-		bound := int16(math.Ceil(53+math.Log2(float64(k)))) - 1
-		if b := int16(64); k == 1 && bound < b {
+		bound := int8(math.Ceil(53+math.Log2(float64(k)))) - 1
+		if b := int8(64); k == 1 && bound < b {
 			bound = b // k=1 draws trailing zeros: at most 64
 		}
-		if bound > int16(sketch.MaxCell8) {
-			t.Fatalf("k=%d: analytic bound %d exceeds narrow cell range", k, bound)
+		if bound >= sketch.MaxCell8 {
+			t.Fatalf("k=%d: analytic bound %d reaches the cell ceiling", k, bound)
 		}
 		for si, src := range sources() {
 			rng := rand.New(src)
@@ -221,6 +242,152 @@ func TestMaxGeometricOfFitsNarrowCells(t *testing.T) {
 				if y < 0 || y > bound {
 					t.Fatalf("k=%d source=%d: sample %d outside [0, %d]", k, si, y, bound)
 				}
+			}
+		}
+	}
+}
+
+// TestApproxDegreesOnCluster: with unit weights and b = 0 the weighted sum
+// is Lemma 5.7's approximate degree.
+func TestApproxDegreesOnCluster(t *testing.T) {
+	rng := graph.NewRand(31)
+	h := graph.MustGNP(120, 0.3, rng)
+	cg := testCG(t, h, 7)
+	ests, err := ApproxWeightedSum(cg, "deg", 0.3, 0, unitWeights(h.N()), nil, graph.NewRand(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	okCount := 0
+	for v := 0; v < h.N(); v++ {
+		d := float64(h.Degree(v))
+		if d == 0 {
+			if ests[v] == 0 {
+				okCount++
+			}
+			continue
+		}
+		if ests[v] >= 0.6*d && ests[v] <= 1.4*d {
+			okCount++
+		}
+	}
+	if okCount < h.N()*9/10 {
+		t.Fatalf("only %d/%d degree estimates within 40%%", okCount, h.N())
+	}
+	if cg.Cost().Rounds() == 0 {
+		t.Fatal("no rounds charged")
+	}
+}
+
+// TestApproxCountWithPredicate: unit weights with a predicate count the
+// admitted neighbors (Lemma 5.7 with pred).
+func TestApproxCountWithPredicate(t *testing.T) {
+	// Count only neighbors with even ids.
+	rng := graph.NewRand(33)
+	h := graph.MustGNP(150, 0.4, rng)
+	cg := testCG(t, h, 8)
+	pred := func(v, u int) bool { return u%2 == 0 }
+	ests, err := ApproxWeightedSum(cg, "even", 0.3, 0, unitWeights(h.N()), pred, graph.NewRand(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	okCount := 0
+	for v := 0; v < h.N(); v++ {
+		want := 0
+		for _, u := range h.Neighbors(v) {
+			if int(u)%2 == 0 {
+				want++
+			}
+		}
+		if want == 0 {
+			if ests[v] < 1 {
+				okCount++
+			}
+			continue
+		}
+		if ests[v] >= 0.6*float64(want) && ests[v] <= 1.4*float64(want) {
+			okCount++
+		}
+	}
+	if okCount < h.N()*9/10 {
+		t.Fatalf("only %d/%d filtered estimates within 40%%", okCount, h.N())
+	}
+}
+
+func TestApproxCountRejectsBadXi(t *testing.T) {
+	cg := testCG(t, graph.Path(3), 1)
+	for _, xi := range []float64{0, math.NaN()} {
+		if _, err := ApproxWeightedSum(cg, "x", xi, 0, unitWeights(3), nil, graph.NewRand(1)); err == nil {
+			t.Fatalf("xi=%v accepted", xi)
+		}
+	}
+}
+
+func unitWeights(n int) []int64 {
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+// drawArena draws one fingerprint sample row of t cells per vertex.
+func drawArena(n, t int, rng *rand.Rand) *sketch.Arena[int8] {
+	var a sketch.Arena[int8]
+	a.Reset(n, t)
+	for v := 0; v < n; v++ {
+		Draw(a.Row(v), rng)
+	}
+	return &a
+}
+
+// TestCollectSketchesMatchBruteForceMaxima: one sketch.Collect wave over
+// drawn fingerprint rows (Lemma 5.7's fold) leaves every vertex the
+// pointwise max of its neighbors' rows.
+func TestCollectSketchesMatchBruteForceMaxima(t *testing.T) {
+	rng := graph.NewRand(35)
+	h := graph.MustGNP(40, 0.3, rng)
+	cg := testCG(t, h, 9)
+	samples := drawArena(h.N(), 24, graph.NewRand(11))
+	var out sketch.Arena[int8]
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &out, sketch.CollectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < h.N(); v++ {
+		want := make([]int8, 24)
+		for i := range want {
+			want[i] = sketch.Empty
+		}
+		for _, u := range h.Neighbors(v) {
+			sketch.MergeMax8Generic(want, samples.Row(int(u)))
+		}
+		for i, w := range want {
+			if got := out.Row(v)[i]; got != w {
+				t.Fatalf("sketch[%d][%d] = %d, want %d", v, i, got, w)
+			}
+		}
+	}
+}
+
+// TestCollectSketchesIncludeSelf: on an edgeless graph, IncludeSelf makes
+// each sketch the vertex's own draws; otherwise sketches stay empty.
+func TestCollectSketchesIncludeSelf(t *testing.T) {
+	h := graph.NewBuilder(4).Build()
+	cg := testCG(t, h, 3)
+	samples := drawArena(4, 16, graph.NewRand(4))
+	var with, without sketch.Arena[int8]
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &with, sketch.CollectOptions{IncludeSelf: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &without, sketch.CollectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 4; v++ {
+		for i := 0; i < 16; i++ {
+			if with.Row(v)[i] != samples.Row(v)[i] {
+				t.Fatalf("IncludeSelf sketch differs from own draws at %d/%d", v, i)
+			}
+			if without.Row(v)[i] != sketch.Empty {
+				t.Fatalf("isolated vertex %d has non-empty sketch", v)
 			}
 		}
 	}

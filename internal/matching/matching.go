@@ -24,6 +24,7 @@ import (
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/prng"
+	"clustercolor/internal/sketch"
 	"clustercolor/internal/trials"
 )
 
@@ -55,10 +56,6 @@ func Sampling(cg *cluster.CG, col *coloring.Coloring, opts SamplingOptions, rng 
 	}
 	if opts.ReservedMax >= col.MaxColor() {
 		return 0, fmt.Errorf("matching: reserved prefix %d leaves no colors", opts.ReservedMax)
-	}
-	inK := make(map[int]bool, len(opts.Members))
-	for _, v := range opts.Members {
-		inK[v] = true
 	}
 	// One O(log n)-bit gather round before the trials: resolving a round's
 	// groups is a radius-2 computation inside K (a member's acceptance can
@@ -145,35 +142,36 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 	if len(members) < 2 {
 		return nil, fmt.Errorf("matching: cabal of size %d too small", len(members))
 	}
-	inK := make(map[int]bool, len(members))
-	for _, v := range members {
-		inK[v] = true
+	// pos maps each member to its position, which indexes its rows.
+	pos := make(map[int]int, len(members))
+	for i, v := range members {
+		if _, dup := pos[v]; dup {
+			return nil, fmt.Errorf("matching: vertex %d listed twice in the cabal", v)
+		}
+		pos[v] = i
 	}
 	// Step 2: fingerprints of N(v) ∩ K and of K. One aggregation wave;
 	// deviation-encoded payloads (Lemma 5.6) charged below.
-	samples := make(map[int]fingerprint.Samples, len(members))
-	for _, v := range members {
-		samples[v] = fingerprint.NewSamples(k, rng)
+	var samples, yV sketch.Arena[int8]
+	samples.Reset(len(members), k)
+	for i := range members {
+		fingerprint.Draw(samples.Row(i), rng)
 	}
-	yK := fingerprint.NewSketch(k)
-	for _, v := range members {
-		if err := yK.AddSamples(samples[v]); err != nil {
-			return nil, err
-		}
+	yK := emptyRow(make([]int8, k))
+	for i := range members {
+		sketch.MergeMax8(yK, samples.Row(i))
 	}
-	yV := make(map[int]fingerprint.Sketch, len(members))
-	maxBits := yK.EncodedBits()
-	for _, v := range members {
-		s := fingerprint.NewSketch(k)
+	var sc sketch.Scratch[int8]
+	maxBits := sc.EncodedBits(yK)
+	yV.Reset(len(members), k)
+	for i, v := range members {
+		s := emptyRow(yV.Row(i))
 		for _, u := range cg.H.Neighbors(v) {
-			if inK[int(u)] {
-				if err := s.AddSamples(samples[int(u)]); err != nil {
-					return nil, err
-				}
+			if j, ok := pos[int(u)]; ok {
+				sketch.MergeMax8(s, samples.Row(j))
 			}
 		}
-		yV[v] = s
-		if b := s.EncodedBits(); b > maxBits {
+		if b := sc.EncodedBits(s); b > maxBits {
 			maxBits = b
 		}
 	}
@@ -192,8 +190,8 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 		// Unique maximum?
 		maxVal := yK[i]
 		var holder, count int
-		for _, v := range members {
-			if samples[v][i] == maxVal {
+		for j, v := range members {
+			if samples.Row(j)[i] == maxVal {
 				holder = v
 				count++
 				if count > 1 {
@@ -210,8 +208,8 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 		}
 		// Anti-neighbors: Y_v_i ≠ Y_K_i (excluding the holder itself).
 		var anti []int
-		for _, v := range members {
-			if v != holder && yV[v][i] != maxVal {
+		for j, v := range members {
+			if v != holder && yV.Row(j)[i] != maxVal {
 				anti = append(anti, v)
 			}
 		}
@@ -333,6 +331,14 @@ func ColorPairs(cg *cluster.CG, col *coloring.Coloring, pairs [][2]int, reserved
 		}
 	}
 	return colored, nil
+}
+
+// emptyRow fills row with the max kernel's identity and returns it.
+func emptyRow(row []int8) []int8 {
+	for i := range row {
+		row[i] = sketch.Empty
+	}
+	return row
 }
 
 func adjacentPairs(cg *cluster.CG, p, q [2]int) bool {

@@ -222,6 +222,9 @@ func TestFingerprintMatchingValidation(t *testing.T) {
 	if _, err := FingerprintMatching(cg, FingerprintOptions{Phase: "x", Members: []int{0}, Trials: 8}, graph.NewRand(1)); err == nil {
 		t.Fatal("single-vertex cabal accepted")
 	}
+	if _, err := FingerprintMatching(cg, FingerprintOptions{Phase: "x", Members: []int{0, 1, 1, 2}, Trials: 8}, graph.NewRand(1)); err == nil {
+		t.Fatal("cabal listing a vertex twice accepted")
+	}
 }
 
 func TestFingerprintMatchingOnTrueCliqueFindsNothing(t *testing.T) {

@@ -1,20 +1,16 @@
 package sketch
 
-import (
-	"unsafe"
-
-	"clustercolor/internal/parwork"
-)
+import "clustercolor/internal/parwork"
 
 // Arena is a flat backing for n fixed-width sketch rows of cell type C. Rows
-// are laid out at a stride padded up to a full 8-byte machine word — 8 cells
-// for int8, 4 for int16 — so that every row starts on an 8-byte boundary,
-// the alignment the SWAR merge kernels (MergeMax8, MergeMax) require, while
-// Row still returns exactly the logical width. The padding cells are never
-// read or written.
+// are laid out at a stride padded up to a full 8-byte machine word (8 cells)
+// so that every row starts on an 8-byte boundary, the alignment the SWAR
+// merge kernels (MergeMax8, MergeMax8Pair) require, while Row still returns
+// exactly the logical width. The padding cells are never read or written.
 //
 // The zero value is an empty arena; Reset sizes it.
 type Arena[C Cell] struct {
+	n      int // row count, kept apart from len(data) so zero-width rows count
 	t      int // logical row width
 	stride int // padded row width, a whole number of 8-byte words
 	data   []C
@@ -24,9 +20,8 @@ type Arena[C Cell] struct {
 // large enough. Row contents are undefined afterwards — callers fill every
 // row they read (Fill, Collect).
 func (a *Arena[C]) Reset(n, t int) {
-	a.t = t
-	lanes := 8 / int(unsafe.Sizeof(*new(C))) // cells per 8-byte word
-	a.stride = (t + lanes - 1) &^ (lanes - 1)
+	a.n, a.t = n, t
+	a.stride = (t + 7) &^ 7
 	size := n * a.stride
 	if cap(a.data) < size {
 		a.data = make([]C, size)
@@ -36,12 +31,7 @@ func (a *Arena[C]) Reset(n, t int) {
 }
 
 // Rows returns the number of rows.
-func (a *Arena[C]) Rows() int {
-	if a.stride == 0 {
-		return 0
-	}
-	return len(a.data) / a.stride
-}
+func (a *Arena[C]) Rows() int { return a.n }
 
 // Trials returns the logical row width t.
 func (a *Arena[C]) Trials() int { return a.t }

@@ -17,20 +17,6 @@ func benchRows8(width int) (dst, src []int8) {
 	return dst, src
 }
 
-// benchRows16 widens the same fill into aligned int16 rows, so the wide
-// reference kernels bench on identical values.
-func benchRows16(width int) (dst, src []int16) {
-	d8, s8 := benchRows8(width)
-	var a Arena[int16]
-	a.Reset(2, width)
-	dst, src = a.Row(0), a.Row(1)
-	for i := range d8 {
-		dst[i] = int16(d8[i])
-		src[i] = int16(s8[i])
-	}
-	return dst, src
-}
-
 // acdRowWidth is the row width the decomposition runs at the default
 // ε = 0.25 on n = 10⁵ vertices: its sketches use the doubled accuracy
 // ξ/2 = ε/4, and fingerprint.TrialsFor(0.0625, 10⁵) = 1604 cells.
@@ -57,27 +43,6 @@ func BenchmarkMergeMax8Generic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MergeMax8Generic(dst, src)
-	}
-}
-
-// BenchmarkMergeMax measures the 4-lane int16 merge kept for the fingerprint
-// adapter's wide rows, on the same values as the narrow benchmarks.
-func BenchmarkMergeMax(b *testing.B) {
-	dst, src := benchRows16(acdRowWidth)
-	b.SetBytes(int64(2 * 2 * len(dst)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeMax(dst, src)
-	}
-}
-
-// BenchmarkMergeMaxGeneric is the scalar int16 reference on the same rows.
-func BenchmarkMergeMaxGeneric(b *testing.B) {
-	dst, src := benchRows16(acdRowWidth)
-	b.SetBytes(int64(2 * 2 * len(dst)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeMaxGeneric(dst, src)
 	}
 }
 
@@ -180,25 +145,6 @@ func BenchmarkEstimateMergeTwo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchEstimate += sc.Est.Estimate(sc.MergeTwo(x, y))
-	}
-}
-
-// BenchmarkMergeKMV measures the in-place KMV insertion merge at the width
-// matching ξ = 0.125 accuracy. Merging dst into itself would be a no-op, so
-// the loop alternates two source rows that keep displacing each other.
-func BenchmarkMergeKMV(b *testing.B) {
-	width := KMVWidthFor(0.125)
-	var a Arena[int16]
-	a.Reset(3, width)
-	k := KMVKernel{}
-	rows := [3][]int16{a.Row(0), a.Row(1), a.Row(2)}
-	for i, row := range rows {
-		k.Fill(row, parwork.RowSeed(2, i))
-	}
-	b.SetBytes(int64(2 * width))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MergeKMV(rows[0], rows[1+i%2])
 	}
 }
 

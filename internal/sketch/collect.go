@@ -145,9 +145,7 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 // Engine is a sketch-engine handle: one kernel plus the sample and output
 // arenas of its waves. Consumers that run repeated waves (the decomposition
 // workspace, benchmarks) own an Engine so arena backings are reused across
-// waves and allocation counts stay independent of n. The kernel is the
-// configuration point for sketch variants — the max kernel is the default
-// everywhere; the k-min-values kernel is opt-in.
+// waves and allocation counts stay independent of n.
 type Engine[C Cell] struct {
 	Kernel  Kernel[C]
 	Samples Arena[C]

@@ -77,8 +77,8 @@ func checkCollectParallelism[C Cell](t *testing.T, cg *cluster.CG, k Kernel[C], 
 
 // TestCollectParallelismByteEquality is the engine's core conformance check:
 // a collect wave must produce byte-identical rows, the same charged payload,
-// and the same round count at parallelism 1, 2, 4, and NumCPU — for both
-// kernels (at their respective cell widths), with and without a predicate.
+// and the same round count at parallelism 1, 2, 4, and NumCPU — plain, with
+// the vertex's own row, and with a predicate.
 func TestCollectParallelismByteEquality(t *testing.T) {
 	h := graph.MustGNP(700, 0.02, graph.NewRand(11))
 	cg := testCG(t, h, 5)
@@ -91,12 +91,6 @@ func TestCollectParallelismByteEquality(t *testing.T) {
 	})
 	t.Run("max/pred", func(t *testing.T) {
 		checkCollectParallelism[int8](t, cg, MaxKernel{}, 161, CollectOptions{Pred: pred})
-	})
-	t.Run("kmv", func(t *testing.T) {
-		checkCollectParallelism[int16](t, cg, KMVKernel{}, KMVWidthFor(0.25), CollectOptions{})
-	})
-	t.Run("kmv/pred", func(t *testing.T) {
-		checkCollectParallelism[int16](t, cg, KMVKernel{}, KMVWidthFor(0.25), CollectOptions{Pred: pred})
 	})
 }
 

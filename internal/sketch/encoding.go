@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -102,8 +101,7 @@ func (r *bitReader) readEliasGamma() (uint64, error) {
 // row, by counting selection over the small value range of sketch maxima —
 // with a caller-owned counting buffer; it returns the (possibly grown)
 // buffer for reuse, so per-row loops allocate only until the buffer covers
-// the observed value range. The selection is value-based, so narrow and wide
-// rows holding the same values pick the same baseline.
+// the observed value range.
 func DeviationBaseline[C Cell](row []C, counts []int) (int, []int) {
 	if len(row) == 0 {
 		return 0, counts
@@ -177,14 +175,12 @@ func DeviationBits[C Cell](row []C, k int) int {
 
 func eliasGammaBits(x uint64) int { return 2*bits.Len64(x) - 1 }
 
-// DecodeDeviation reverses EncodeDeviation. Values decode into int16 — wide
-// enough for any cell width's values; narrow-row callers re-clamp with
-// SaturateCell8 if they need cells back. It returns an error, never a
-// panic or a wrapped value, for a buffer no row encodes to: a truncated
-// one, an Elias-gamma code past 64 bits, a trial count the remaining bits
-// cannot hold (checked before the row is allocated), or a baseline or
-// value outside [Empty, MaxInt16].
-func DecodeDeviation(buf []byte) ([]int16, error) {
+// DecodeDeviation reverses EncodeDeviation into a max-kernel row. It returns
+// an error, never a panic or a wrapped value, for a buffer no row encodes
+// to: a truncated one, an Elias-gamma code past 64 bits, a trial count the
+// remaining bits cannot hold (checked before the row is allocated), or a
+// baseline or value outside [Empty, MaxCell8].
+func DecodeDeviation(buf []byte) ([]int8, error) {
 	r := &bitReader{buf: buf}
 	tPlus, err := r.readEliasGamma()
 	if err != nil {
@@ -199,11 +195,11 @@ func DecodeDeviation(buf []byte) ([]int16, error) {
 	if t > uint64(len(buf)*8-r.nbit)/2 {
 		return nil, fmt.Errorf("sketch: trial count %d exceeds the encoding", t)
 	}
-	if kPlus > math.MaxInt16+2 {
+	if kPlus > uint64(MaxCell8)+2 {
 		return nil, fmt.Errorf("sketch: baseline %d out of range", kPlus-2)
 	}
 	k := int(kPlus) - 2
-	s := make([]int16, t)
+	s := make([]int8, t)
 	for i := range s {
 		sign, err := r.readBit()
 		if err != nil {
@@ -217,10 +213,10 @@ func DecodeDeviation(buf []byte) ([]int16, error) {
 			dev = -dev
 		}
 		v := k + dev
-		if v < Empty || v > math.MaxInt16 {
-			return nil, fmt.Errorf("sketch: trial %d decodes to %d, outside [%d, %d]", i, v, Empty, math.MaxInt16)
+		if v < Empty || v > int(MaxCell8) {
+			return nil, fmt.Errorf("sketch: trial %d decodes to %d, outside [%d, %d]", i, v, Empty, MaxCell8)
 		}
-		s[i] = int16(v)
+		s[i] = int8(v)
 	}
 	return s, nil
 }

@@ -4,10 +4,10 @@ import "math"
 
 // maxTrackedY caps the value range of the estimator's histogram: geometric
 // samples are at most 64 (one machine word of trailing zeros), so larger
-// values — up to MaxCell8 for saturated narrow rows, or int16 extremes in
-// hand-built or adversarially decoded wide rows — only occur outside organic
-// fills, where clamping merely saturates the estimate (a documented finite
-// value; see TestMaxEstimatorSaturated).
+// values — weighted draws of huge multiplicity, or saturated, hand-built or
+// decoded rows up to MaxCell8 — only occur outside organic fills, where
+// clamping merely saturates the estimate (a documented finite value; see
+// TestMaxEstimatorSaturated).
 const maxTrackedY = 64
 
 // logTail[y] = ln(1 − 2^−(y+1)), the log-CDF slope of the max-of-geometrics
@@ -51,16 +51,12 @@ func harmonicMean(d float64) float64 {
 // paper's sketch. It uses every trial (empirical error ≈ 1.04/√t, the rate
 // fingerprint.TrialsFor is calibrated for) instead of the single-threshold
 // count of the Lemma 5.2 proof, whose statistic is ~2× noisier with heavy
-// tails at the decision margins the decomposition cares about; the lemma's
-// literal estimator remains available as EstimateThreshold (and, behind the
-// Estimator interface, as ThresholdEstimator).
-//
-// The estimate depends only on the cell values, never the storage width: the
-// same values in an int8 or int16 row produce bit-identical floats.
+// tails at the decision margins the decomposition cares about (experiment E3
+// measures both).
 //
 // The struct is the reusable scratch: a value histogram filled in one pass
-// over the row, from which both statistics derive. A MaxEstimator is owned
-// by one goroutine; the zero value is ready to use.
+// over the row. A MaxEstimator is owned by one goroutine; the zero value is
+// ready to use.
 //
 // A caller that only compares the estimate against a fixed threshold should
 // ask a Cutoff instead: it gives the same answer from the raw statistic,
@@ -69,7 +65,7 @@ type MaxEstimator[C Cell] struct {
 	hist []int
 }
 
-// Name implements Estimator.
+// Name identifies the estimator in benchmarks and reports.
 func (e *MaxEstimator[C]) Name() string { return "max/harmonic" }
 
 // sizeHist sizes and zeroes the histogram for values up to maxY.
@@ -184,60 +180,3 @@ func (e *MaxEstimator[C]) EstimateMerged(a, b []C) float64 {
 	e.fillMerged(a, b)
 	return e.estimateFromHist(t)
 }
-
-// EstimateThreshold implements the literal Lemma 5.2 statistic: compute
-// Z_k = |{i : Y_i < k}|, pick K* = min{k : Z_k ≥ (27/40)t}, and return
-//
-//	d̂ = ln(Z_K*/t) / ln(1 − 2^−K*).
-//
-// It returns 0 when most trials saw no element at all. Estimate supersedes
-// it in production paths (same sketch, ~2× lower error); it is kept for
-// reference and for experiments that measure the proof's own estimator.
-func (e *MaxEstimator[C]) EstimateThreshold(s []C) float64 {
-	t := len(s)
-	if t == 0 {
-		return 0
-	}
-	threshold := int(math.Ceil(27.0 / 40.0 * float64(t)))
-	e.fill(s)
-	z := 0
-	for k := 0; k < len(e.hist); k++ {
-		z += e.hist[k]
-		if z < threshold {
-			continue
-		}
-		if k == 0 {
-			// Most trials empty: the counted set is (near) empty.
-			return 0
-		}
-		zk := z
-		if zk == t {
-			// Degenerate small-d corner: all maxima below k. Clamp so the
-			// logarithm stays informative.
-			zk = t - 1
-			if zk < 1 {
-				return 0
-			}
-		}
-		num := math.Log(float64(zk) / float64(t))
-		den := math.Log(1 - math.Pow(2, -float64(k)))
-		if den == 0 {
-			return 0
-		}
-		return num / den
-	}
-	return 0
-}
-
-// ThresholdEstimator adapts EstimateThreshold to the Estimator interface so
-// benchmarks and accuracy sweeps can treat the Lemma 5.2 statistic as one
-// more variant next to the harmonic extraction and the KMV estimator.
-type ThresholdEstimator[C Cell] struct {
-	E MaxEstimator[C]
-}
-
-// Name implements Estimator.
-func (e *ThresholdEstimator[C]) Name() string { return "max/threshold" }
-
-// Estimate implements Estimator via the threshold statistic.
-func (e *ThresholdEstimator[C]) Estimate(s []C) float64 { return e.E.EstimateThreshold(s) }

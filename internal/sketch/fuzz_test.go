@@ -2,46 +2,26 @@ package sketch
 
 import (
 	"math"
-	"sort"
 	"testing"
 )
 
-// FuzzSketchMerge throws arbitrary byte strings at every merge kernel. The
-// raw bytes decode into int8 rows (the narrow max kernel's full value range,
-// including the saturation ceiling, at every alignment of a shared backing)
-// and into int16 rows (the wide reference kernel's full range), and each
-// SWAR path must match its scalar reference exactly alongside the
-// semilattice laws. For the KMV kernel the bytes are canonicalized into
-// valid rows (sorted distinct, sentinel-padded) first, since MergeKMV's
-// contract only covers rows the kernel itself can produce.
+// FuzzSketchMerge throws arbitrary byte strings at the merge kernels. The
+// raw bytes decode into int8 rows (the max kernel's full value range,
+// including the saturation ceiling, at every alignment of a shared backing),
+// and each SWAR path must match its scalar reference exactly alongside the
+// semilattice laws.
 func FuzzSketchMerge(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0xff, 0x7f, 0x00, 0x80, 0xff, 0xff, 0x01, 0x00})
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pairs := len(data) / 2
-		width := pairs / 2
-		if width == 0 {
+		w8 := len(data) / 2
+		if w8 == 0 {
 			return
-		}
-		a := make([]int16, width)
-		b := make([]int16, width)
-		for i := 0; i < width; i++ {
-			a[i] = int16(data[2*i]) | int16(data[2*i+1])<<8
-			b[i] = int16(data[2*(width+i)]) | int16(data[2*(width+i)+1])<<8
-		}
-		// 4-lane SWAR vs reference on raw int16 values.
-		got := cloneRow(a)
-		MergeMax(got, b)
-		want := cloneRow(a)
-		MergeMaxGeneric(want, b)
-		if !rowsEqual(got, want) {
-			t.Fatalf("MergeMax != generic\n a=%v\n b=%v\n got=%v\n want=%v", a, b, got, want)
 		}
 		// 8-lane SWAR vs reference on raw int8 values, at the alignment the
 		// first byte selects: both rows slice off a shared backing so the
 		// aligned fast path and the misaligned scalar fallback both fuzz.
-		w8 := len(data) / 2
 		off := int(data[0]) % 8
 		aBack := make([]int8, w8+8)
 		bBack := make([]int8, w8+8)
@@ -68,13 +48,11 @@ func FuzzSketchMerge(f *testing.F) {
 		if !rowsEqual(pair, wantPair) {
 			t.Fatalf("MergeMax8Pair != sequential (off=%d)\n a=%v\n b=%v", off, a8, b8)
 		}
-		// Semilattice laws for both kernels, on rows canonicalized into each
-		// kernel's value domain (the identity law only holds there); derive a
-		// third row for associativity by swapping the halves.
+		// Semilattice laws on rows canonicalized into the kernel's value
+		// domain (the identity law only holds there); derive a third row for
+		// associativity by swapping the halves.
 		c8 := append(cloneRow(b8[w8/2:]), b8[:w8/2]...)
 		checkMergeLaws[int8](t, MaxKernel{}, canonMax8(a8), canonMax8(b8), canonMax8(c8))
-		c := append(cloneRow(b[width/2:]), b[:width/2]...)
-		checkMergeLaws[int16](t, KMVKernel{}, canonKMV(a), canonKMV(b), canonKMV(c))
 	})
 }
 
@@ -91,29 +69,32 @@ func canonMax8(raw []int8) []int8 {
 	return row
 }
 
-// canonKMV maps arbitrary int16s to a valid KMV row of the same width.
-func canonKMV(raw []int16) []int16 {
-	vals := make([]int16, 0, len(raw))
-	seen := make(map[int16]bool, len(raw))
-	for _, v := range raw {
-		if v < 0 {
-			v = -v - 1 // fold negatives into range
-		}
-		if v == kmvSentinel {
-			continue
-		}
-		if !seen[v] {
-			seen[v] = true
-			vals = append(vals, v)
-		}
+// FuzzDecode hardens the deviation decoder against arbitrary byte strings:
+// it must either return a valid row or an error — never panic, never return
+// a row disagreeing with a re-encode round trip, and never return one the
+// estimator cannot take.
+func FuzzDecode(f *testing.F) {
+	for i, d := range []int{0, 1, 100} {
+		f.Add(EncodeDeviation(mergedRow[int8](MaxKernel{}, 16, d, uint64(i))))
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	row := make([]int16, len(raw))
-	m := copy(row, vals)
-	for i := m; i < len(row); i++ {
-		row[i] = kmvSentinel
-	}
-	return row
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		row, err := DecodeDeviation(data)
+		if err != nil {
+			return
+		}
+		var est MaxEstimator[int8]
+		_ = est.Estimate(row)
+		// A successfully decoded row must round-trip.
+		again, err := DecodeDeviation(EncodeDeviation(row))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !rowsEqual(again, row) {
+			t.Fatalf("round trip changed the row\n got=%v\n want=%v", again, row)
+		}
+	})
 }
 
 // FuzzCutoff checks both Cutoff questions against the inverting estimator

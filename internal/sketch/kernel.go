@@ -9,20 +9,19 @@ import (
 )
 
 // Empty is the max kernel's identity cell: every geometric sample is ≥ 0, so
-// -1 acts as the identity of max-aggregation. It is untyped so it serves
-// both the kernel's narrow int8 rows and the int16 fingerprint adapter.
+// -1 acts as the identity of max-aggregation.
 const Empty = -1
 
-// MaxCell8 is the saturation ceiling of the max kernel's narrow cells. Fill
-// values are trailing-zero counts, at most 64, so organic rows never come
-// near it; SaturateCell8 defines the behavior for hand-built or adversarially
+// MaxCell8 is the saturation ceiling of the max kernel's cells. Fill values
+// are trailing-zero counts, at most 64, and weighted draws stay below 117,
+// so organic rows never reach it; SaturateCell8 defines the behavior for hand-built or adversarially
 // decoded values anyway: cells clamp here, merging preserves the ceiling
 // (the max of in-range values is in range), and the estimator clamps
 // saturated cells into its top histogram bucket, so a saturated row still
 // satisfies the merge laws and estimates to a finite value.
 const MaxCell8 = int8(math.MaxInt8)
 
-// SaturateCell8 clamps y into the max kernel's narrow cell range
+// SaturateCell8 clamps y into the max kernel's cell range
 // [Empty, MaxCell8].
 func SaturateCell8(y int) int8 {
 	if y > int(MaxCell8) {
@@ -37,9 +36,8 @@ func SaturateCell8(y int) int8 {
 // MaxKernel is the paper's Section 5 fingerprint kernel: cells are maxima of
 // independent geometric(1/2) samples, merge is the pointwise max, and the
 // wire format is the deviation encoding of Lemmas 5.5–5.6. It is the kernel
-// the decomposition runs on. Rows are int8 (see the package doc's cell-width
-// contract): values are at most 64, so the narrow cells are exact, and the
-// halved row footprint halves the memory traffic of every max-kernel fold.
+// every sketch in the repo runs on. Rows are int8 (see the package doc's
+// cell-width section): values are at most 64, so the cells are exact.
 type MaxKernel struct{}
 
 // Name implements Kernel.
@@ -51,7 +49,7 @@ func (MaxKernel) EmptyCell() int8 { return Empty }
 // Fill draws independent geometric(1/2) samples from the row's counter
 // stream: cell j is the trailing zero count of the word RowSeed(rowSeed, j).
 // An all-zero word maps to 64 trailing zeros — a legal (astronomically rare)
-// sample well inside the narrow cell range; SaturateCell8 guards the clamp
+// sample well inside the cell range; SaturateCell8 guards the clamp
 // anyway so the value contract holds even for adversarial fills.
 func (MaxKernel) Fill(row []int8, rowSeed uint64) {
 	for j := range row {
@@ -68,19 +66,13 @@ func (MaxKernel) Merge(dst, src []int8) { MergeMax8(dst, src) }
 func (MaxKernel) MergePair(dst, a, b []int8) { MergeMax8Pair(dst, a, b) }
 
 // EncodedBits implements Kernel: the deviation encoding of Lemmas 5.5–5.6.
-// The encoding is value-based, so the narrow storage width does not change a
-// single bit of the wire size (`sketch_bits`).
 func (MaxKernel) EncodedBits(row []int8, counts *[]int) int {
 	k, c := DeviationBaseline(row, *counts)
 	*counts = c
 	return DeviationBits(row, k)
 }
 
-// swarHigh masks the sign bit of each 16-bit lane of a word; xor-ing it
-// biases int16 lanes to unsigned order-preserving form and back.
-const swarHigh = 0x8000800080008000
-
-// swarHigh8 is the 8-bit-lane analog: the sign bit of each byte lane.
+// swarHigh8 masks the sign bit of each byte lane of a word.
 const swarHigh8 = 0x8080808080808080
 
 // MergeMax8 folds src into dst pointwise (dst[i] = max(dst[i], src[i])) and
@@ -91,10 +83,9 @@ const swarHigh8 = 0x8080808080808080
 //
 // When both rows are 8-byte aligned — arena rows always are, see
 // Arena.Reset's stride — eight int8 lanes merge per machine word with
-// branch-free SWAR compares, twice the lanes of the int16 MergeMax on half
-// the memory traffic: sketch maxima are effectively random, so the scalar
-// loop's per-cell branch mispredicts about half the time, and removing it is
-// worth more than the extra ALU ops. Misaligned or short rows take the
+// branch-free SWAR compares: sketch maxima are effectively random, so the
+// scalar loop's per-cell branch mispredicts about half the time, and
+// removing it is worth more than the extra ALU ops. Misaligned or short rows take the
 // scalar tail, which the conformance suite pins byte-equal to the SWAR path.
 // swarMax8Word returns the per-lane signed max of two words of eight int8
 // lanes. No biasing is needed: the decision bit per lane is "signs differ
@@ -191,60 +182,6 @@ func MergeMax8Pair(dst, a, b []int8) {
 func MergeMax8Generic(dst, src []int8) {
 	if len(dst) != len(src) {
 		panic("sketch: MergeMax8Generic length mismatch")
-	}
-	dst = dst[:len(src)]
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// MergeMax is the int16 pointwise max: the same fold as MergeMax8 for the
-// wide rows the fingerprint adapter keeps (machine-level distsim replays,
-// weighted samples whose clamp is MaxInt16). It panics if the lengths
-// differ. When both rows are 8-byte aligned, four lanes merge per machine
-// word; misaligned or short rows take the scalar tail.
-func MergeMax(dst, src []int16) {
-	if len(dst) != len(src) {
-		panic("sketch: MergeMax length mismatch")
-	}
-	n := len(src)
-	i := 0
-	if n >= 8 &&
-		uintptr(unsafe.Pointer(&dst[0]))%8 == 0 &&
-		uintptr(unsafe.Pointer(&src[0]))%8 == 0 {
-		words := n / 4
-		dw := unsafe.Slice((*uint64)(unsafe.Pointer(&dst[0])), words)
-		sw := unsafe.Slice((*uint64)(unsafe.Pointer(&src[0])), words)
-		for w := 0; w < words; w++ {
-			x := dw[w] ^ swarHigh // bias lanes to unsigned order
-			y := sw[w] ^ swarHigh
-			// Borrow-free per-lane subtract: lane = (xlow15 + 0x8000) − ylow15
-			// stays in [0x0001, 0xFFFF], so its sign bit is xlow15 ≥ ylow15.
-			z := (x | swarHigh) - (y &^ swarHigh)
-			// Per-lane x ≥ y (unsigned): high bits differ → x's high bit
-			// wins; equal → the low-15 compare in z decides.
-			m := ((x &^ y) | (^(x ^ y) & z)) & swarHigh
-			// Spread each lane's decision bit to a full-lane mask.
-			mask := (m - m>>15) | m
-			dw[w] = ((x & mask) | (y &^ mask)) ^ swarHigh
-		}
-		i = words * 4
-	}
-	for ; i < n; i++ {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// MergeMaxGeneric is the reference scalar merge the 4-lane SWAR kernel is
-// verified against; benchmarks keep it around to report the kernel's
-// speedup.
-func MergeMaxGeneric(dst, src []int16) {
-	if len(dst) != len(src) {
-		panic("sketch: MergeMaxGeneric length mismatch")
 	}
 	dst = dst[:len(src)]
 	for i, v := range src {
