@@ -26,8 +26,9 @@
 // -acdbench benchmarks the fingerprint→ACD→profile decomposition stack
 // (conventionally BENCH_acd.json) with dense/sparse/cabal counts and peak
 // sketch payloads per workload. -sketchbench benchmarks the mergeable-sketch
-// engine itself (conventionally BENCH_sketch.json): the isolated SWAR merge
-// kernel against its scalar reference, collect waves at parallelism
+// engine itself (conventionally BENCH_sketch.json): the isolated merge
+// kernel (AVX2 where the CPU has it, SWAR otherwise) against its scalar
+// reference, collect waves at parallelism
 // 1/2/4/NumCPU, and bits-per-vertex plus accuracy for every estimator
 // variant. -shardbench benchmarks the partitioned execution substrate
 // (conventionally BENCH_shard.json): the decomposition at shard counts

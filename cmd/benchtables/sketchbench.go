@@ -15,7 +15,8 @@ import (
 )
 
 // sketchBenchReport is the BENCH_sketch.json schema: the isolated merge
-// kernels (the SWAR word-at-a-time max against its scalar reference, the
+// kernels (the dispatching max — AVX2 where the CPU has it, SWAR
+// otherwise — against its scalar reference, the
 // paired fold, and the fused and materialized union estimates), one
 // collect-wave timing per workload and parallelism level, and the
 // wire-size/accuracy profile of the estimator. It tracks the sketch engine
@@ -144,7 +145,7 @@ func emitSketchBenchWorkloads(path string, seed uint64, maxN int, workloads []be
 	}
 	// Isolated merge kernels at the row width the decomposition actually
 	// runs at n = 10⁵: the predicate's doubled accuracy ξ/2 = ε/4 at the
-	// default ε = 0.25 gives t = 1604 — the SWAR/scalar ratio is the
+	// default ε = 0.25 gives t = 1604 — the kernel/scalar ratio is the
 	// kernel's whole reason to exist, so both sides go in the report.
 	const kernelN = 100_000
 	t0, err := benchwork.SketchTrials(core.DefaultParams(kernelN).Eps/4, kernelN)

@@ -84,10 +84,9 @@ func SketchEstimatorStats(h *graph.Graph, eng *sketch.Engine[int8], est *sketch.
 	n := h.N()
 	var bits, errSum float64
 	counted := 0
-	var counts []int
 	for v := 0; v < n; v++ {
 		row := eng.Row(v)
-		bits += float64(eng.Kernel.EncodedBits(row, &counts))
+		bits += float64(eng.Kernel.EncodedBits(row))
 		d := float64(h.Degree(v))
 		if d == 0 {
 			continue

@@ -80,8 +80,6 @@ type waveMachine struct {
 	// result is the final neighbor sketch (leader only).
 	result []int8
 	done   bool
-	// counts is the deviation-encoding scratch of send.
-	counts []int
 }
 
 func (m *waveMachine) Step(round int, inbox []network.Message) ([]network.Message, error) {
@@ -154,7 +152,7 @@ func (m *waveMachine) send(to, phase int, row []int8) network.Message {
 	return network.Message{
 		From:    m.id,
 		To:      to,
-		Bits:    sketch.MaxKernel{}.EncodedBits(row, &m.counts),
+		Bits:    sketch.MaxKernel{}.EncodedBits(row),
 		Payload: payload{phase: phase, row: cloneRow(row)},
 	}
 }

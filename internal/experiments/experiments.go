@@ -188,7 +188,7 @@ func E3FingerprintAccuracy(trialCounts []int, dTrue int, reps int, seed uint64) 
 		ID:     "E3",
 		Title:  fmt.Sprintf("Lemma 5.2 — fingerprint accuracy, d=%d", dTrue),
 		Header: []string{"trials", "lemmaMeanRelErr", "lemmaP95", "harmonicMeanRelErr", "harmonicP95", "predicted≈1.1/sqrt(t)"},
-		Notes:  "lemma = the literal Lemma 5.2 threshold statistic (|d−d̂| ≤ ξd w.p. 1−6·exp(−ξ²t/200)); harmonic = the production Sketch.Estimate, whose error the prediction column tracks",
+		Notes:  "lemma = the literal Lemma 5.2 threshold statistic (|d−d̂| ≤ ξd w.p. 1−6·exp(−ξ²t/200)); harmonic = the production sketch.MaxEstimator.Estimate, whose error the prediction column tracks",
 	}
 	rows, err := forEach(len(trialCounts), func(i int) ([]string, error) {
 		trials := trialCounts[i]

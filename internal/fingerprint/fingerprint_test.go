@@ -106,8 +106,7 @@ func TestTrialsFor(t *testing.T) {
 
 // encodedBits prices a row with the max kernel's deviation encoding.
 func encodedBits(row []int8) int {
-	var counts []int
-	return sketch.MaxKernel{}.EncodedBits(row, &counts)
+	return sketch.MaxKernel{}.EncodedBits(row)
 }
 
 func assertEqual(t *testing.T, a, b []int8, what string) {

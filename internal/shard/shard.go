@@ -227,13 +227,12 @@ func (e *Engine[C]) exchange(phase string, arena func(s int) *sketch.Arena[C]) e
 		sl := e.SG.Slices[s]
 		dst := arena(s)
 		own := sl.Own()
-		var counts []int
 		pp := make(map[pairKey]int64)
 		for i, u32 := range sl.Halo {
 			o := int(sl.HaloOwner[i])
 			src := arena(o).Row(int(u32) - e.SG.Slices[o].Lo)
 			copy(dst.Row(own+i), src)
-			b := int64(e.Kernel.EncodedBits(src, &counts))
+			b := int64(e.Kernel.EncodedBits(src))
 			rows[s]++
 			bitsTotal[s] += b
 			pp[pairKey{o, s}] += b

@@ -5,8 +5,9 @@ import "clustercolor/internal/parwork"
 // Arena is a flat backing for n fixed-width sketch rows of cell type C. Rows
 // are laid out at a stride padded up to a full 8-byte machine word (8 cells)
 // so that every row starts on an 8-byte boundary, the alignment the SWAR
-// merge kernels (MergeMax8, MergeMax8Pair) require, while Row still returns
-// exactly the logical width. The padding cells are never read or written.
+// kernels need for their word-at-a-time path (the AVX2 kernels need none),
+// while Row still returns exactly the logical width. The padding cells are
+// never read or written.
 //
 // The zero value is an empty arena; Reset sizes it.
 type Arena[C Cell] struct {
@@ -58,20 +59,23 @@ func (a *Arena[C]) Fill(k Kernel[C], seed uint64) error {
 }
 
 // Scratch bundles the per-goroutine reusable buffers of max-kernel waves: a
-// merge row for two-row unions, the estimator histogram, and the counting
-// buffer behind deviation encodings. The zero value is ready to use.
+// merge row for two-row unions and the estimator histogram. The zero value
+// is ready to use.
 type Scratch[C Cell] struct {
 	// Est estimates rows without allocating per call.
 	Est    MaxEstimator[C]
 	merged []C
-	counts []int
 }
 
-// MergeTwo returns max(a, b) in the scratch's merge row. The returned slice
-// is valid until the next MergeTwo. Hot loops that only need the estimate of
-// the union should call Est.EstimateMerged instead, which fuses the merge
-// into the histogram pass with no materialized row.
+// MergeTwo returns max(a, b) in the scratch's merge row and panics if the
+// lengths differ. The returned slice is valid until the next MergeTwo. Hot
+// loops that only need the estimate of the union should call
+// Est.EstimateMerged instead, which fuses the merge into the histogram pass
+// with no materialized row.
 func (sc *Scratch[C]) MergeTwo(a, b []C) []C {
+	if len(a) != len(b) {
+		panic("sketch: MergeTwo length mismatch")
+	}
 	sc.merged = append(sc.merged[:0], a...)
 	m := sc.merged
 	for i, v := range b {
@@ -82,10 +86,5 @@ func (sc *Scratch[C]) MergeTwo(a, b []C) []C {
 	return m
 }
 
-// EncodedBits returns the deviation-encoded size of the row with the
-// baseline-selection buffer reused across calls.
-func (sc *Scratch[C]) EncodedBits(row []C) int {
-	k, counts := DeviationBaseline(row, sc.counts)
-	sc.counts = counts
-	return DeviationBits(row, k)
-}
+// EncodedBits returns the deviation-encoded size of the row.
+func (sc *Scratch[C]) EncodedBits(row []C) int { return encodedBits(row) }

@@ -60,6 +60,9 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 	if samples.Rows() != g.N() {
 		return 0, fmt.Errorf("sketch: %d sample rows for %d vertices", samples.Rows(), g.N())
 	}
+	if out.Trials() != samples.Trials() {
+		return 0, fmt.Errorf("sketch: %d-cell out rows for %d-cell samples", out.Trials(), samples.Trials())
+	}
 	chunks := parwork.RangeChunks(rows)
 	if pool != nil {
 		chunks = parwork.RangeChunksAt(rows, pool.Workers())
@@ -69,7 +72,6 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 	pm, hasPair := any(k).(PairMerger[C])
 	fold := func(ci int) error {
 		lo, hi := parwork.WeightedChunkBounds(rows, chunks, ci, cum)
-		var counts []int
 		best := 1
 		for v := lo; v < hi; v++ {
 			row := out.Row(v)
@@ -115,7 +117,7 @@ func CollectRows[C Cell](g *graph.Graph, k Kernel[C], samples, out *Arena[C], op
 					row[i] = cell
 				}
 			}
-			if b := k.EncodedBits(row, &counts); b > best {
+			if b := k.EncodedBits(row); b > best {
 				best = b
 			}
 		}

@@ -126,7 +126,8 @@ func TestCollectMatchesDirectFold(t *testing.T) {
 }
 
 // TestCollectRejectsShapeMismatch: a sample arena sized for a different
-// vertex count must be rejected, not silently re-shaped.
+// vertex count, or out rows of a different width than the samples, must be
+// rejected, not silently re-shaped, truncated, or left to panic on a worker.
 func TestCollectRejectsShapeMismatch(t *testing.T) {
 	h := graph.MustGNP(50, 0.1, graph.NewRand(3))
 	cg := testCG(t, h, 1)
@@ -134,5 +135,15 @@ func TestCollectRejectsShapeMismatch(t *testing.T) {
 	samples.Reset(10, 32)
 	if _, err := Collect(cg, "bad", MaxKernel{}, &samples, &out, CollectOptions{}); err == nil {
 		t.Fatal("Collect accepted a sample arena with the wrong row count")
+	}
+	samples.Reset(h.N(), 32)
+	if err := samples.Fill(MaxKernel{}, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{16, 48} {
+		out.Reset(h.N(), width)
+		if _, err := CollectRows(h, MaxKernel{}, &samples, &out, CollectOptions{}, h.N(), nil); err == nil {
+			t.Fatalf("CollectRows folded 32-cell samples into %d-cell rows", width)
+		}
 	}
 }

@@ -31,7 +31,9 @@ func init() {
 // harmonicMean is strictly decreasing, so an estimate is at most cut
 // exactly when the raw statistic S = (1/t)·Σ_i 2^−Y_i is at least
 // S* = harmonicMean(cut). A Cutoff computes S* once and answers from S
-// alone, one table lookup per cell. Only a statistic inside the guard band
+// alone: a sum of exact powers of two, 32 cells per step on AVX2 (each
+// weight built from its exponent bits in-register) or one table lookup per
+// cell on the SWAR path. Only a statistic inside the guard band
 // S*·(1 ± 1e-6) goes to the full inversion. Every answer equals the
 // inverting one, for these reasons:
 //
@@ -47,9 +49,9 @@ func init() {
 //   - NewCutoff checks this rather than trusting it: it evaluates F at both
 //     band edges, and if either lands on the wrong side of cut, that Cutoff
 //     runs the full inversion on every row.
-//   - Summing S in a different order than the estimator's histogram moves
-//     it by at most ~t·2⁻⁵³ relative (2e-13 at t = 1604), far inside the
-//     band.
+//   - Summing S in a different order than the estimator's histogram — as
+//     the AVX2 and SWAR kernels each do — moves it by at most ~t·2⁻⁵³
+//     relative (2e-13 at t = 1604), far inside the band.
 //   - The boundary cases match fill and estimateFromHist: a zero-width row
 //     compares 0 against cut; an Empty cell weighs 2 and a cell above 64
 //     weighs 2⁻⁶⁴; an all-Empty row has S = 2, the largest any row can
@@ -121,10 +123,26 @@ func (c *Cutoff) MergedAtMost(est *MaxEstimator[int8], a, b []int8) bool {
 }
 
 // statistic returns S of the pointwise max of two equal-length, non-empty
-// rows (statistic(a, a) is S of a). Aligned rows take eight lanes per word
-// — a SWAR max, then a table lookup per byte into four independent sums, so
-// no add waits on the previous cell's; other rows take the scalar loop.
+// rows (statistic(a, a) is S of a). With AVX2 (useAVX2) the first len&^31
+// cells go through weightSumAVX2 and the rest through weightSumSWAR;
+// otherwise weightSumSWAR sums every cell. The two differ only in the order
+// of the additions, which Cutoff's guard band absorbs.
 func statistic(a, b []int8) float64 {
+	n := len(a)
+	var s float64
+	if useAVX2 && n >= 32 {
+		s = weightSumAVX2(a, b)
+		m := n &^ 31
+		a, b = a[m:], b[m:]
+	}
+	return (s + weightSumSWAR(a, b)) / float64(n)
+}
+
+// weightSumSWAR returns Σ_i cellWeight[max(a[i], b[i])] over two
+// equal-length rows. Aligned rows take eight lanes per word — a SWAR max,
+// then a table lookup per byte into four independent sums, so no add waits
+// on the previous cell's; other rows take the scalar loop.
+func weightSumSWAR(a, b []int8) float64 {
 	n := len(a)
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -146,5 +164,5 @@ func statistic(a, b []int8) float64 {
 	for ; i < n; i++ {
 		s0 += cellWeight[uint8(max(a[i], b[i]))]
 	}
-	return (s0 + s1 + s2 + s3) / float64(n)
+	return s0 + s1 + s2 + s3
 }

@@ -43,6 +43,76 @@ func splitRow(row []int8) (a, b []int8) {
 	return a, b
 }
 
+// statisticRef is S of the pointwise max of two non-empty rows, summed
+// cell by cell in row order from the cellWeight table.
+func statisticRef(a, b []int8) float64 {
+	var s float64
+	for i := range a {
+		s += cellWeight[uint8(max(a[i], b[i]))]
+	}
+	return s / float64(len(a))
+}
+
+// statKernels are the statistic paths checked against statisticRef: the
+// dispatcher (AVX2 plus a SWAR tail where useAVX2 holds) and the SWAR
+// kernel alone.
+var statKernels = []struct {
+	name string
+	stat func(a, b []int8) float64
+}{
+	{"statistic", statistic},
+	{"weightSumSWAR", func(a, b []int8) float64 { return weightSumSWAR(a, b) / float64(len(a)) }},
+}
+
+// checkStatistic fails unless every statistic path is within 1e-12 relative
+// of statisticRef on a, b: each weight is exact, so the paths differ only
+// in the order of the additions, at most ~t·2⁻⁵³ relative.
+func checkStatistic(t *testing.T, a, b []int8) {
+	t.Helper()
+	want := statisticRef(a, b)
+	for _, k := range statKernels {
+		if got := k.stat(a, b); math.Abs(got/want-1) > 1e-12 {
+			t.Fatalf("%s width %d: S = %v, reference %v\n a=%v\n b=%v", k.name, len(a), got, want, a, b)
+		}
+	}
+}
+
+// TestStatisticMatchesReference checks each statistic path over every
+// kernel width, the full int8 value range (cells above 64 weigh 2⁻⁶⁴, cells
+// at or below Empty weigh 2), and every offset 0–31 of a against b. Rows of
+// one repeated value pin each clamp on its own: in a mixed row the 2⁻⁶⁴
+// cells are too light to show.
+func TestStatisticMatchesReference(t *testing.T) {
+	for _, v := range []int8{-128, Empty - 1, Empty, 0, 63, maxTrackedY, maxTrackedY + 1, MaxCell8} {
+		for _, n := range []int{1, 31, 32, 33, acdRowWidth} {
+			row := make([]int8, n)
+			for i := range row {
+				row[i] = v
+			}
+			checkStatistic(t, row, row)
+		}
+	}
+	rng := rand.New(rand.NewPCG(33, 34))
+	for _, n := range kernelWidths()[1:] {
+		a, b := make([]int8, n), make([]int8, n)
+		for trial := 0; trial < 4; trial++ {
+			randAnyRow(rng, a)
+			randAnyRow(rng, b)
+			checkStatistic(t, a, b)
+			checkStatistic(t, a, a)
+		}
+	}
+	const n = 100
+	aBack, bBack := make([]int8, n+32), make([]int8, n+32)
+	for aOff := 0; aOff < 32; aOff++ {
+		for bOff := 0; bOff < 32; bOff++ {
+			randAnyRow(rng, aBack)
+			randAnyRow(rng, bBack)
+			checkStatistic(t, aBack[aOff:aOff+n], bBack[bOff:bOff+n])
+		}
+	}
+}
+
 // TestCutoffGuardBand builds rows whose statistic sits just inside and just
 // outside the guard band around S* = harmonicMean(cut), from the smallest
 // cut the decomposition can produce up, and checks each decision against

@@ -141,7 +141,11 @@ func DeviationBaseline[C Cell](row []C, counts []int) (int, []int) {
 // EncodeDeviation serializes the row with the deviation encoding:
 // Elias-gamma of t, Elias-gamma of baseline k (offset so k ≥ -1 is
 // representable), then a sign bit and unary deviation per trial.
-func EncodeDeviation[C Cell](row []C) []byte {
+func EncodeDeviation[C Cell](row []C) []byte { return deviationWriter(row).buf }
+
+// deviationWriter writes EncodeDeviation's bits; its nbit is the exact bit
+// length encodedBits returns.
+func deviationWriter[C Cell](row []C) *bitWriter {
 	w := &bitWriter{}
 	w.writeEliasGamma(uint64(len(row)) + 1)
 	k, _ := DeviationBaseline(row, nil)
@@ -156,19 +160,41 @@ func EncodeDeviation[C Cell](row []C) []byte {
 			w.writeUnary(-dev)
 		}
 	}
-	return w.buf
+	return w
 }
 
-// DeviationBits returns the exact bit length of EncodeDeviation's output for
-// baseline k without materializing it.
-func DeviationBits[C Cell](row []C, k int) int {
-	n := eliasGammaBits(uint64(len(row))+1) + eliasGammaBits(uint64(k)+2)
+// encodedBits returns the exact bit length of EncodeDeviation(row) without
+// materializing it, in one counting pass over the row: the cells go into a
+// histogram indexed by the cell byte, a walk of it in signed order finds
+// DeviationBaseline's lower median k, and each value y costs
+// count·(2 + |y − k|) bits (sign, unary deviation, separator) after the two
+// Elias-gamma headers. The histogram lives on the stack, so the collect
+// wave prices every row without allocating.
+func encodedBits[C Cell](row []C) int {
+	var hist [256]int32
 	for _, y := range row {
-		dev := int(y) - k
-		if dev < 0 {
-			dev = -dev
+		hist[uint8(y)]++
+	}
+	k := 0
+	if len(row) > 0 {
+		mid := int32((len(row) + 1) / 2)
+		var run int32
+		for y := -128; y < 128; y++ {
+			if run += hist[uint8(y)]; run >= mid {
+				k = y
+				break
+			}
 		}
-		n += 2 + dev // sign bit + unary + separator
+	}
+	n := eliasGammaBits(uint64(len(row))+1) + eliasGammaBits(uint64(k)+2) + 2*len(row)
+	for y := -128; y < 128; y++ {
+		if c := int(hist[uint8(y)]); c > 0 {
+			dev := y - k
+			if dev < 0 {
+				dev = -dev
+			}
+			n += c * dev
+		}
 	}
 	return n
 }

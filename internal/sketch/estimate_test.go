@@ -125,16 +125,18 @@ func TestEstimatorsOnEmptyRow(t *testing.T) {
 }
 
 // TestDeviationBitsExact pins EncodedBits to the materialized encoding:
-// DeviationBits must equal the true bit position the writer ends at, with
-// Encode padding only to the next byte.
+// encodedBits must equal the bit position the writer ends at, with Encode
+// padding only to the next byte.
 func TestDeviationBitsExact(t *testing.T) {
 	for i, d := range []int{1, 7, 50, 900} {
 		row := mergedRow[int8](MaxKernel{}, 257, d, 0xabcdef+uint64(i))
-		k, _ := DeviationBaseline(row, nil)
-		bits := DeviationBits(row, k)
+		bits := encodedBits(row)
+		if w := deviationWriter(row); w.nbit != bits {
+			t.Errorf("d=%d: encodedBits=%d but the writer ends at bit %d", d, bits, w.nbit)
+		}
 		buf := EncodeDeviation(row)
 		if len(buf) != (bits+7)/8 {
-			t.Errorf("d=%d: DeviationBits=%d but Encode produced %d bytes", d, bits, len(buf))
+			t.Errorf("d=%d: encodedBits=%d but Encode produced %d bytes", d, bits, len(buf))
 		}
 		back, err := DecodeDeviation(buf)
 		if err != nil {
@@ -155,12 +157,63 @@ func TestDeviationBitsExact(t *testing.T) {
 // TestKernelEncodedBitsPositive: the kernel must charge at least one bit for
 // any row, including the empty one (the wave charges max(bits, 1)).
 func TestKernelEncodedBitsPositive(t *testing.T) {
-	var counts []int
 	maxRow := make([]int8, 33)
 	for i := range maxRow {
 		maxRow[i] = MaxKernel{}.EmptyCell()
 	}
-	if b := (MaxKernel{}).EncodedBits(maxRow, &counts); b <= 0 {
+	if b := (MaxKernel{}).EncodedBits(maxRow); b <= 0 {
 		t.Errorf("max: EncodedBits(empty row) = %d, want > 0", b)
+	}
+}
+
+// deviationBitsRef is the deviation encoding's bit length for baseline k,
+// priced cell by cell: the definition encodedBits replaced, kept as its
+// reference.
+func deviationBitsRef(row []int8, k int) int {
+	n := eliasGammaBits(uint64(len(row))+1) + eliasGammaBits(uint64(k)+2)
+	for _, y := range row {
+		dev := int(y) - k
+		if dev < 0 {
+			dev = -dev
+		}
+		n += 2 + dev
+	}
+	return n
+}
+
+// TestEncodedBitsMatchesReference checks the one-pass size against pricing
+// every cell at DeviationBaseline's median, on random rows of every kernel
+// width (bytes below Empty included, where the baseline header wraps),
+// organic collected rows, and all-equal, all-Empty, saturated and
+// zero-width rows.
+func TestEncodedBitsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 42))
+	var rows [][]int8
+	for _, n := range kernelWidths() {
+		row := make([]int8, n)
+		randAnyRow(rng, row)
+		rows = append(rows, row, randMaxRow(rng, n), randMaxRowSaturated(rng, n))
+	}
+	for i, d := range []int{1, 150, 100000} {
+		rows = append(rows, mergedRow[int8](MaxKernel{}, acdRowWidth, d, uint64(i)))
+	}
+	for _, v := range []int8{Empty, 0, 7, maxTrackedY, MaxCell8, -128} {
+		row := make([]int8, acdRowWidth)
+		for i := range row {
+			row[i] = v
+		}
+		rows = append(rows, row)
+	}
+	rows = append(rows, nil)
+	var sc Scratch[int8]
+	for _, row := range rows {
+		k, _ := DeviationBaseline(row, nil)
+		want := deviationBitsRef(row, k)
+		if got := (MaxKernel{}).EncodedBits(row); got != want {
+			t.Fatalf("width %d: EncodedBits = %d, reference %d\n row=%v", len(row), got, want, row)
+		}
+		if got := sc.EncodedBits(row); got != want {
+			t.Fatalf("width %d: Scratch.EncodedBits = %d, reference %d", len(row), got, want)
+		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 // FuzzSketchMerge throws arbitrary byte strings at the merge kernels. The
 // raw bytes decode into int8 rows (the max kernel's full value range,
-// including the saturation ceiling, at every alignment of a shared backing),
-// and each SWAR path must match its scalar reference exactly alongside the
-// semilattice laws.
+// including the saturation ceiling, at every offset 0–31 of a shared
+// backing), and each path — the dispatcher and the SWAR kernel — must match
+// its scalar reference exactly alongside the semilattice laws.
 func FuzzSketchMerge(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0xff, 0x7f, 0x00, 0x80, 0xff, 0xff, 0x01, 0x00})
@@ -19,34 +19,38 @@ func FuzzSketchMerge(f *testing.F) {
 		if w8 == 0 {
 			return
 		}
-		// 8-lane SWAR vs reference on raw int8 values, at the alignment the
-		// first byte selects: both rows slice off a shared backing so the
-		// aligned fast path and the misaligned scalar fallback both fuzz.
-		off := int(data[0]) % 8
-		aBack := make([]int8, w8+8)
-		bBack := make([]int8, w8+8)
+		// Both rows slice off shared backings at the offset the first byte
+		// selects, so aligned and misaligned starts, whole AVX2 steps and
+		// tails all fuzz.
+		off := int(data[0]) % 32
+		aBack := make([]int8, w8+32)
+		bBack := make([]int8, w8+32)
 		for i := 0; i < w8; i++ {
 			aBack[off+i] = int8(data[i])
 			bBack[off+i] = int8(data[w8+i])
 		}
 		a8 := aBack[off : off+w8]
 		b8 := bBack[off : off+w8]
-		got8 := cloneRow(a8)
-		MergeMax8(got8, b8)
 		want8 := cloneRow(a8)
 		MergeMax8Generic(want8, b8)
-		if !rowsEqual(got8, want8) {
-			t.Fatalf("MergeMax8 != generic (off=%d)\n a=%v\n b=%v\n got=%v\n want=%v", off, a8, b8, got8, want8)
-		}
 		// The paired fold must equal two sequential merges — the identity
 		// the collect wave relies on to fold neighbors two at a time.
-		pair := cloneRow(a8)
-		MergeMax8Pair(pair, b8, want8)
 		wantPair := cloneRow(a8)
 		MergeMax8Generic(wantPair, b8)
 		MergeMax8Generic(wantPair, want8)
-		if !rowsEqual(pair, wantPair) {
-			t.Fatalf("MergeMax8Pair != sequential (off=%d)\n a=%v\n b=%v", off, a8, b8)
+		// dst sits at the same offset, so both rows share one alignment.
+		dst := make([]int8, w8+32)[off : off+w8]
+		for i, k := range mergeKernels {
+			got8 := append(dst[:0], a8...)
+			k.merge(got8, b8)
+			if !rowsEqual(got8, want8) {
+				t.Fatalf("%s != generic (off=%d)\n a=%v\n b=%v\n got=%v\n want=%v", k.name, off, a8, b8, got8, want8)
+			}
+			pair := append(dst[:0], a8...)
+			pairKernels[i].merge(pair, b8, want8)
+			if !rowsEqual(pair, wantPair) {
+				t.Fatalf("%s != sequential (off=%d)\n a=%v\n b=%v", pairKernels[i].name, off, a8, b8)
+			}
 		}
 		// Semilattice laws on rows canonicalized into the kernel's value
 		// domain (the identity law only holds there); derive a third row for
@@ -99,7 +103,7 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzCutoff checks both Cutoff questions against the inverting estimator
 // on arbitrary in-contract rows — cells in [Empty, MaxCell8], any width
-// including 0, aligned and misaligned — and cuts of at least 0.75, the
+// including 0, at offsets 0–31 — and cuts of at least 0.75, the
 // smallest the decomposition produces. A non-zero nudge instead places the
 // cut within nudge·1e-9 (relative) of the merged row's own estimate, which
 // puts the statistic in or beside the guard band; the seeds sit just inside
@@ -120,10 +124,10 @@ func FuzzCutoff(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, []byte{3, 3, 3}, 0.0, int16(700))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, cut float64, nudge int16) {
 		width := len(rawA)
-		off := len(rawB) % 8
-		back := make([]int8, 2*(width+8))
+		off := len(rawB) % 32
+		back := make([]int8, 2*(width+32))
 		a := back[off : off+width]
-		b := back[width+8+off : width+8+off+width]
+		b := back[width+32+off : width+32+off+width]
 		for i := range a {
 			a[i] = int8(rawA[i])
 			b[i] = Empty
@@ -133,6 +137,9 @@ func FuzzCutoff(f *testing.F) {
 		}
 		copy(a, canonMax8(a))
 		copy(b, canonMax8(b))
+		if width > 0 {
+			checkStatistic(t, a, b)
+		}
 		merged := cloneRow(a)
 		MergeMax8Generic(merged, b)
 		var est MaxEstimator[int8]

@@ -66,27 +66,50 @@ func (MaxKernel) Merge(dst, src []int8) { MergeMax8(dst, src) }
 func (MaxKernel) MergePair(dst, a, b []int8) { MergeMax8Pair(dst, a, b) }
 
 // EncodedBits implements Kernel: the deviation encoding of Lemmas 5.5–5.6.
-func (MaxKernel) EncodedBits(row []int8, counts *[]int) int {
-	k, c := DeviationBaseline(row, *counts)
-	*counts = c
-	return DeviationBits(row, k)
+func (MaxKernel) EncodedBits(row []int8) int { return encodedBits(row) }
+
+// MergeMax8 folds src into dst pointwise (dst[i] = max(dst[i], src[i])) and
+// panics if the lengths differ. This is the hot inner loop of every
+// max-kernel fold, so it is benchmarked in isolation (BenchmarkMergeMax8,
+// BENCH_sketch.json).
+//
+// On x86-64 with AVX2 (useAVX2) 32 cells merge per VPMAXSB, with unaligned
+// loads, so any row qualifies; the last len%32 cells, and every cell
+// elsewhere and in race builds, take mergeMax8SWAR. Both paths are pinned
+// byte-equal to MergeMax8Generic.
+func MergeMax8(dst, src []int8) {
+	if len(dst) != len(src) {
+		panic("sketch: MergeMax8 length mismatch")
+	}
+	if useAVX2 && len(src) >= 32 {
+		mergeMax8AVX2(dst, src)
+		n := len(src) &^ 31
+		dst, src = dst[n:], src[n:]
+	}
+	mergeMax8SWAR(dst, src)
+}
+
+// MergeMax8Pair folds two source rows into dst in one pass
+// (dst[i] = max(dst[i], a[i], b[i])). The result is exactly two MergeMax8
+// calls — max is associative — but the single pass reads dst once instead
+// of twice and, more importantly for the collect wave's scattered neighbor
+// rows, keeps two independent source-row miss streams in flight at once. It
+// dispatches as MergeMax8 does.
+func MergeMax8Pair(dst, a, b []int8) {
+	if len(dst) != len(a) || len(dst) != len(b) {
+		panic("sketch: MergeMax8Pair length mismatch")
+	}
+	if useAVX2 && len(dst) >= 32 {
+		mergeMax8PairAVX2(dst, a, b)
+		n := len(dst) &^ 31
+		dst, a, b = dst[n:], a[n:], b[n:]
+	}
+	mergeMax8PairSWAR(dst, a, b)
 }
 
 // swarHigh8 masks the sign bit of each byte lane of a word.
 const swarHigh8 = 0x8080808080808080
 
-// MergeMax8 folds src into dst pointwise (dst[i] = max(dst[i], src[i])) and
-// panics if the lengths differ. This is the hot inner loop of every
-// max-kernel fold; the word-at-a-time body below shows up directly in the
-// decomposition's wave time, so it is benchmarked in isolation
-// (BenchmarkMergeMax8, BENCH_sketch.json).
-//
-// When both rows are 8-byte aligned — arena rows always are, see
-// Arena.Reset's stride — eight int8 lanes merge per machine word with
-// branch-free SWAR compares: sketch maxima are effectively random, so the
-// scalar loop's per-cell branch mispredicts about half the time, and
-// removing it is worth more than the extra ALU ops. Misaligned or short rows take the
-// scalar tail, which the conformance suite pins byte-equal to the SWAR path.
 // swarMax8Word returns the per-lane signed max of two words of eight int8
 // lanes. No biasing is needed: the decision bit per lane is "signs differ
 // and s is negative" (s &^ d at the sign bit) or "signs agree and d's low
@@ -103,10 +126,14 @@ func swarMax8Word(d, s uint64) uint64 {
 	return (d & mask) | (s &^ mask)
 }
 
-func MergeMax8(dst, src []int8) {
-	if len(dst) != len(src) {
-		panic("sketch: MergeMax8 length mismatch")
-	}
+// mergeMax8SWAR is MergeMax8's portable kernel for equal-length rows. When
+// both rows are 8-byte aligned — arena rows always are, see Arena.Reset's
+// stride — eight int8 lanes merge per machine word with branch-free SWAR
+// compares: sketch maxima are effectively random, so the scalar loop's
+// per-cell branch mispredicts about half the time, and removing it is worth
+// more than the extra ALU ops. Misaligned or short rows take the scalar
+// tail.
+func mergeMax8SWAR(dst, src []int8) {
 	n := len(src)
 	i := 0
 	if n >= 16 &&
@@ -136,15 +163,9 @@ func MergeMax8(dst, src []int8) {
 	}
 }
 
-// MergeMax8Pair folds two source rows into dst in one pass
-// (dst[i] = max(dst[i], a[i], b[i])). The result is exactly two MergeMax8
-// calls — max is associative — but the single pass reads dst once instead
-// of twice and, more importantly for the collect wave's scattered neighbor
-// rows, keeps two independent source-row miss streams in flight at once.
-func MergeMax8Pair(dst, a, b []int8) {
-	if len(dst) != len(a) || len(dst) != len(b) {
-		panic("sketch: MergeMax8Pair length mismatch")
-	}
+// mergeMax8PairSWAR is MergeMax8Pair's portable kernel for equal-length
+// rows, word-at-a-time under the alignment gate of mergeMax8SWAR.
+func mergeMax8PairSWAR(dst, a, b []int8) {
 	n := len(dst)
 	i := 0
 	if n >= 16 &&
@@ -176,9 +197,8 @@ func MergeMax8Pair(dst, a, b []int8) {
 	}
 }
 
-// MergeMax8Generic is the reference scalar merge the 8-lane SWAR kernel is
-// verified against; benchmarks keep it around to report the kernel's
-// speedup.
+// MergeMax8Generic is the reference scalar merge the AVX2 and SWAR kernels
+// are verified against; benchmarks keep it around to report their speedup.
 func MergeMax8Generic(dst, src []int8) {
 	if len(dst) != len(src) {
 		panic("sketch: MergeMax8Generic length mismatch")

@@ -9,9 +9,10 @@ import (
 // The kernel conformance suite: the max kernel must be a semilattice join
 // (identity, idempotent, commutative, associative) — the laws the
 // byte-identical-at-any-parallelism contract and the redundant-path safety
-// of the waves rest on — and each SWAR merge must agree byte-for-byte with
-// its scalar reference on every alignment and length, including the
-// saturation ceiling of the cells.
+// of the waves rest on — and each merge path, the dispatcher (AVX2 where the
+// CPU has it) and the SWAR kernel, must agree byte-for-byte with its scalar
+// reference on every alignment and length, including the saturation ceiling
+// of the cells.
 
 // randMaxRow builds a max-kernel row with realistic value spread (Empty
 // through ~18, the range geometric maxima actually occupy).
@@ -142,60 +143,100 @@ func TestSaturateCell8(t *testing.T) {
 	}
 }
 
-// TestMergeMax8MatchesGeneric pins the 8-lane SWAR path to the scalar
-// reference over every small length (exercising the word body, the tail, and
-// the short-row fallback) and over the full int8 value range, including the
-// saturation ceiling and the identity.
+// mergeKernels are the MergeMax8 paths pinned to MergeMax8Generic: the
+// dispatcher (the AVX2 kernel plus a SWAR tail where useAVX2 holds) and the
+// portable SWAR kernel every other build runs.
+var mergeKernels = []struct {
+	name  string
+	merge func(dst, src []int8)
+}{{"MergeMax8", MergeMax8}, {"mergeMax8SWAR", mergeMax8SWAR}}
+
+// pairKernels are the MergeMax8Pair paths, dispatcher and SWAR.
+var pairKernels = []struct {
+	name  string
+	merge func(dst, a, b []int8)
+}{{"MergeMax8Pair", MergeMax8Pair}, {"mergeMax8PairSWAR", mergeMax8PairSWAR}}
+
+// kernelWidths covers every length up to 200 — short rows, whole 32-cell
+// AVX2 steps, SWAR words and scalar tails in every combination — plus the
+// decomposition's width (acdRowWidth = 50·32 + 4).
+func kernelWidths() []int {
+	ws := make([]int, 0, 202)
+	for n := 0; n <= 200; n++ {
+		ws = append(ws, n)
+	}
+	return append(ws, acdRowWidth)
+}
+
+// randAnyRow fills row with arbitrary bytes, about a quarter of them the
+// cells the kernels compare or clamp at: Empty, maxTrackedY (64), MaxCell8,
+// and bytes below Empty.
+func randAnyRow(rng *rand.Rand, row []int8) {
+	edges := [...]int8{Empty, maxTrackedY, MaxCell8, Empty - 1, -128}
+	for i := range row {
+		row[i] = int8(rng.IntN(256))
+		if rng.IntN(4) == 0 {
+			row[i] = edges[rng.IntN(len(edges))]
+		}
+	}
+}
+
+// TestKernelPath logs which kernels this build dispatches to, so a test log
+// shows whether the AVX2 path ran.
+func TestKernelPath(t *testing.T) {
+	t.Logf("useAVX2 = %v (race build: %v)", useAVX2, raceEnabled)
+	if raceEnabled && useAVX2 {
+		t.Fatal("a race build dispatches to the AVX2 kernels")
+	}
+}
+
+// TestMergeMax8MatchesGeneric pins each MergeMax8 path to the scalar
+// reference over every kernel width and the full int8 value range,
+// including the saturation ceiling, the identity, and bytes below it.
 func TestMergeMax8MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 14))
-	for n := 0; n <= 67; n++ {
-		for trial := 0; trial < 50; trial++ {
+	for _, k := range mergeKernels {
+		for _, n := range kernelWidths() {
 			dst := make([]int8, n)
 			src := make([]int8, n)
-			for i := 0; i < n; i++ {
-				dst[i] = int8(rng.IntN(256))
-				src[i] = int8(rng.IntN(256))
-			}
-			// Sprinkle the values the clamp produces so the lane compare is
-			// exercised exactly at the contract's boundary cells.
-			if n > 0 {
-				dst[rng.IntN(n)] = MaxCell8
-				src[rng.IntN(n)] = Empty
-			}
-			want := cloneRow(dst)
-			MergeMax8Generic(want, src)
-			got := cloneRow(dst)
-			MergeMax8(got, src)
-			if !rowsEqual(got, want) {
-				t.Fatalf("n=%d: MergeMax8 != generic\n dst=%v\n src=%v\n got=%v\n want=%v",
-					n, dst, src, got, want)
+			for trial := 0; trial < 8; trial++ {
+				randAnyRow(rng, dst)
+				randAnyRow(rng, src)
+				want := cloneRow(dst)
+				MergeMax8Generic(want, src)
+				got := cloneRow(dst)
+				k.merge(got, src)
+				if !rowsEqual(got, want) {
+					t.Fatalf("%s n=%d: != generic\n dst=%v\n src=%v\n got=%v\n want=%v",
+						k.name, n, dst, src, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestMergeMax8Misaligned shifts the rows off 8-byte alignment (every offset
-// combination of a shared backing) and checks the result never depends on
-// which path ran.
+// TestMergeMax8Misaligned shifts the rows by every offset 0–31 of a shared
+// backing — off the SWAR kernel's 8-byte alignment and across the AVX2
+// kernel's 32-byte steps — and checks the result never depends on which
+// path ran and no cell of the backing outside dst is written.
 func TestMergeMax8Misaligned(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
-	const n = 41
-	for dOff := 0; dOff < 8; dOff++ {
-		for sOff := 0; sOff < 8; sOff++ {
-			dBack := make([]int8, n+8)
-			sBack := make([]int8, n+8)
-			for i := range dBack {
-				dBack[i] = int8(rng.IntN(256))
-				sBack[i] = int8(rng.IntN(256))
-			}
-			dst := dBack[dOff : dOff+n]
-			src := sBack[sOff : sOff+n]
-			want := cloneRow(dst)
-			MergeMax8Generic(want, src)
-			got := cloneRow(dst)
-			MergeMax8(got, src)
-			if !rowsEqual(got, want) {
-				t.Fatalf("offsets (%d,%d): MergeMax8 != generic", dOff, sOff)
+	const n = 100
+	dBack := make([]int8, n+32)
+	sBack := make([]int8, n+32)
+	for _, k := range mergeKernels {
+		for dOff := 0; dOff < 32; dOff++ {
+			for sOff := 0; sOff < 32; sOff++ {
+				randAnyRow(rng, dBack)
+				randAnyRow(rng, sBack)
+				dst := dBack[dOff : dOff+n]
+				src := sBack[sOff : sOff+n]
+				want := cloneRow(dBack)
+				MergeMax8Generic(want[dOff:dOff+n], src)
+				k.merge(dst, src)
+				if !rowsEqual(dBack, want) {
+					t.Fatalf("%s offsets (%d,%d): backing != generic merge of the window", k.name, dOff, sOff)
+				}
 			}
 		}
 	}
@@ -229,44 +270,45 @@ func TestArenaRowsAligned(t *testing.T) {
 	}
 }
 
-// TestMergeMax8PairMatchesSequential pins the paired fold to its definition:
-// MergeMax8Pair(dst, a, b) must equal two sequential generic merges, over
-// random lengths (covering the SWAR gate, the unrolled pairs, and the scalar
-// tail), saturated cells, and every alignment combination of the three rows.
+// TestMergeMax8PairMatchesSequential pins each paired-fold path to its
+// definition: MergeMax8Pair(dst, a, b) must equal two sequential generic
+// merges, over every kernel width, the full int8 value range, and every
+// offset 0–31 of dst and of a against b, writing nothing of dst's backing
+// outside dst.
 func TestMergeMax8PairMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 28))
-	for n := 0; n <= 67; n++ {
-		dst := randMaxRow(rng, n)
-		a := randMaxRowSaturated(rng, n)
-		b := randMaxRow(rng, n)
+	check := func(name string, merge func(dst, a, b []int8), dst, a, b []int8) {
+		t.Helper()
 		want := cloneRow(dst)
 		MergeMax8Generic(want, a)
 		MergeMax8Generic(want, b)
-		got := cloneRow(dst)
-		MergeMax8Pair(got, a, b)
-		if !rowsEqual(got, want) {
-			t.Fatalf("n=%d: MergeMax8Pair != sequential merges", n)
+		merge(dst, a, b)
+		if !rowsEqual(dst, want) {
+			t.Fatalf("%s n=%d: != sequential merges\n a=%v\n b=%v", name, len(dst), a, b)
 		}
 	}
-	const n = 41
-	for dOff := 0; dOff < 8; dOff++ {
-		for aOff := 0; aOff < 8; aOff += 3 {
-			for bOff := 0; bOff < 8; bOff += 5 {
-				back := func(off int) []int8 {
-					bk := make([]int8, n+8)
-					for i := range bk {
-						bk[i] = int8(rng.IntN(256))
-					}
-					return bk[off : off+n]
-				}
-				dst, a, b := back(dOff), back(aOff), back(bOff)
-				want := cloneRow(dst)
-				MergeMax8Generic(want, a)
-				MergeMax8Generic(want, b)
-				got := cloneRow(dst)
-				MergeMax8Pair(got, a, b)
-				if !rowsEqual(got, want) {
-					t.Fatalf("offsets (%d,%d,%d): MergeMax8Pair != sequential", dOff, aOff, bOff)
+	for _, k := range pairKernels {
+		for _, n := range kernelWidths() {
+			dst, a, b := make([]int8, n), make([]int8, n), make([]int8, n)
+			for trial := 0; trial < 4; trial++ {
+				randAnyRow(rng, dst)
+				randAnyRow(rng, a)
+				randAnyRow(rng, b)
+				check(k.name, k.merge, dst, a, b)
+			}
+		}
+		const n = 100
+		dBack, aBack, bBack := make([]int8, n+32), make([]int8, n+32), make([]int8, n+32)
+		for dOff := 0; dOff < 32; dOff++ {
+			for aOff := 0; aOff < 32; aOff++ {
+				bOff := (aOff*7 + dOff) % 32
+				randAnyRow(rng, dBack)
+				randAnyRow(rng, aBack)
+				randAnyRow(rng, bBack)
+				before := cloneRow(dBack)
+				check(k.name, k.merge, dBack[dOff:dOff+n], aBack[aOff:aOff+n], bBack[bOff:bOff+n])
+				if !rowsEqual(dBack[:dOff], before[:dOff]) || !rowsEqual(dBack[dOff+n:], before[dOff+n:]) {
+					t.Fatalf("%s offsets (%d,%d,%d): wrote outside dst", k.name, dOff, aOff, bOff)
 				}
 			}
 		}
@@ -292,4 +334,20 @@ func TestMergeMax8PairLengthMismatch(t *testing.T) {
 		}
 	}()
 	MergeMax8Pair(make([]int8, 4), make([]int8, 4), make([]int8, 5))
+}
+
+// TestMergeTwoLengthMismatch: the scratch merge refuses rows of different
+// widths instead of returning a row with a's tail or indexing past a.
+func TestMergeTwoLengthMismatch(t *testing.T) {
+	for _, lens := range [][2]int{{4, 2}, {2, 4}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "sketch: MergeTwo length mismatch" {
+					t.Errorf("MergeTwo(%d, %d cells): recovered %v", lens[0], lens[1], r)
+				}
+			}()
+			var sc Scratch[int8]
+			sc.MergeTwo(make([]int8, lens[0]), make([]int8, lens[1]))
+		}()
+	}
 }

@@ -1,0 +1,7 @@
+//go:build !race
+
+package sketch
+
+// raceEnabled reports a -race build, which runs the SWAR kernels (see
+// useAVX2).
+const raceEnabled = false

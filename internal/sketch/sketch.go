@@ -32,12 +32,19 @@
 // such as the perfbench harness instantiate it (NewEngine[int8],
 // MaxEstimator[int8], Scratch[int8]); it admits int8 alone.
 //
-// # Stride and alignment
+// # Kernels, stride and alignment
 //
-// Arena rows are laid out at a stride padded up to a full 8-byte machine
-// word (8 cells), so every row starts 8-byte aligned — the precondition of
-// the SWAR merge kernels (MergeMax8 and MergeMax8Pair move 8 lanes per
-// word). Rows obtained elsewhere fall back to the scalar tail.
+// The row loops — MergeMax8, MergeMax8Pair and Cutoff's statistic — run
+// AVX2 assembly on x86-64 CPUs that have it (32 cells per instruction,
+// unaligned loads, chosen once at start-up from CPUID), and portable SWAR
+// code (8 lanes per 64-bit word) on other CPUs, other architectures and in
+// race builds, whose detector does not see memory accessed from assembly.
+// The AVX2 kernels leave each row's last len%32 cells to the SWAR code.
+//
+// Only the SWAR path needs alignment: it takes a row 8 cells at a time
+// when the row starts 8-byte aligned and falls back to a scalar loop
+// otherwise. Arena rows are laid out at a stride padded up to a full 8-byte
+// machine word (8 cells), so every arena row qualifies.
 //
 // Ownership contract: an Arena — and any Scratch — belongs to one wave at a
 // time. Arena.Reset reuses the flat backing across waves; rows returned by
@@ -63,8 +70,7 @@ type Cell interface {
 // parallelism, immune to redundant-path double counting (the Section 1.1
 // hazard), and safe to aggregate shard by shard.
 //
-// Kernels are stateless values: methods must be safe for concurrent use, and
-// any per-call scratch is passed in by the caller.
+// Kernels are stateless values: methods must be safe for concurrent use.
 type Kernel[C Cell] interface {
 	// Name identifies the kernel in benchmarks and reports.
 	Name() string
@@ -80,8 +86,8 @@ type Kernel[C Cell] interface {
 	// idempotence).
 	Merge(dst, src []C)
 	// EncodedBits returns the wire size of row under the kernel's
-	// serialization, using *counts as reusable scratch (grown as needed).
-	EncodedBits(row []C, counts *[]int) int
+	// serialization.
+	EncodedBits(row []C) int
 }
 
 // PairMerger is an optional kernel fast path: MergePair folds two source
