@@ -1,8 +1,8 @@
-// Benchmarks regenerating every experiment table of the evaluation
-// (DESIGN.md §4). Each BenchmarkE* runs the corresponding experiment; the
-// tables themselves are printed by cmd/benchtables. Micro-benchmarks for the
-// hot primitives (fingerprint estimation/encoding, color trials, matching)
-// follow.
+// Benchmarks regenerating the experiment tables of the evaluation (the
+// E1–E18 and A1–A5 index is in the internal/experiments package doc). Each
+// BenchmarkE* runs the corresponding experiment; the tables themselves are
+// printed by cmd/benchtables. Micro-benchmarks for the hot primitives
+// (fingerprint estimation/encoding, color trials, matching) follow.
 package clustercolor
 
 import (
@@ -128,7 +128,7 @@ func BenchmarkE15Distance2(b *testing.B) {
 	})
 }
 
-// --- ablation benches (DESIGN.md §4, A1–A5) -------------------------------
+// --- ablation benches (A1–A5, indexed in the internal/experiments doc) ------
 
 func BenchmarkA1EncodingAblation(b *testing.B) {
 	benchTable(b, func(seed uint64) (*experiments.Table, error) {
@@ -411,21 +411,40 @@ func benchCG(b *testing.B, h *graph.Graph) *cluster.CG {
 	return cg
 }
 
+// BenchmarkTryColorRound measures one TryColor round (Algorithm 17) from
+// an all-uncolored start, activation 0.5 over the full palette, with the
+// scratch held across rounds as the low-degree loops hold it: the draw, the
+// conflict check over the vertices that tried, and the apply. Each graph is
+// built outside the timer; GNP n=10⁵ deg≈64 is the gnp-low benchmark's
+// low-degree shape at a quarter of its size.
 func BenchmarkTryColorRound(b *testing.B) {
-	h := graph.MustGNP(1000, 0.02, graph.NewRand(6))
-	cg := benchCG(b, h)
-	space := trials.RangeSpace(1, int32(h.MaxDegree()+1))
-	rng := graph.NewRand(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col := coloring.New(h.N(), h.MaxDegree())
-		if _, err := trials.TryColorRound(cg, col, trials.TryColorOptions{
-			Phase:      "bench",
-			Activation: 0.5,
-			Space:      func(v int) []int32 { return space },
-		}, rng); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		n    int
+		deg  float64
+	}{
+		{"GNP/n=1e3/deg=20", 1000, 20},
+		{"GNP/n=1e5/deg=64", 100_000, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := graph.MustGNP(bc.n, bc.deg/float64(bc.n), graph.NewRand(6))
+			cg := benchCG(b, h)
+			space := trials.RangeSpace(1, int32(h.MaxDegree()+1))
+			rng := graph.NewRand(7)
+			var sc trials.TryColorScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				col := coloring.New(h.N(), h.MaxDegree())
+				if _, _, err := trials.TryColorRoundWith(cg, col, trials.TryColorOptions{
+					Phase:      "bench",
+					Activation: 0.5,
+					Space:      func(v int) []int32 { return space },
+				}, rng, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

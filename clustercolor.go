@@ -49,9 +49,18 @@ func GNP(n int, p float64, seed uint64) (*Graph, error) {
 	return graph.GNP(n, p, graph.NewRand(seed))
 }
 
-// Clique returns the complete graph K_n. It panics if n(n-1)/2 exceeds the
-// graph substrate's ~2³⁰-edge capacity (n > ~46000).
-func Clique(n int) *Graph { return graph.Clique(n) }
+// Clique returns the complete graph K_n. It returns an error for n < 0 and
+// for n past the graph substrate's ~2³⁰-edge capacity (n(n-1)/2 edges, so
+// n > ~46000).
+func Clique(n int) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("clustercolor: Clique(%d): negative vertex count", n)
+	}
+	if !graph.CliqueFits(n) {
+		return nil, fmt.Errorf("clustercolor: Clique(%d) exceeds the graph substrate's edge capacity", n)
+	}
+	return graph.Clique(n), nil
+}
 
 // RandomGeometric samples a wireless-style random geometric graph: n points
 // in the unit square, edges within the given radius (grid-bucketed,

@@ -18,6 +18,15 @@ func mustGNP(t *testing.T, n int, p float64, seed uint64) *Graph {
 	return h
 }
 
+func mustClique(t *testing.T, n int) *Graph {
+	t.Helper()
+	h, err := Clique(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestColorQuickstart(t *testing.T) {
 	h := mustGNP(t, 300, 0.05, 42)
 	res, err := Color(h, Options{Seed: 1})
@@ -66,7 +75,7 @@ func TestColorAllTopologies(t *testing.T) {
 }
 
 func TestVerifyRejectsBadColorings(t *testing.T) {
-	h := Clique(4)
+	h := mustClique(t, 4)
 	res, err := Color(h, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +231,7 @@ func TestExplicitParamsRespected(t *testing.T) {
 // for 2⁵⁰ links per edge is served as four, not looped over or used to size
 // a buffer.
 func TestColorHugeRedundantLinks(t *testing.T) {
-	h := Clique(7) // 21 edges
+	h := mustClique(t, 7) // 21 edges
 	res, err := Color(h, Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: 1 << 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +247,7 @@ func TestColorHugeRedundantLinks(t *testing.T) {
 // rebuilt copy of H's O(m) adjacency (at least 16·m bytes of packed pairs and
 // CSR; m ≈ 1.12M here).
 func TestBuildClusterGraphSharesH(t *testing.T) {
-	h := Clique(1500)
+	h := mustClique(t, 1500)
 	n := h.N()
 	for name, opts := range map[string]Options{
 		"singleton":           {Seed: 1},
@@ -360,7 +369,24 @@ func TestGeneratorErrorsPropagate(t *testing.T) {
 	if _, err := RingOfCliques(3, 0); err == nil {
 		t.Fatal("cliqueSize 0 accepted by RingOfCliques wrapper")
 	}
-	if _, err := Power(Clique(3), 0); err == nil {
+	if _, err := Power(mustClique(t, 3), 0); err == nil {
 		t.Fatal("Power(0) accepted by wrapper")
+	}
+}
+
+// TestCliqueRejectsBadSizes: K_n past the CSR's edge capacity, and a
+// negative n, are errors from the public API, not panics; small cliques,
+// the empty one included, still build.
+func TestCliqueRejectsBadSizes(t *testing.T) {
+	for _, n := range []int{-1, -70000, 70000, 1 << 40} {
+		if h, err := Clique(n); err == nil || h != nil {
+			t.Errorf("Clique(%d) = %v, %v; want an error", n, h, err)
+		}
+	}
+	if h := mustClique(t, 0); h.N() != 0 {
+		t.Fatalf("Clique(0) has %d vertices", h.N())
+	}
+	if h := mustClique(t, 5); h.M() != 10 {
+		t.Fatalf("Clique(5) has %d edges, want 10", h.M())
 	}
 }

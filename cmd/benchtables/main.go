@@ -1,5 +1,6 @@
 // Command benchtables regenerates every experiment table of the evaluation
-// (DESIGN.md §4, E1–E15) and prints them. Run with -id to select a subset.
+// (E1–E18 and the ablations A1–A5, indexed in the internal/experiments
+// package doc) and prints them. Run with -id to select a subset.
 //
 //	benchtables                      # the full battery
 //	benchtables -id E7,E8            # selected experiments

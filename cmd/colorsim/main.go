@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"clustercolor"
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/core"
@@ -128,10 +129,7 @@ func makeInstance(spec instanceSpec) (*graph.Graph, error) {
 	case "gnp":
 		return graph.GNP(spec.n, spec.p, rng)
 	case "clique":
-		if !graph.CliqueFits(spec.n) {
-			return nil, fmt.Errorf("graph: Clique(%d) exceeds the graph substrate's edge capacity", spec.n)
-		}
-		return graph.Clique(spec.n), nil
+		return clustercolor.Clique(spec.n)
 	case "planted":
 		h, _, err := graph.PlantedACD(graph.PlantedACDSpec{
 			NumCliques:     spec.cliques,

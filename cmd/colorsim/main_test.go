@@ -62,6 +62,13 @@ func TestMakeInstanceRejectsBadParams(t *testing.T) {
 	if _, err := makeInstance(badReg); err == nil {
 		t.Fatal("odd n·d accepted for regular")
 	}
+	for _, n := range []int{70000, -1} {
+		badClique := testSpec("clique")
+		badClique.n = n
+		if _, err := makeInstance(badClique); err == nil {
+			t.Fatalf("clique n=%d accepted", n)
+		}
+	}
 }
 
 func TestParseTopology(t *testing.T) {

@@ -350,3 +350,38 @@ func TestGoldenDecompositionFingerprintsSharded(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenGNPLowDegreeAtScale pins Color on the low-degree path at 10⁵
+// vertices: GNP with average degree 64 and DeltaLow 256, the gnp-low
+// benchmark's shape at a quarter of its size. Every other Color golden runs
+// at n ≤ 400, where a TryColor round touches a few hundred vertices; here the
+// color trials, the shattering rounds and the output check run at the scale
+// the benchmark measures, and the coloring, the charged rounds and the
+// largest payload must not move.
+func TestGoldenGNPLowDegreeAtScale(t *testing.T) {
+	const (
+		n           = 100_000
+		seed        = 3
+		wantColors  = 0xf2db9f5894d54a93
+		wantRounds  = 42
+		wantMaxBits = 99
+	)
+	h, err := GNP(n, 64.0/n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.DefaultParams(n)
+	params.DeltaLow = 256
+	res, err := Color(h, Options{Seed: seed, Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats()
+	if st.Path != "low-degree" {
+		t.Fatalf("path %q, want low-degree", st.Path)
+	}
+	if got := colorFingerprint(res.Colors()); got != wantColors || st.Rounds != wantRounds || st.MaxPayloadBits != wantMaxBits {
+		t.Errorf("fingerprint %#016x, rounds %d, max payload %d bits; pinned %#016x, %d, %d",
+			got, st.Rounds, st.MaxPayloadBits, uint64(wantColors), wantRounds, wantMaxBits)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"clustercolor/internal/graph"
+	"clustercolor/internal/parwork"
 )
 
 // None is the uncolored sentinel (⊥).
@@ -152,34 +153,76 @@ func ReuseSlack(g *graph.Graph, c *Coloring, v int) int {
 }
 
 // VerifyProper checks that φ is proper: no edge is monochromatic. It returns
-// a descriptive error naming the first violation.
+// a descriptive error naming the first violation: the lowest vertex with a
+// higher neighbor of its color, and the lowest such neighbor. The vertices
+// are split across the worker pool.
 func VerifyProper(g *graph.Graph, c *Coloring) error {
-	for v := 0; v < g.N(); v++ {
-		col := c.Get(v)
-		if col == None {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if int(u) > v && c.Get(int(u)) == col {
-				return fmt.Errorf("coloring: edge {%d,%d} monochromatic with color %d", v, u, col)
-			}
-		}
-	}
-	return nil
+	return verify(g, c, false)
 }
 
 // VerifyComplete checks that φ is total and proper with colors in [1, Δ+1].
+// A vertex uncolored or out of range is reported before any monochromatic
+// edge, the lowest such vertex first; then it reports as VerifyProper.
 func VerifyComplete(g *graph.Graph, c *Coloring) error {
-	for v := 0; v < g.N(); v++ {
-		col := c.Get(v)
-		if col == None {
-			return fmt.Errorf("coloring: vertex %d uncolored", v)
+	return verify(g, c, true)
+}
+
+// violations is what one chunk of verify found: the lowest vertex in the
+// chunk that is uncolored or out of range (bad), and the lowest vertex with
+// a higher neighbor of its color (mono) with the lowest such neighbor. −1
+// means none.
+type violations struct {
+	bad, mono, with int32
+}
+
+// verify runs VerifyComplete (complete) or VerifyProper over contiguous
+// chunks of the vertices in parallel. Each chunk stops at its first bad
+// vertex, since a completeness error outranks every monochromatic edge, and
+// the lowest chunk with a finding names the same violation a serial scan
+// would.
+func verify(g *graph.Graph, c *Coloring, complete bool) error {
+	n := g.N()
+	maxColor := c.MaxColor()
+	chunks := parwork.RangeChunks(n)
+	found, err := parwork.ForEach(chunks, func(i int) (violations, error) {
+		lo, hi := parwork.ChunkBoundsIn(n, chunks, i)
+		out := violations{bad: -1, mono: -1}
+		for v := lo; v < hi; v++ {
+			col := c.colors[v]
+			if complete && (col < 1 || col > maxColor) {
+				out.bad = int32(v)
+				break
+			}
+			if out.mono >= 0 || col == None {
+				continue
+			}
+			for _, u := range g.Neighbors(v) {
+				if int(u) > v && c.colors[u] == col {
+					out.mono, out.with = int32(v), u
+					break
+				}
+			}
 		}
-		if col < 1 || col > c.MaxColor() {
-			return fmt.Errorf("coloring: vertex %d has color %d outside [1,%d]", v, col, c.MaxColor())
+		return out, nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, f := range found {
+		if f.bad < 0 {
+			continue
+		}
+		if col := c.colors[f.bad]; col != None {
+			return fmt.Errorf("coloring: vertex %d has color %d outside [1,%d]", f.bad, col, maxColor)
+		}
+		return fmt.Errorf("coloring: vertex %d uncolored", f.bad)
+	}
+	for _, f := range found {
+		if f.mono >= 0 {
+			return fmt.Errorf("coloring: edge {%d,%d} monochromatic with color %d", f.mono, f.with, c.colors[f.mono])
 		}
 	}
-	return VerifyProper(g, c)
+	return nil
 }
 
 // CountColors returns the number of distinct colors in use.

@@ -23,10 +23,15 @@ import (
 //  3. Shattering — BEPS-style random palette trials until the uncolored
 //     components are polylog-sized.
 //  4. SmallInstanceColoring — the Lemma 9.1 contract: the shattered
-//     components are deg+1-list-colored via Linial color reduction plus
-//     class-by-class recoloring (the finishing move of the lemma's own
-//     proof); the Ghaffari–Kuhn rounding itself is substituted per
-//     DESIGN.md §3 and the round charge follows the lemma's bound.
+//     components are deg+1-list-colored. The lemma invokes the Ghaffari–Kuhn
+//     rounding; this implementation substitutes the finishing move of the
+//     lemma's own proof: a Linial color reduction on the shattered subgraph,
+//     then class-by-class recoloring from the learned lists. The substitute
+//     needs the same inputs (the deg+1 lists and vertex IDs), and the round
+//     charge follows the lemma's bound.
+//
+// Each round reports how many vertices it left uncolored, so the stages
+// never rescan the coloring between rounds.
 func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats *Stats, rng *rand.Rand) error {
 	h := cg.H
 	n := h.N()
@@ -37,11 +42,12 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 	loglog := bits.Len(uint(bits.Len(uint(n)))) + 2
 	space := sparseSpace(col)
 	// Stage 1: degree reduction, O(log log n) waves.
-	if _, err := trials.TryColorLoop(cg, col, trials.TryColorOptions{
+	left, err := trials.TryColorLoop(cg, col, trials.TryColorOptions{
 		Phase:      "lowdeg/reduce",
 		Space:      func(v int) []int32 { return space },
 		Activation: 0.5,
-	}, 2*loglog, rng); err != nil {
+	}, 2*loglog, rng)
+	if err != nil {
 		return err
 	}
 	stats.StageOrder = append(stats.StageOrder, "LearnColors")
@@ -55,10 +61,10 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 	scratch := coloring.NewPaletteScratch()
 	var tsc trials.TryColorScratch
 	for i := 0; i < 2*loglog; i++ {
-		if uncoloredCount(col) == 0 {
+		if left == 0 {
 			return nil
 		}
-		if _, err := trials.TryColorRoundWith(cg, col, trials.TryColorOptions{
+		if _, left, err = trials.TryColorRoundWith(cg, col, trials.TryColorOptions{
 			Phase:      "lowdeg/shatter",
 			Activation: 0.7,
 			Space: func(v int) []int32 {
@@ -70,7 +76,7 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 	}
 	// Stage 4: small-instance coloring per shattered component.
 	stats.StageOrder = append(stats.StageOrder, "SmallInstanceColoring")
-	return smallInstanceColoring(cg, col, stats, rng)
+	return smallInstanceColoring(cg, col)
 }
 
 // smallInstanceColoring colors the uncolored subgraph left by shattering,
@@ -81,7 +87,7 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 // Rounds are charged per the lemma's budget; a vertex with an exhausted
 // palette (impossible under deg+1 lists, guarded anyway) is left to the
 // terminal fallback.
-func smallInstanceColoring(cg *cluster.CG, col *coloring.Coloring, stats *Stats, rng *rand.Rand) error {
+func smallInstanceColoring(cg *cluster.CG, col *coloring.Coloring) error {
 	h := cg.H
 	var uncolored []int
 	for v := 0; v < h.N(); v++ {
@@ -155,7 +161,5 @@ func smallInstanceColoring(cg *cluster.CG, col *coloring.Coloring, stats *Stats,
 			}
 		}
 	}
-	_ = rng
-	_ = stats
 	return nil
 }

@@ -13,8 +13,9 @@ import (
 	"clustercolor/internal/trials"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out: each table
-// removes or replaces one mechanism and reports what it costs.
+// The ablations A1–A5 (see the package doc's index) quantify the pipeline's
+// design choices: each table removes or replaces one mechanism and reports
+// what it costs.
 
 // A1Encoding compares the deviation encoding of Lemma 5.6 against the naive
 // fixed-width encoding in the rounds it implies at Θ(log n) bandwidth.

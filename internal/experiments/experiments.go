@@ -1,7 +1,38 @@
-// Package experiments regenerates the paper's quantitative claims as tables
-// (see DESIGN.md §4 for the experiment index E1–E15). Each experiment
-// returns a Table whose shape — growth rates, who wins, concentration — is
-// the reproduction target; EXPERIMENTS.md records paper-vs-measured.
+// Package experiments regenerates the paper's quantitative claims as tables.
+// Each experiment returns a Table whose shape — growth rates, who wins,
+// concentration — is the reproduction target, and whose Notes record the
+// scaled constants and fallbacks behind the measured numbers. All runs
+// E1–E18 and Ablations runs A1–A5, each as one parallel battery, and
+// cmd/benchtables prints both.
+//
+// # Experiment index
+//
+// Each ID names the table, the function that builds it, and the claim it
+// reproduces:
+//
+//	E1   E1HighDegreeRounds     Theorem 1.2: rounds vs n, high-degree regime
+//	E2   E2LowDegreeRounds      Theorem 1.1: rounds vs n, low-degree regime
+//	E3   E3FingerprintAccuracy  Lemma 5.2: fingerprint accuracy vs trials
+//	E4   E4FingerprintEncoding  Lemmas 5.5–5.6: deviation-encoded sketch size
+//	E5   E5ACDQuality           Proposition 4.3: decomposition quality on planted instances
+//	E6   E6SlackGeneration      Proposition 4.5: slack generated vs Δ
+//	E7   E7CabalMatching        Lemma 6.2: fingerprint matching in cabals
+//	E8   E8PutAside             Proposition 4.19: put-aside coloring
+//	E9   E9SCT                  Lemma 4.13: synchronized color trial leftovers vs external degree
+//	E10  E10Bandwidth           model check: largest message payload vs bandwidth
+//	E11  E11Dilation            Theorems 1.1–1.2: rounds vs dilation (path clusters)
+//	E12  E12Baselines           rounds against Luby and palette sparsification
+//	E13  E13TryColor            Lemma D.3: TryColor per-round shrink factor
+//	E14  E14PaletteQuery        Lemma 4.8: clique palette queries
+//	E15  E15Distance2           Corollary 1.3: distance-2 coloring via cluster graphs
+//	E16  E16VirtualDistance2    Appendix A: virtual-graph distance-2 coloring and its congestion
+//	E17  E17Linial              Linial color reduction trajectory
+//	E18  E18Scenarios           every generator through the full pipeline
+//	A1   A1Encoding             deviation encoding vs naive fixed width (Lemma 5.6)
+//	A2   A2CabalMatching        cabal matching: sampling alone vs with the fingerprint backup
+//	A3   A3PutAside             put-aside: donation vs the exact-palette fallback
+//	A4   A4MCTGrowth            MultiColorTrial's growing tries vs single trials
+//	A5   A5ReservedFraction     the reserved-color budget (Equation 2)
 package experiments
 
 import (

@@ -258,7 +258,7 @@ func TestEncodedBitsIsCompact(t *testing.T) {
 
 func TestBaselineIsMedianMinimizer(t *testing.T) {
 	s := []int8{3, 3, 4, 4, 4, 5, 9}
-	k, _ := sketch.DeviationBaseline(s, nil)
+	k := sketch.DeviationBaseline(s)
 	cost := func(k int) int {
 		c := 0
 		for _, y := range s {

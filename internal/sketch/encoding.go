@@ -97,45 +97,29 @@ func (r *bitReader) readEliasGamma() (uint64, error) {
 	return x, nil
 }
 
-// DeviationBaseline returns the k minimizing Σ|Y_i − k| — the median of the
-// row, by counting selection over the small value range of sketch maxima —
-// with a caller-owned counting buffer; it returns the (possibly grown)
-// buffer for reuse, so per-row loops allocate only until the buffer covers
-// the observed value range.
-func DeviationBaseline[C Cell](row []C, counts []int) (int, []int) {
-	if len(row) == 0 {
-		return 0, counts
-	}
-	lo, hi := int(row[0]), int(row[0])
+// DeviationBaseline returns the k minimizing Σ|Y_i − k|: the lower median
+// of the row, 0 for an empty row.
+func DeviationBaseline[C Cell](row []C) int {
+	var hist [256]int32
+	return countCells(row, &hist)
+}
+
+// countCells adds every cell of the row to hist, indexed by the cell byte,
+// and returns the row's lower median from a walk of hist in signed order:
+// the first value at which the running count reaches ⌈len(row)/2⌉, or 0
+// for an empty row.
+func countCells[C Cell](row []C, hist *[256]int32) int {
 	for _, y := range row {
-		if int(y) < lo {
-			lo = int(y)
-		}
-		if int(y) > hi {
-			hi = int(y)
-		}
+		hist[uint8(y)]++
 	}
-	size := hi - lo + 1
-	if cap(counts) < size {
-		counts = make([]int, size)
-	} else {
-		counts = counts[:size]
-		for i := range counts {
-			counts[i] = 0
+	mid := int32((len(row) + 1) / 2)
+	var run int32
+	for y := -128; y < 128 && len(row) > 0; y++ {
+		if run += hist[uint8(y)]; run >= mid {
+			return y
 		}
 	}
-	for _, y := range row {
-		counts[int(y)-lo]++
-	}
-	mid := (len(row) + 1) / 2
-	run := 0
-	for i, c := range counts {
-		run += c
-		if run >= mid {
-			return lo + i, counts
-		}
-	}
-	return hi, counts
+	return 0
 }
 
 // EncodeDeviation serializes the row with the deviation encoding:
@@ -148,7 +132,7 @@ func EncodeDeviation[C Cell](row []C) []byte { return deviationWriter(row).buf }
 func deviationWriter[C Cell](row []C) *bitWriter {
 	w := &bitWriter{}
 	w.writeEliasGamma(uint64(len(row)) + 1)
-	k, _ := DeviationBaseline(row, nil)
+	k := DeviationBaseline(row)
 	w.writeEliasGamma(uint64(k) + 2) // k >= -1 → encoded >= 1
 	for _, y := range row {
 		dev := int(y) - k
@@ -172,20 +156,7 @@ func deviationWriter[C Cell](row []C) *bitWriter {
 // wave prices every row without allocating.
 func encodedBits[C Cell](row []C) int {
 	var hist [256]int32
-	for _, y := range row {
-		hist[uint8(y)]++
-	}
-	k := 0
-	if len(row) > 0 {
-		mid := int32((len(row) + 1) / 2)
-		var run int32
-		for y := -128; y < 128; y++ {
-			if run += hist[uint8(y)]; run >= mid {
-				k = y
-				break
-			}
-		}
-	}
+	k := countCells(row, &hist)
 	n := eliasGammaBits(uint64(len(row))+1) + eliasGammaBits(uint64(k)+2) + 2*len(row)
 	for y := -128; y < 128; y++ {
 		if c := int(hist[uint8(y)]); c > 0 {

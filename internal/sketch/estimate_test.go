@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"clustercolor/internal/parwork"
@@ -181,6 +182,28 @@ func deviationBitsRef(row []int8, k int) int {
 	return n
 }
 
+// TestDeviationBaselineIsLowerMedian checks the histogram walk against the
+// lower median of the sorted row, on random rows of every kernel width with
+// bytes below Empty included, and on the empty row.
+func TestDeviationBaselineIsLowerMedian(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 44))
+	for _, n := range kernelWidths() {
+		anyRow := make([]int8, n)
+		randAnyRow(rng, anyRow)
+		for _, row := range [][]int8{anyRow, randMaxRow(rng, n)} {
+			want := 0
+			if len(row) > 0 {
+				sorted := slices.Clone(row)
+				slices.Sort(sorted)
+				want = int(sorted[(len(row)-1)/2])
+			}
+			if got := DeviationBaseline(row); got != want {
+				t.Fatalf("width %d: DeviationBaseline = %d, lower median %d\n row=%v", n, got, want, row)
+			}
+		}
+	}
+}
+
 // TestEncodedBitsMatchesReference checks the one-pass size against pricing
 // every cell at DeviationBaseline's median, on random rows of every kernel
 // width (bytes below Empty included, where the baseline header wraps),
@@ -207,7 +230,7 @@ func TestEncodedBitsMatchesReference(t *testing.T) {
 	rows = append(rows, nil)
 	var sc Scratch[int8]
 	for _, row := range rows {
-		k, _ := DeviationBaseline(row, nil)
+		k := DeviationBaseline(row)
 		want := deviationBitsRef(row, k)
 		if got := (MaxKernel{}).EncodedBits(row); got != want {
 			t.Fatalf("width %d: EncodedBits = %d, reference %d\n row=%v", len(row), got, want, row)

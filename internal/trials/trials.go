@@ -31,36 +31,30 @@ import (
 type TryColorOptions struct {
 	// Phase labels the cost-model entries.
 	Phase string
-	// Active restricts the participating set S (nil = all uncolored).
+	// Active restricts the participating set S (nil = all uncolored). A
+	// round asks it once per uncolored vertex, before any adoption, and
+	// counts the vertices it leaves from those answers, so it must not
+	// depend on the coloring.
 	Active func(v int) bool
-	// Space returns C(v), the candidate colors of v. A nil or empty space
-	// skips the vertex this round.
+	// Space returns C(v), the candidate colors of v, all inside [1, Δ+1]. A
+	// nil or empty space skips the vertex this round.
 	Space func(v int) []int32
 	// Activation is the self-activation probability p (Algorithm 17 uses
 	// γ/4). Values outside (0,1] are coerced to 1.
 	Activation float64
 }
 
-// TryColorScratch is the reusable per-round buffer of TryColorRound. Loops
-// that run many rounds (TryColorLoop, the low-degree shatter loop) hold one
-// scratch so the per-vertex tried array stops being allocated every round.
-// The zero value is ready to use.
+// TryColorScratch is the reusable per-round state of TryColorRoundWith.
+// Loops that run many rounds (TryColorLoop, the low-degree shatter loop)
+// hold one scratch so its two vertex-sized arrays are allocated once. The
+// zero value is ready to use.
 type TryColorScratch struct {
+	// state packs one round's view of every vertex into one word: its color
+	// if colored, −c if it tries c this round, 0 otherwise.
+	state []int32
+	// tried lists the vertices that tried, ascending; the decide pass
+	// overwrites a loser's entry with −1.
 	tried []int32
-	win   []int32
-}
-
-// grow resizes the tried buffer to n and resets every cell to None.
-func (sc *TryColorScratch) grow(n int) []int32 {
-	if cap(sc.tried) < n {
-		sc.tried = make([]int32, n)
-		return sc.tried
-	}
-	sc.tried = sc.tried[:n]
-	for i := range sc.tried {
-		sc.tried[i] = coloring.None
-	}
-	return sc.tried
 }
 
 // TryColorRound runs one round of Algorithm 17 and returns the number of
@@ -68,27 +62,38 @@ func (sc *TryColorScratch) grow(n int) []int32 {
 // color from its space and adopts it iff no colored neighbor holds it and no
 // activated neighbor of smaller index tries it.
 func TryColorRound(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand) (int, error) {
-	return TryColorRoundWith(cg, col, opts, rng, &TryColorScratch{})
+	colored, _, err := TryColorRoundWith(cg, col, opts, rng, &TryColorScratch{})
+	return colored, err
 }
 
-// TryColorRoundWith is TryColorRound with caller-owned scratch.
-func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand, sc *TryColorScratch) (int, error) {
+// TryColorRoundWith is TryColorRound with caller-owned scratch. Besides the
+// number of vertices it colored, it returns how many active vertices it
+// left uncolored, so a loop over rounds needs no rescan of the coloring.
+// A space color outside [1, Δ+1] is an error before anything is adopted.
+func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand, sc *TryColorScratch) (colored, left int, err error) {
 	if opts.Space == nil {
-		return 0, fmt.Errorf("trials: nil color space")
+		return 0, 0, fmt.Errorf("trials: nil color space")
 	}
 	p := opts.Activation
 	if p <= 0 || p > 1 {
 		p = 1
 	}
+	// Draw in ascending vertex order, so the rng stream is consumed exactly
+	// as a serial loop over the vertices would consume it.
 	n := cg.H.N()
-	tried := sc.grow(n) // None = not trying
+	if cap(sc.state) < n {
+		sc.state = make([]int32, n)
+		sc.tried = make([]int32, 0, n)
+	}
+	state, tried := sc.state[:n], sc.tried[:0]
+	maxColor := col.MaxColor()
+	active := 0
 	for v := 0; v < n; v++ {
-		if col.IsColored(v) {
+		state[v] = col.Get(v)
+		if state[v] != coloring.None || (opts.Active != nil && !opts.Active(v)) {
 			continue
 		}
-		if opts.Active != nil && !opts.Active(v) {
-			continue
-		}
+		active++
 		if rng.Float64() >= p {
 			continue
 		}
@@ -96,62 +101,49 @@ func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOpti
 		if len(space) == 0 {
 			continue
 		}
-		tried[v] = space[rng.IntN(len(space))]
+		c := space[rng.IntN(len(space))]
+		if c < 1 || c > maxColor {
+			return 0, 0, fmt.Errorf("trials: vertex %d drew color %d outside [1,%d]", v, c, maxColor)
+		}
+		state[v] = -c
+		tried = append(tried, int32(v))
 	}
 	// One H-round to announce the tried color (O(log Δ) bits) and one to
 	// echo conflicts back.
-	colorBits := bits.Len(uint(col.MaxColor())) + 1
+	colorBits := bits.Len(uint(maxColor)) + 1
 	cg.ChargeHRounds(opts.Phase+"/announce", 1, colorBits)
 	cg.ChargeHRounds(opts.Phase+"/respond", 1, colorBits)
-	// Decide in parallel, apply sequentially (the PR 3 write-apply order
-	// contract). A vertex's decision depends only on the pre-round coloring
-	// and the tried array: a lower-ID neighbor newly adopting c necessarily
-	// tried c, so the tried[w] == c check subsumes every same-round write the
-	// serial loop would have observed — the parallel decisions are
-	// byte-identical to the serial ones.
-	if cap(sc.win) < n {
-		sc.win = make([]int32, n)
-	}
-	sc.win = sc.win[:n]
-	win := sc.win
-	if err := parwork.ForRange(n, func(lo, hi int) error {
-		for v := lo; v < hi; v++ {
-			c := tried[v]
-			win[v] = coloring.None
-			if c == coloring.None {
-				continue
-			}
-			ok := true
-			for _, u := range cg.H.Neighbors(v) {
-				w := int(u)
-				if col.Get(w) == c {
-					ok = false
+	// Decide in parallel over the vertices that tried, apply sequentially in
+	// vertex order (the pipeline's write-apply order contract). A vertex's
+	// decision depends only on the pre-round state: a lower-ID neighbor
+	// newly adopting c necessarily tried c, so the −c check subsumes every
+	// same-round write the serial loop would have observed — the parallel
+	// decisions are byte-identical to the serial ones.
+	if err := parwork.ForRange(len(tried), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			v := tried[i]
+			c := -state[v]
+			for _, w := range cg.H.Neighbors(int(v)) {
+				if s := state[w]; s == c || (s == -c && w < v) {
+					tried[i] = -1
 					break
 				}
-				if w < v && tried[w] == c {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				win[v] = c
 			}
 		}
 		return nil
 	}); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	colored := 0
-	for v := 0; v < n; v++ {
-		if win[v] == coloring.None {
+	for _, v := range tried {
+		if v < 0 {
 			continue
 		}
-		if err := col.Set(v, win[v]); err != nil {
-			return colored, fmt.Errorf("trials: adopting color: %w", err)
+		if err := col.Set(int(v), -state[v]); err != nil {
+			return colored, 0, fmt.Errorf("trials: adopting color: %w", err)
 		}
 		colored++
 	}
-	return colored, nil
+	return colored, active - colored, nil
 }
 
 // TryColorLoop runs up to maxRounds TryColorRounds and stops early when the
@@ -159,15 +151,14 @@ func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOpti
 // uncolored in the active set.
 func TryColorLoop(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, maxRounds int, rng *rand.Rand) (int, error) {
 	var sc TryColorScratch
-	for r := 0; r < maxRounds; r++ {
-		if remainingActive(cg, col, opts.Active) == 0 {
-			return 0, nil
-		}
-		if _, err := TryColorRoundWith(cg, col, opts, rng, &sc); err != nil {
+	left := remainingActive(cg, col, opts.Active)
+	for r := 0; r < maxRounds && left > 0; r++ {
+		var err error
+		if _, left, err = TryColorRoundWith(cg, col, opts, rng, &sc); err != nil {
 			return 0, err
 		}
 	}
-	return remainingActive(cg, col, opts.Active), nil
+	return left, nil
 }
 
 func remainingActive(cg *cluster.CG, col *coloring.Coloring, active func(v int) bool) int {
