@@ -160,39 +160,10 @@ func BenchmarkA5ReservedAblation(b *testing.B) {
 	})
 }
 
-// --- engine and runner benchmarks ---------------------------------------
-// The workloads live in internal/benchwork, shared with the benchtables
-// -enginebench emitter so BENCH_engine.json stays comparable to these.
-
-// BenchmarkEngineStep measures one synchronous round on a 10k-machine GNP
-// network under the pooled scheduler and the legacy goroutine-per-machine
-// baseline. The pooled scheduler must win on both ns/op and allocs/op.
-func BenchmarkEngineStep(b *testing.B) {
-	const machines = 10000
-	g := graph.MustGNP(machines, 8.0/machines, graph.NewRand(9))
-	for _, s := range []struct {
-		name  string
-		sched network.Scheduler
-	}{
-		{"pooled", network.SchedulerPooled},
-		{"spawn", network.SchedulerSpawn},
-	} {
-		b.Run(s.name, func(b *testing.B) {
-			eng, err := network.NewEngineWithScheduler(g, benchwork.GossipMachines(g), 0, s.sched)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// --- runner benchmark ----------------------------------------------------
+// The workload lives in internal/benchwork, shared with the benchtables
+// -enginebench emitter so BENCH_engine.json stays comparable to it. The
+// round engine's own benchmark (BenchmarkEngineStep) is in internal/network.
 
 // BenchmarkExperimentRunner measures a cross-section of the experiment
 // battery at sequential and full parallelism; the emitted tables are

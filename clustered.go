@@ -68,6 +68,11 @@ func contract(g *Graph, clusterOf []int) (*Graph, *graph.Expansion, error) {
 		if c < 0 {
 			return nil, nil, fmt.Errorf("clustercolor: machine %d has negative cluster %d", m, c)
 		}
+		// Dense, non-empty ids number at most one per machine, so an id
+		// past the machine count is rejected before it sizes any table.
+		if c >= len(clusterOf) {
+			return nil, nil, fmt.Errorf("clustercolor: machine %d has cluster %d, but ids must be dense in [0, %d)", m, c, len(clusterOf))
+		}
 		if c+1 > k {
 			k = c + 1
 		}

@@ -1,6 +1,10 @@
 package clustercolor
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 // figure1Instance reproduces Figure 1's communication graph: machines
 // partitioned into 4 clusters; H is the induced cluster graph.
@@ -64,6 +68,24 @@ func TestColorClusteredValidation(t *testing.T) {
 	sparseIDs[0] = 9 // cluster ids 0..9 but most empty
 	if _, err := ColorClustered(g, sparseIDs, Options{}); err == nil {
 		t.Fatal("non-dense cluster ids accepted")
+	}
+	// Ids past the machine count fail before they size the cluster table:
+	// c+1 overflows at math.MaxInt, and 1<<20 would allocate 2²⁰+1 entries.
+	b := NewGraphBuilder(3)
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g3 := b.Build()
+	for _, huge := range []int{math.MaxInt, 1 << 20} {
+		ids := []int{0, huge, 0}
+		if _, err := ContractedGraph(g3, ids); err == nil || !strings.Contains(err.Error(), "dense") {
+			t.Fatalf("ContractedGraph with cluster %d: error %v, want a density error", huge, err)
+		}
+		if _, err := ColorClustered(g3, ids, Options{}); err == nil || !strings.Contains(err.Error(), "dense") {
+			t.Fatalf("ColorClustered with cluster %d: error %v, want a density error", huge, err)
+		}
 	}
 	// Disconnected cluster: machines 0 and 7 as one cluster.
 	disc := append([]int(nil), clusterOf...)

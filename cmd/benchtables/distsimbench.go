@@ -9,7 +9,6 @@ import (
 
 	"clustercolor/internal/distsim"
 	"clustercolor/internal/experiments"
-	"clustercolor/internal/network"
 )
 
 // distsimBenchReport is the BENCH_distsim.json schema: one record per
@@ -55,7 +54,7 @@ func emitDistsimBenchScenarios(path string, seed uint64, scenarios []distsim.Sce
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				got, err := distsim.Conformance(sc, seed, 0, network.SchedulerPooled)
+				got, err := distsim.Conformance(sc, seed, 0)
 				if err != nil {
 					loopErr = fmt.Errorf("%s: %w", sc.Name, err)
 					b.Fatal(err)

@@ -54,11 +54,15 @@ func record(name string, r testing.BenchmarkResult) benchResult {
 	}
 }
 
-// engineStepBench measures one engine round (steady-state gossip) under the
-// given scheduler.
-func engineStepBench(g *graph.Graph, sched network.Scheduler) testing.BenchmarkResult {
+// engineStepBench measures one engine round (steady-state gossip) over the
+// one-slice partition of g.
+func engineStepBench(g *graph.Graph) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
-		eng, err := network.NewEngineWithScheduler(g, benchwork.GossipMachines(g), 0, sched)
+		sg, err := graph.NewShardedGraph(g, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := network.NewEngine(sg, benchwork.GossipMachines(g), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,18 +106,10 @@ func emitEngineBench(path string, machines int, seed uint64) error {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Seed:       seed,
 	}
-	for _, s := range []struct {
-		name  string
-		sched network.Scheduler
-	}{
-		{"EngineStep/pooled", network.SchedulerPooled},
-		{"EngineStep/spawn", network.SchedulerSpawn},
-	} {
-		rec := record(s.name, engineStepBench(g, s.sched))
-		rec.Machines = g.N()
-		rec.Edges = g.M()
-		report.Benchmarks = append(report.Benchmarks, rec)
-	}
+	rec := record("EngineStep/pooled", engineStepBench(g))
+	rec.Machines = g.N()
+	rec.Edges = g.M()
+	report.Benchmarks = append(report.Benchmarks, rec)
 	// Measure sequential, two workers, the configured -parallel level, and
 	// full parallelism — deduplicated, ascending, oversubscribed levels
 	// dropped; a grid collapsed to one level annotates the header (or

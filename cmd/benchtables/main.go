@@ -18,9 +18,9 @@
 //
 // Tables are computed by a parallel runner that fans experiments and their
 // rows across CPUs; the output is byte-identical for every -parallel value.
-// -enginebench benchmarks the round engine (pooled vs spawn scheduler) and
-// the experiment runner, and writes a machine-readable JSON report
-// (conventionally BENCH_engine.json). -graphbench does the same for the
+// -enginebench benchmarks one gossip round of the round engine over the
+// one-slice partition and the experiment runner, and writes a
+// machine-readable JSON report (conventionally BENCH_engine.json). -graphbench does the same for the
 // O(n+m) instance generators (conventionally BENCH_graph.json), and
 // -colorbench for the coloring pipeline itself with per-stage round
 // breakdowns and palette micro-benchmarks (conventionally BENCH_color.json).

@@ -96,15 +96,8 @@ func TestEmitEngineBench(t *testing.T) {
 	if !ok {
 		t.Fatal("missing EngineStep/pooled")
 	}
-	spawn, ok := names["EngineStep/spawn"]
-	if !ok {
-		t.Fatal("missing EngineStep/spawn")
-	}
-	if pooled.Machines != 400 || spawn.Machines != 400 {
-		t.Fatalf("machine counts: pooled=%d spawn=%d, want 400", pooled.Machines, spawn.Machines)
-	}
-	if pooled.AllocsPerOp >= spawn.AllocsPerOp {
-		t.Errorf("pooled scheduler allocates more than spawn: %d >= %d", pooled.AllocsPerOp, spawn.AllocsPerOp)
+	if pooled.Machines != 400 {
+		t.Fatalf("EngineStep/pooled machines = %d, want 400", pooled.Machines)
 	}
 	if _, ok := names["ExperimentRunner/parallel-1"]; !ok {
 		t.Fatal("missing ExperimentRunner/parallel-1")

@@ -9,7 +9,11 @@ import (
 
 func TestGossipMachinesTraffic(t *testing.T) {
 	g := graph.MustGNP(50, 0.2, graph.NewRand(3))
-	eng, err := network.NewEngine(g, GossipMachines(g), 0)
+	sg, err := graph.NewShardedGraph(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := network.NewEngine(sg, GossipMachines(g), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

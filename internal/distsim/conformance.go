@@ -81,7 +81,7 @@ type Report struct {
 const DefaultEngineBandwidth = 1 << 20
 
 // Conformance runs the full primitive-by-primitive harness for one scenario.
-func Conformance(sc Scenario, seed uint64, engineBandwidth int, sched network.Scheduler) (*Report, error) {
+func Conformance(sc Scenario, seed uint64, engineBandwidth int) (*Report, error) {
 	if engineBandwidth <= 0 {
 		engineBandwidth = DefaultEngineBandwidth
 	}
@@ -117,11 +117,11 @@ func Conformance(sc Scenario, seed uint64, engineBandwidth int, sched network.Sc
 	}
 
 	// Primitive 1: the fingerprint aggregation wave.
-	if err := conformWave(cg, seed, engineBandwidth, sched, rep); err != nil {
+	if err := conformWave(cg, seed, engineBandwidth, rep); err != nil {
 		return nil, fmt.Errorf("distsim: %s: %w", sc.Name, err)
 	}
 	// Primitive 2: the canonical leader broadcast/exchange/convergecast.
-	if err := conformLeaderRound(cg, seed, engineBandwidth, sched, rep); err != nil {
+	if err := conformLeaderRound(cg, seed, engineBandwidth, rep); err != nil {
 		return nil, fmt.Errorf("distsim: %s: %w", sc.Name, err)
 	}
 	// Primitives 3–5: the traced per-clique stages of the pipeline.
@@ -137,14 +137,14 @@ func Conformance(sc Scenario, seed uint64, engineBandwidth int, sched network.Sc
 		return nil, fmt.Errorf("distsim: %s: pipeline: %w", sc.Name, err)
 	}
 	for _, tr := range traces {
-		if err := conformStage(cg, tr, engineBandwidth, sched, rep); err != nil {
+		if err := conformStage(cg, tr, engineBandwidth, rep); err != nil {
 			return nil, fmt.Errorf("distsim: %s: %w", sc.Name, err)
 		}
 	}
 	return rep, nil
 }
 
-func conformWave(cg *cluster.CG, seed uint64, engineBandwidth int, sched network.Scheduler, rep *Report) error {
+func conformWave(cg *cluster.CG, seed uint64, engineBandwidth int, rep *Report) error {
 	samples := drawSamples(cg.H.N(), 24, graph.NewRand(seed^0x5eed))
 	sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 	if err != nil {
@@ -154,7 +154,7 @@ func conformWave(cg *cluster.CG, seed uint64, engineBandwidth int, sched network
 	if _, err := sketch.Collect(cg.WithCost(sub), "conf/wave", sketch.MaxKernel{}, samples, &want, sketch.CollectOptions{}); err != nil {
 		return fmt.Errorf("wave: vertex level: %w", err)
 	}
-	got, stats, err := FingerprintWaveWith(cg, samples, engineBandwidth, sched)
+	got, stats, _, err := FingerprintWave(cg, samples, engineBandwidth, 1)
 	if err != nil {
 		return fmt.Errorf("wave: %w", err)
 	}
@@ -179,7 +179,7 @@ func conformWave(cg *cluster.CG, seed uint64, engineBandwidth int, sched network
 	return nil
 }
 
-func conformLeaderRound(cg *cluster.CG, seed uint64, engineBandwidth int, sched network.Scheduler, rep *Report) error {
+func conformLeaderRound(cg *cluster.CG, seed uint64, engineBandwidth int, rep *Report) error {
 	rng := rand.New(rand.NewPCG(seed^0x1eade4, seed|1))
 	vals := make([]uint64, cg.H.N())
 	for v := range vals {
@@ -200,7 +200,7 @@ func conformLeaderRound(cg *cluster.CG, seed uint64, engineBandwidth int, sched 
 	if err != nil {
 		return fmt.Errorf("leader-round: vertex level: %w", err)
 	}
-	got, stats, err := LeaderRound(cg, 64, engineBandwidth, leaderValue, 0, combine, sched)
+	got, stats, err := LeaderRound(cg, 64, engineBandwidth, leaderValue, 0, combine)
 	if err != nil {
 		return fmt.Errorf("leader-round: %w", err)
 	}
@@ -225,7 +225,7 @@ func conformLeaderRound(cg *cluster.CG, seed uint64, engineBandwidth int, sched 
 
 // conformStage re-executes one traced per-clique stage on the engine and
 // byte-compares it against the pipeline's recorded outcome.
-func conformStage(cg *cluster.CG, tr *core.StageTrace, engineBandwidth int, sched network.Scheduler, rep *Report) error {
+func conformStage(cg *cluster.CG, tr *core.StageTrace, engineBandwidth int, rep *Report) error {
 	if tr.Stage == "decompose" {
 		// The decomposition trace is vertex-level (fingerprint waves + BFS,
 		// no per-clique tasks or snapshot); its machine-level behaviour is
@@ -269,7 +269,7 @@ func conformStage(cg *cluster.CG, tr *core.StageTrace, engineBandwidth int, sche
 			return nil
 		}
 	}
-	out, err := RunStage(cg, tr.Snapshot, spec, engineBandwidth, sched)
+	out, err := RunStage(cg, tr.Snapshot, spec, engineBandwidth)
 	if err != nil {
 		return fmt.Errorf("stage %q: %w", tr.Stage, err)
 	}

@@ -76,7 +76,7 @@ func TestConformanceMatrix(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				rep, err := Conformance(sc, seed, 0, network.SchedulerPooled)
+				rep, err := Conformance(sc, seed, 0)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -106,7 +106,7 @@ func TestConformanceMatrix(t *testing.T) {
 func TestConformanceCoversCliquePrimitives(t *testing.T) {
 	covered := map[string]bool{}
 	for _, name := range []string{"ringcliques/path", "planted/redundant"} {
-		rep, err := Conformance(scenarioByName(t, name), 3, 0, network.SchedulerPooled)
+		rep, err := Conformance(scenarioByName(t, name), 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestConformanceByteIdenticalAcrossParallelism(t *testing.T) {
 	runAt := func(par int) *Report {
 		prev := parwork.SetParallelism(par)
 		defer parwork.SetParallelism(prev)
-		rep, err := Conformance(sc, 5, 0, network.SchedulerPooled)
+		rep, err := Conformance(sc, 5, 0)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -150,23 +150,6 @@ func TestConformanceByteIdenticalAcrossParallelism(t *testing.T) {
 		if got := runAt(par); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("parallelism %d report diverges:\n got %+v\nwant %+v", par, got, ref)
 		}
-	}
-}
-
-// TestConformanceSchedulersAgree runs one dense scenario under both engine
-// schedulers; the machine protocols must behave identically.
-func TestConformanceSchedulersAgree(t *testing.T) {
-	sc := scenarioByName(t, "planted/redundant")
-	pooled, err := Conformance(sc, 7, 0, network.SchedulerPooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawn, err := Conformance(sc, 7, 0, network.SchedulerSpawn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pooled, spawn) {
-		t.Fatalf("schedulers diverge:\npooled %+v\nspawn  %+v", pooled, spawn)
 	}
 }
 

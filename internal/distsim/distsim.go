@@ -1,8 +1,8 @@
 // Package distsim executes cluster-graph primitives at true machine
-// granularity on the goroutine message-passing engine (network.Engine),
-// rather than through the vertex-level cost-charged layer. It exists to
-// validate the layer: a primitive executed here — real messages over real
-// links, every machine an independent goroutine — must produce exactly the
+// granularity on the message-passing round engine (network.Engine), rather
+// than through the vertex-level cost-charged layer. It exists to validate
+// the layer: a primitive executed here — real messages over real links,
+// every machine an independent state machine — must produce exactly the
 // results the vertex-level simulation computes, and must respect the
 // bandwidth cap with the round counts the cost model charges.
 //
@@ -215,68 +215,44 @@ func WaveRoundBudget(dilation int) int { return 2 * (dilation + 1) }
 // FingerprintWave executes the Lemma 5.7 aggregation at machine level: each
 // vertex's sample row lives at its leader; the returned rows are the
 // per-vertex neighbor maxima, computed purely by message passing — the same
-// rows sketch.Collect folds at vertex level. The engine's LinkStats are
-// returned for bandwidth inspection.
+// rows sketch.Collect folds at vertex level. The machines of G run on the
+// engine over the shards-slice partition of G; the returned sketches and
+// LinkStats are byte-identical at every shard count, and the cross-slice
+// message count (network.Engine.Exchanged) is returned for traffic
+// inspection.
 //
 // bandwidthBits caps per-link traffic per round; sketches larger than the
 // cap make the engine fail, mirroring the model (callers pick the cap or
 // pass 0 to disable, accounting pipelining separately).
-func FingerprintWave(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits int) ([][]int8, network.LinkStats, error) {
-	return FingerprintWaveWith(cg, samples, bandwidthBits, network.SchedulerPooled)
-}
-
-// FingerprintWaveWith is FingerprintWave under an explicit engine
-// scheduler; the wave must behave identically under all of them.
-func FingerprintWaveWith(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits int, sched network.Scheduler) ([][]int8, network.LinkStats, error) {
+func FingerprintWave(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits, shards int) ([][]int8, network.LinkStats, int64, error) {
 	wave, err := buildWaveMachines(cg, samples)
 	if err != nil {
-		return nil, network.LinkStats{}, err
+		return nil, network.LinkStats{}, 0, err
 	}
 	machines := make([]network.Machine, len(wave))
 	for i, wm := range wave {
 		machines[i] = wm
 	}
-	eng, err := network.NewEngineWithScheduler(cg.G, machines, bandwidthBits, sched)
+	eng, err := newEngine(cg.G, shards, machines, bandwidthBits)
 	if err != nil {
-		return nil, network.LinkStats{}, err
+		return nil, network.LinkStats{}, 0, err
 	}
 	defer eng.Close()
-	if _, err := eng.Run(WaveRoundBudget(cg.Dilation), waveDone(wave)); err != nil {
-		return nil, eng.Stats(), err
+	_, err = eng.Run(WaveRoundBudget(cg.Dilation), waveDone(wave))
+	exRows, _ := eng.Exchanged()
+	if err != nil {
+		return nil, eng.Stats(), exRows, err
 	}
-	return waveResults(cg, wave), eng.Stats(), nil
+	return waveResults(cg, wave), eng.Stats(), exRows, nil
 }
 
-// FingerprintWaveSharded is the wave on a partitioned substrate: machines of
-// the communication graph G are split across shards of a MultiEngine, with
-// messages between machines in different shards carried by the coordinator's
-// boundary-exchange phase. The returned sketches and LinkStats must be
-// byte-identical to FingerprintWave at every shard count; the exchanged row
-// count is returned for traffic inspection.
-func FingerprintWaveSharded(cg *cluster.CG, samples *sketch.Arena[int8], bandwidthBits, shards int) ([][]int8, network.LinkStats, int64, error) {
-	wave, err := buildWaveMachines(cg, samples)
+// newEngine returns the round engine over the shards-slice partition of g.
+func newEngine(g *graph.Graph, shards int, machines []network.Machine, bandwidthBits int) (*network.Engine, error) {
+	sg, err := graph.NewShardedGraph(g, shards)
 	if err != nil {
-		return nil, network.LinkStats{}, 0, err
+		return nil, err
 	}
-	machines := make([]network.Machine, len(wave))
-	for i, wm := range wave {
-		machines[i] = wm
-	}
-	sg, err := graph.NewShardedGraph(cg.G, shards)
-	if err != nil {
-		return nil, network.LinkStats{}, 0, err
-	}
-	me, err := network.NewMultiEngine(sg, machines, bandwidthBits)
-	if err != nil {
-		return nil, network.LinkStats{}, 0, err
-	}
-	defer me.Close()
-	if _, err := me.Run(WaveRoundBudget(cg.Dilation), waveDone(wave)); err != nil {
-		exRows, _ := me.Exchanged()
-		return nil, me.Stats(), exRows, err
-	}
-	exRows, _ := me.Exchanged()
-	return waveResults(cg, wave), me.Stats(), exRows, nil
+	return network.NewEngine(sg, machines, bandwidthBits)
 }
 
 // buildWaveMachines constructs the wave protocol's machine set for cg.

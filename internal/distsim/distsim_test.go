@@ -43,7 +43,7 @@ func collectRows(t testing.TB, cg *cluster.CG, phase string, samples *sketch.Are
 func assertMatchesVertexLevel(t *testing.T, cg *cluster.CG, trials int, seed uint64) network.LinkStats {
 	t.Helper()
 	samples := drawSamples(cg.H.N(), trials, graph.NewRand(seed))
-	got, stats, err := FingerprintWave(cg, samples, 0)
+	got, stats, _, err := FingerprintWave(cg, samples, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWaveRoundsBoundedByDilation(t *testing.T) {
 		t.Run(spec.Topology.String(), func(t *testing.T) {
 			cg := buildCG(t, h, spec, 23)
 			samples := drawSamples(h.N(), 8, graph.NewRand(25))
-			_, stats, err := FingerprintWave(cg, samples, 0)
+			_, stats, _, err := FingerprintWave(cg, samples, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,33 +121,6 @@ func TestWaveRoundsBoundedByDilation(t *testing.T) {
 				t.Fatalf("wave took %d rounds, budget %d (dilation %d)", stats.Rounds, budget, cg.Dilation)
 			}
 		})
-	}
-}
-
-// TestWaveSchedulersAgree checks the wave end-to-end under both engine
-// schedulers: identical sketches and byte-identical LinkStats.
-func TestWaveSchedulersAgree(t *testing.T) {
-	rng := graph.NewRand(43)
-	h := graph.MustGNP(30, 0.2, rng)
-	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyTree, MachinesPerCluster: 6}, 45)
-	samples := drawSamples(h.N(), 24, graph.NewRand(47))
-	pooled, statsPooled, err := FingerprintWaveWith(cg, samples, 0, network.SchedulerPooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawn, statsSpawn, err := FingerprintWaveWith(cg, samples, 0, network.SchedulerSpawn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statsPooled != statsSpawn {
-		t.Fatalf("LinkStats diverge: pooled=%+v spawn=%+v", statsPooled, statsSpawn)
-	}
-	for v := 0; v < h.N(); v++ {
-		for i := range pooled[v] {
-			if pooled[v][i] != spawn[v][i] {
-				t.Fatalf("vertex %d trial %d: pooled %d != spawn %d", v, i, pooled[v][i], spawn[v][i])
-			}
-		}
 	}
 }
 
@@ -159,7 +132,7 @@ func TestWaveBandwidthObserved(t *testing.T) {
 	h := graph.MustGNP(20, 0.3, rng)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3}, 29)
 	samples := drawSamples(h.N(), 32, graph.NewRand(31))
-	_, stats, err := FingerprintWave(cg, samples, 1<<16)
+	_, stats, _, err := FingerprintWave(cg, samples, 1<<16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +153,7 @@ func TestWaveBandwidthObserved(t *testing.T) {
 	if err := CheckBudget("wave", stats, int64(CommRounds(stats))-1, 0); err == nil {
 		t.Fatal("CheckBudget accepted a charge below the executed rounds")
 	}
-	if _, _, err := FingerprintWave(cg, samples, 4); err == nil {
+	if _, _, _, err := FingerprintWave(cg, samples, 4, 1); err == nil {
 		t.Fatal("4-bit cap accepted sketches of dozens of bits")
 	}
 }
@@ -188,7 +161,7 @@ func TestWaveBandwidthObserved(t *testing.T) {
 func TestWaveValidation(t *testing.T) {
 	h := graph.Path(3)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologySingleton}, 1)
-	if _, _, err := FingerprintWave(cg, drawSamples(1, 8, graph.NewRand(1)), 0); err == nil {
+	if _, _, _, err := FingerprintWave(cg, drawSamples(1, 8, graph.NewRand(1)), 0, 1); err == nil {
 		t.Fatal("sample count mismatch accepted")
 	}
 }
@@ -213,7 +186,7 @@ func TestWaveIsolatedVertices(t *testing.T) {
 	h := graph.NewBuilder(4).Build() // no edges
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3}, 33)
 	samples := drawSamples(4, 8, graph.NewRand(35))
-	got, _, err := FingerprintWave(cg, samples, 0)
+	got, _, _, err := FingerprintWave(cg, samples, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +206,7 @@ func TestWaveEstimatesDegrees(t *testing.T) {
 	h := graph.MustGNP(80, 0.3, rng)
 	cg := buildCG(t, h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 2}, 39)
 	samples := drawSamples(h.N(), 512, graph.NewRand(41))
-	sketches, _, err := FingerprintWave(cg, samples, 0)
+	sketches, _, _, err := FingerprintWave(cg, samples, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

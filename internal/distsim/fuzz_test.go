@@ -61,7 +61,7 @@ func FuzzWave(f *testing.F) {
 		}
 		trials := int(seed%12) + 1
 		samples := drawSamples(h.N(), trials, graph.NewRand(seed))
-		got, stats, err := FingerprintWave(cg, samples, 0)
+		got, stats, _, err := FingerprintWave(cg, samples, 0, 1)
 		if err != nil {
 			t.Fatalf("wave failed on n=%d m=%d topo=%v seed=%d: %v", h.N(), h.M(), topo, seed, err)
 		}

@@ -112,8 +112,7 @@ func LeaderRoundBudget(dilation int) int { return 2 * (dilation + 1) }
 // per-message size; bandwidthBits caps per-link traffic per round (0
 // disables). combine must be commutative, associative, and idempotent.
 func LeaderRound(cg *cluster.CG, payloadBits, bandwidthBits int,
-	leaderValue func(v int) uint64, identity uint64, combine func(a, b uint64) uint64,
-	sched network.Scheduler) ([]uint64, network.LinkStats, error) {
+	leaderValue func(v int) uint64, identity uint64, combine func(a, b uint64) uint64) ([]uint64, network.LinkStats, error) {
 	t := newMachineTopo(cg)
 	machines := make([]network.Machine, cg.G.N())
 	ms := make([]*leaderMachine, cg.G.N())
@@ -127,7 +126,7 @@ func LeaderRound(cg *cluster.CG, payloadBits, bandwidthBits int,
 		ms[m] = lm
 		machines[m] = lm
 	}
-	eng, err := network.NewEngineWithScheduler(cg.G, machines, bandwidthBits, sched)
+	eng, err := newEngine(cg.G, 1, machines, bandwidthBits)
 	if err != nil {
 		return nil, network.LinkStats{}, err
 	}

@@ -24,8 +24,8 @@ type ShardReport struct {
 	Shards   int    `json:"shards"`
 	Vertices int    `json:"vertices"`
 	Machines int    `json:"machines"`
-	// WaveExchangedRows counts wave-protocol messages the MultiEngine
-	// re-routed across shard boundaries.
+	// WaveExchangedRows counts wave-protocol messages whose recipient is
+	// owned by another slice than their sender.
 	WaveExchangedRows int64 `json:"wave_exchanged_rows"`
 	// DecompRounds is the decomposition's charged round count — equal on
 	// both substrates by the conformance assertion.
@@ -42,11 +42,11 @@ type ShardReport struct {
 // ShardConformance is the partitioned substrate's differential harness: for
 // one scenario it asserts, at the given shard count, that
 //
-//  1. the machine-level fingerprint wave on a MultiEngine (per-shard
-//     sub-engines stitched by boundary exchange) produces byte-identical
-//     sketches AND byte-identical LinkStats to the single engine — per-link
-//     traffic of a partitioned run sums to the single-engine budgets — and
-//     stays within the charged round budget (CheckBudget);
+//  1. the machine-level fingerprint wave on the engine over the k-slice
+//     partition produces byte-identical sketches AND byte-identical
+//     LinkStats to the one-slice run — per-link traffic of a partitioned
+//     run sums to the one-slice budgets — and stays within the charged
+//     round budget (CheckBudget);
 //  2. the vertex-level decomposition on the shard engine (per-shard arenas,
 //     boundary-exchange phases, merged boundary rows) reproduces the
 //     unsharded decomposition and profile bit for bit with equal charged
@@ -109,11 +109,11 @@ func conformShardWave(cg *cluster.CG, seed uint64, engineBandwidth, shards int, 
 	if _, err := sketch.Collect(cg.WithCost(sub), "conf/wave", sketch.MaxKernel{}, samples, &ref, sketch.CollectOptions{}); err != nil {
 		return fmt.Errorf("wave: vertex level: %w", err)
 	}
-	want, wantStats, err := FingerprintWaveWith(cg, samples, engineBandwidth, network.SchedulerPooled)
+	want, wantStats, _, err := FingerprintWave(cg, samples, engineBandwidth, 1)
 	if err != nil {
 		return fmt.Errorf("wave: %w", err)
 	}
-	got, gotStats, exRows, err := FingerprintWaveSharded(cg, samples, engineBandwidth, shards)
+	got, gotStats, exRows, err := FingerprintWave(cg, samples, engineBandwidth, shards)
 	if err != nil {
 		return fmt.Errorf("sharded wave: %w", err)
 	}

@@ -499,7 +499,7 @@ func StageRoundBudget(dilation int) int { return 3*(2*dilation+1) + 1 }
 // machine-level counterpart of the pipeline's parallel stage loops, driven
 // by the same RowSeed-derived per-clique seeds. bandwidthBits caps per-link
 // traffic per round (0 disables).
-func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidthBits int, sched network.Scheduler) (*StageOutcome, error) {
+func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidthBits int) (*StageOutcome, error) {
 	nTasks := spec.tasks()
 	if nTasks == 0 {
 		return nil, fmt.Errorf("distsim: stage spec has no tasks")
@@ -560,7 +560,7 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 		ms[mID] = sm
 		machines[mID] = sm
 	}
-	eng, err := network.NewEngineWithScheduler(cg.G, machines, bandwidthBits, sched)
+	eng, err := newEngine(cg.G, 1, machines, bandwidthBits)
 	if err != nil {
 		return nil, err
 	}

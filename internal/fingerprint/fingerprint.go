@@ -11,9 +11,8 @@
 // Rows are the int8 max-kernel rows of internal/sketch, which owns every
 // mechanism: the merge (MergeMax8), the arenas and the collect wave, the
 // estimator, Cutoff and the deviation encoding. What stays here is the
-// paper's vocabulary: the sample draws (Draw, MaxGeometricOf), the Lemma 5.2
-// trial budget (TrialsFor), and the Lemma 9.4 weighted-sum protocol
-// (ApproxWeightedSum).
+// paper's vocabulary: the sample draw (Draw) and the Lemma 5.2 trial budget
+// (TrialsFor).
 package fingerprint
 
 import (

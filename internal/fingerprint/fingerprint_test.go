@@ -8,7 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clustercolor/internal/cluster"
 	"clustercolor/internal/graph"
+	"clustercolor/internal/network"
 	"clustercolor/internal/prng"
 	"clustercolor/internal/sketch"
 )
@@ -290,5 +292,86 @@ func TestEstimateMatchesExactCountDistribution(t *testing.T) {
 	mean := sum / reps
 	if math.Abs(mean-d) > 0.1*d {
 		t.Fatalf("mean estimate %.1f far from %d", mean, d)
+	}
+}
+
+func testCG(t *testing.T, h *graph.Graph, seed uint64) *cluster.CG {
+	t.Helper()
+	rng := graph.NewRand(seed)
+	exp, err := graph.Expand(h, graph.ExpandSpec{Topology: graph.TopologyStar, MachinesPerCluster: 3, RedundantLinks: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost, err := network.NewCostModel(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := cluster.New(h, exp, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cg
+}
+
+// drawArena draws one fingerprint sample row of t cells per vertex.
+func drawArena(n, t int, rng *rand.Rand) *sketch.Arena[int8] {
+	var a sketch.Arena[int8]
+	a.Reset(n, t)
+	for v := 0; v < n; v++ {
+		Draw(a.Row(v), rng)
+	}
+	return &a
+}
+
+// TestCollectSketchesMatchBruteForceMaxima: one sketch.Collect wave over
+// drawn fingerprint rows (Lemma 5.7's fold) leaves every vertex the
+// pointwise max of its neighbors' rows.
+func TestCollectSketchesMatchBruteForceMaxima(t *testing.T) {
+	rng := graph.NewRand(35)
+	h := graph.MustGNP(40, 0.3, rng)
+	cg := testCG(t, h, 9)
+	samples := drawArena(h.N(), 24, graph.NewRand(11))
+	var out sketch.Arena[int8]
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &out, sketch.CollectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < h.N(); v++ {
+		want := make([]int8, 24)
+		for i := range want {
+			want[i] = sketch.Empty
+		}
+		for _, u := range h.Neighbors(v) {
+			sketch.MergeMax8Generic(want, samples.Row(int(u)))
+		}
+		for i, w := range want {
+			if got := out.Row(v)[i]; got != w {
+				t.Fatalf("sketch[%d][%d] = %d, want %d", v, i, got, w)
+			}
+		}
+	}
+}
+
+// TestCollectSketchesIncludeSelf: on an edgeless graph, IncludeSelf makes
+// each sketch the vertex's own draws; otherwise sketches stay empty.
+func TestCollectSketchesIncludeSelf(t *testing.T) {
+	h := graph.NewBuilder(4).Build()
+	cg := testCG(t, h, 3)
+	samples := drawArena(4, 16, graph.NewRand(4))
+	var with, without sketch.Arena[int8]
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &with, sketch.CollectOptions{IncludeSelf: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sketch.Collect(cg, "x", sketch.MaxKernel{}, samples, &without, sketch.CollectOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 4; v++ {
+		for i := 0; i < 16; i++ {
+			if with.Row(v)[i] != samples.Row(v)[i] {
+				t.Fatalf("IncludeSelf sketch differs from own draws at %d/%d", v, i)
+			}
+			if without.Row(v)[i] != sketch.Empty {
+				t.Fatalf("isolated vertex %d has non-empty sketch", v)
+			}
+		}
 	}
 }

@@ -215,11 +215,6 @@ func (g *Graph) CommonNeighbors(u, v int) int {
 	return c
 }
 
-// UnionNeighborhoodSize returns |N(u) ∪ N(v)|.
-func (g *Graph) UnionNeighborhoodSize(u, v int) int {
-	return g.Degree(u) + g.Degree(v) - g.CommonNeighbors(u, v)
-}
-
 // ConnectedComponents returns a component label per vertex and the number of
 // components. Labels are dense in [0, count).
 func (g *Graph) ConnectedComponents() (labels []int, count int) {

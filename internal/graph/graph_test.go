@@ -113,12 +113,11 @@ func TestGraphBasics(t *testing.T) {
 	if got := g.CommonNeighbors(0, 3); got != 1 { // both adjacent to 2
 		t.Fatalf("CommonNeighbors(0,3) = %d, want 1", got)
 	}
-	if got := g.UnionNeighborhoodSize(0, 3); got != 2 { // N(0)∪N(3) = {1,2}∪{2} = {1,2}
-		t.Fatalf("UnionNeighborhoodSize(0,3) = %d, want 2", got)
-	}
 }
 
-func TestUnionNeighborhoodMatchesBruteForce(t *testing.T) {
+// TestCommonNeighborsMatchesBruteForce checks the sorted-list merge behind
+// acd's exact buddy predicate against a set intersection on every pair.
+func TestCommonNeighborsMatchesBruteForce(t *testing.T) {
 	rng := NewRand(7)
 	g := MustGNP(40, 0.2, rng)
 	for u := 0; u < g.N(); u++ {
@@ -127,11 +126,14 @@ func TestUnionNeighborhoodMatchesBruteForce(t *testing.T) {
 			for _, w := range g.Neighbors(u) {
 				set[w] = true
 			}
+			want := 0
 			for _, w := range g.Neighbors(v) {
-				set[w] = true
+				if set[w] {
+					want++
+				}
 			}
-			if got := g.UnionNeighborhoodSize(u, v); got != len(set) {
-				t.Fatalf("union size (%d,%d) = %d, want %d", u, v, got, len(set))
+			if got := g.CommonNeighbors(u, v); got != want {
+				t.Fatalf("common neighbors (%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
 	}

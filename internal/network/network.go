@@ -4,13 +4,15 @@
 //
 // Two components live here:
 //
-//   - Engine: a synchronous round executor. Machines implement the Machine
-//     interface; each round every machine receives the messages sent to it
-//     in the previous round and emits new ones. The engine enforces the
-//     per-link bandwidth cap. The default scheduler partitions machines
-//     across a persistent pool of ~GOMAXPROCS workers that are signaled
-//     each round; the legacy goroutine-per-machine-per-round scheduler is
-//     kept selectable as a reference for equivalence tests and benchmarks.
+//   - Engine: a synchronous round executor over a partitioned communication
+//     graph. Machines implement the Machine interface; each round every
+//     machine receives the messages sent to it in the previous round and
+//     emits new ones. The engine validates every message against the local
+//     CSR of its sender's slice, enforces the per-link bandwidth cap, and
+//     counts the traffic that crosses a slice boundary. An unsharded run is
+//     the one-slice partition, which aliases the graph's CSR. Machines are
+//     stepped by a persistent pool of ~GOMAXPROCS workers signaled twice per
+//     round.
 //
 //   - CostModel: the round/bandwidth accountant used by the cluster-level
 //     algorithm code. Cluster primitives (broadcast, aggregate, neighbor
@@ -21,10 +23,8 @@
 package network
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,41 +41,34 @@ type Message struct {
 }
 
 // Machine is the per-node behaviour driven by the Engine. Step is called
-// once per round with the messages delivered this round and returns the
-// messages to send (delivered next round). Step implementations run
-// concurrently across machines and must not share mutable state. The inbox
-// slice is owned by the engine and reused across rounds: implementations
-// must not retain it (or its backing array) after Step returns.
+// once per round with the messages delivered this round, sorted by sender
+// (messages from one sender keep their emission order), and returns the
+// messages to send (delivered next round). Machine ids are global vertex ids
+// at every slice count. Step implementations run concurrently across
+// machines and must not share mutable state. The inbox slice is owned by the
+// engine and reused across rounds: implementations must not retain it (or
+// its backing array) after Step returns.
 type Machine interface {
 	Step(round int, inbox []Message) (outbox []Message, err error)
 }
 
-// Scheduler selects how the Engine runs machine steps within a round.
-type Scheduler int
-
-const (
-	// SchedulerPooled is the default: machines are partitioned into
-	// contiguous shards across a persistent worker pool (one worker per
-	// available CPU, at most one per machine). Workers are signaled twice
-	// per round — once to step their machines and accumulate per-link
-	// bandwidth locally, once to deliver and sort next-round inboxes for
-	// their own shard — and all buffers are reused across rounds.
-	SchedulerPooled Scheduler = iota
-	// SchedulerSpawn is the original engine: one fresh goroutine per
-	// machine per round, with outboxes, error slices, and the link-bit map
-	// reallocated every round. Kept as the reference implementation the
-	// pooled scheduler must match message-for-message and stat-for-stat.
-	SchedulerSpawn
-)
-
-// Engine executes synchronous rounds over a communication graph. The
-// zero-value Engine is not usable; construct with NewEngine. An Engine is
+// Engine executes synchronous rounds over a partitioned communication graph.
+// The zero-value Engine is not usable; construct with NewEngine. An Engine is
 // not safe for concurrent Step calls.
 //
-// The pooled scheduler keeps worker goroutines parked between rounds. They
-// are released by Close; engines that are dropped without Close are cleaned
-// up by a finalizer, so Close is an optimization for tight loops that build
-// many engines, not a correctness requirement.
+// Workers own contiguous ranges of global machine ids, so a worker may step
+// machines of several slices; each message is checked against the slice that
+// owns its sender, whose local CSR holds every edge incident to an owned
+// vertex, so the topology check matches the global graph without needing
+// it. Link totals are kept under global undirected keys: both directions of
+// a link, across a slice boundary or not, merge onto one key, and the cap
+// applies to that sum. Statistics are therefore identical at every slice
+// count.
+//
+// Worker goroutines stay parked between rounds. They are released by Close;
+// engines that are dropped without Close are cleaned up by a finalizer, so
+// Close is an optimization for tight loops that build many engines, not a
+// correctness requirement.
 type Engine struct {
 	*engineState
 }
@@ -85,32 +78,21 @@ type Engine struct {
 // outer handle can then fire once the caller drops the engine, even while
 // workers are parked on their command channels.
 type engineState struct {
-	g         *graph.Graph
+	sg        *graph.ShardedGraph
 	machines  []Machine
 	bandwidth int // bits per link per round, 0 = unlimited
-	sched     Scheduler
 	round     int
 	stats     LinkStats
-	observer  RoundObserver
-	// egressAt marks the first egress machine index: messages addressed to
-	// machines in [egressAt, n) are validated and accounted like any other,
-	// but held in per-worker egress lists instead of being delivered locally.
-	// The multi-engine coordinator sets it to a shard's owned-vertex count so
-	// halo-addressed messages can be re-routed to their owner shard between
-	// the compute and deliver phases. Defaults to n (no egress).
-	egressAt int
+	// exRows/exBits count the messages (and their declared bits) whose
+	// recipient is owned by another slice than their sender.
+	exRows, exBits int64
 
-	// Spawn-scheduler state: inbox per machine for the next round.
-	pending [][]Message
-
-	// Pooled-scheduler state, allocated once on first Step and reused
-	// every round.
+	// Allocated once on first Step and reused every round.
 	inboxes  [][]Message // current-round inbox per machine
 	next     [][]Message // next-round inbox per machine, filled on delivery
-	outboxes [][]Message
-	shardOf  []int32 // machine -> worker shard index
-	stepErrs []error // per-machine Step error for the current round
-	valErrs  []error // per-machine message-validation error
+	workerOf []int32     // machine -> index of the worker stepping it
+	stepErrs []error     // per-machine Step error for the current round
+	valErrs  []error     // per-machine message-validation error
 	linkBits map[[2]int32]int
 	workers  []*engineWorker
 	wg       sync.WaitGroup
@@ -120,23 +102,22 @@ type engineState struct {
 	closing  sync.Once
 }
 
-// engineWorker owns the contiguous machine shard [lo, hi) and accumulates
-// bandwidth stats locally so the hot path is contention-free; the engine
-// merges the per-worker accumulators deterministically between phases.
+// engineWorker steps the machines [lo, hi) and accumulates bandwidth stats
+// locally so the hot path is contention-free; the engine merges the
+// per-worker accumulators between phases.
 type engineWorker struct {
-	idx       int
-	lo, hi    int
-	cmd       chan int
-	linkBits  map[[2]int32]int
-	totalBits int64
-	messages  int64
-	// routes[t] collects this shard's outgoing messages destined for
-	// shard t, in emission order, so the delivery phase only touches
+	idx            int
+	lo, hi         int
+	slice          int // slice owning machine lo
+	cmd            chan int
+	linkBits       map[[2]int32]int
+	totalBits      int64
+	messages       int64
+	exRows, exBits int64
+	// routes[t] collects this worker's outgoing messages destined for
+	// worker t, in emission order, so the delivery phase only touches
 	// messages addressed to it instead of rescanning every outbox.
 	routes [][]Message
-	// egress collects messages addressed at or beyond engineState.egressAt,
-	// in emission order, for the multi-engine boundary exchange.
-	egress []Message
 }
 
 // Worker commands.
@@ -146,10 +127,10 @@ const (
 )
 
 // LinkStats aggregates bandwidth usage observed by an Engine run. On
-// successful rounds the totals are identical under every scheduler; after
-// a failed Step (machine error, invalid message, bandwidth violation) the
-// partially-accumulated values are unspecified and may differ between
-// schedulers — a faulted engine is only good for inspection, not resumption.
+// successful rounds the totals are identical at every slice count; after a
+// failed Step (machine error, invalid message, bandwidth violation) the
+// partially-accumulated values are unspecified — a faulted engine is only
+// good for inspection, not resumption.
 type LinkStats struct {
 	// Rounds is the number of executed rounds.
 	Rounds int
@@ -162,52 +143,33 @@ type LinkStats struct {
 	Messages int64
 }
 
-// NewEngine returns an engine over g using the default pooled scheduler.
-// machines must have length g.N(). bandwidthBits caps the bits a link may
-// carry per round (0 disables the check).
-func NewEngine(g *graph.Graph, machines []Machine, bandwidthBits int) (*Engine, error) {
-	return NewEngineWithScheduler(g, machines, bandwidthBits, SchedulerPooled)
-}
-
-// NewEngineWithScheduler is NewEngine with an explicit scheduler choice.
-func NewEngineWithScheduler(g *graph.Graph, machines []Machine, bandwidthBits int, sched Scheduler) (*Engine, error) {
-	if len(machines) != g.N() {
-		return nil, fmt.Errorf("network: %d machines for %d vertices", len(machines), g.N())
+// NewEngine returns an engine over the partitioned graph sg; for an
+// unsharded run pass graph.NewShardedGraph(g, 1). machines are indexed by
+// global vertex id and must have length sg.N(). bandwidthBits caps the bits
+// a link may carry per round (0 disables the check). The global graph is not
+// consulted, so streamed sharded graphs work unchanged.
+func NewEngine(sg *graph.ShardedGraph, machines []Machine, bandwidthBits int) (*Engine, error) {
+	if len(machines) != sg.N() {
+		return nil, fmt.Errorf("network: %d machines for %d vertices", len(machines), sg.N())
 	}
-	if sched != SchedulerPooled && sched != SchedulerSpawn {
-		return nil, fmt.Errorf("network: unknown scheduler %d", sched)
-	}
-	st := &engineState{
-		g:         g,
+	eng := &Engine{&engineState{
+		sg:        sg,
 		machines:  machines,
 		bandwidth: bandwidthBits,
-		sched:     sched,
-		pending:   make([][]Message, g.N()),
 		stop:      make(chan struct{}),
-		egressAt:  len(machines),
-	}
-	eng := &Engine{st}
+	}}
 	runtime.SetFinalizer(eng, (*Engine).Close)
 	return eng, nil
 }
 
-// RoundObserver receives, after each successfully executed round, the round
-// index and that round's LinkStats delta: Rounds is 1, TotalBits/Messages
-// are the round's traffic, and MaxLinkBits is the largest per-link load of
-// that round (not the running maximum). Conformance harnesses use it to
-// observe per-phase round consumption without touching the hot path when no
-// observer is set.
-type RoundObserver func(round int, delta LinkStats)
-
-// SetRoundObserver installs obs (nil removes it). It must not be called
-// concurrently with Step; the observer runs on the Step goroutine.
-func (e *Engine) SetRoundObserver(obs RoundObserver) { e.observer = obs }
-
-// Round returns the number of completed rounds.
-func (e *Engine) Round() int { return e.round }
-
 // Stats returns bandwidth statistics for the run so far.
 func (e *Engine) Stats() LinkStats { return e.stats }
+
+// Exchanged returns the cross-slice traffic so far: the messages whose
+// recipient is owned by another slice than their sender, and their total
+// declared bits. Both are a subset of Stats' totals, not an addition to
+// them, and both are zero on the one-slice partition.
+func (e *Engine) Exchanged() (rows, bits int64) { return e.exRows, e.exBits }
 
 // Close parks no further work on the pool and releases its goroutines. It
 // is idempotent and safe on engines whose pool never started; Step on a
@@ -222,8 +184,10 @@ func (e *Engine) Close() {
 
 // Step executes one synchronous round: every machine consumes its inbox and
 // produces an outbox; messages are validated against the topology and the
-// bandwidth cap, then queued for the next round. Inboxes are delivered in
-// deterministic sender order regardless of scheduling.
+// bandwidth cap, then queued for the next round. The first error is
+// deterministic: a machine error of the lowest machine, else the first
+// invalid message of the lowest machine that sent one, else the
+// lowest-numbered link over the cap.
 func (e *Engine) Step() error {
 	// The handle must survive the whole round: if the caller drops it
 	// mid-call, the finalizer would Close the pool under a live dispatch.
@@ -231,10 +195,43 @@ func (e *Engine) Step() error {
 	if e.closed.Load() {
 		return fmt.Errorf("network: Step on closed engine")
 	}
-	if e.sched == SchedulerSpawn {
-		return e.stepSpawn()
+	s := e.engineState
+	s.startPool()
+	s.dispatch(opCompute)
+	for i, err := range s.stepErrs {
+		if err != nil {
+			return fmt.Errorf("network: machine %d round %d: %w", i, s.round, err)
+		}
 	}
-	return e.stepPooled()
+	for _, err := range s.valErrs {
+		if err != nil {
+			return err
+		}
+	}
+	// Sums are order-independent, and per-link totals are summed before
+	// taking the max, so the stats equal a single pass over all messages.
+	clear(s.linkBits)
+	for _, w := range s.workers {
+		s.stats.TotalBits += w.totalBits
+		s.stats.Messages += w.messages
+		s.exRows += w.exRows
+		s.exBits += w.exBits
+		for key, bits := range w.linkBits {
+			s.linkBits[key] += bits
+		}
+	}
+	roundMax, err := checkLinkCap(s.linkBits, s.bandwidth, s.round)
+	if err != nil {
+		return err
+	}
+	s.stats.MaxLinkBits = max(s.stats.MaxLinkBits, roundMax)
+	s.dispatch(opDeliver)
+	// The just-consumed inboxes become the scratch buffers for the next
+	// round's delivery; machines must not have retained them.
+	s.inboxes, s.next = s.next, s.inboxes
+	s.round++
+	s.stats.Rounds = s.round
+	return nil
 }
 
 // Run executes rounds until done returns true or maxRounds is reached. It
@@ -256,8 +253,6 @@ func (e *Engine) Run(maxRounds int, done func() bool) (int, error) {
 	return e.round - start, fmt.Errorf("network: budget of %d rounds exhausted", maxRounds)
 }
 
-// --- pooled scheduler ----------------------------------------------------
-
 // startPool lazily allocates the reusable buffers and parks one worker per
 // CPU (capped at one per machine). Workers loop on their command channel
 // until the engine is closed.
@@ -269,15 +264,11 @@ func (s *engineState) startPool() {
 	n := len(s.machines)
 	s.inboxes = make([][]Message, n)
 	s.next = make([][]Message, n)
-	s.outboxes = make([][]Message, n)
 	s.stepErrs = make([]error, n)
 	s.valErrs = make([]error, n)
 	s.linkBits = make(map[[2]int32]int)
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
-	s.shardOf = make([]int32, n)
+	nw := min(runtime.GOMAXPROCS(0), n)
+	s.workerOf = make([]int32, n)
 	s.workers = make([]*engineWorker, 0, nw)
 	for i := 0; i < nw; i++ {
 		w := &engineWorker{
@@ -288,8 +279,9 @@ func (s *engineState) startPool() {
 			linkBits: make(map[[2]int32]int),
 			routes:   make([][]Message, nw),
 		}
+		w.slice = s.sg.Owner(w.lo)
 		for m := w.lo; m < w.hi; m++ {
-			s.shardOf[m] = int32(i)
+			s.workerOf[m] = int32(i)
 		}
 		s.workers = append(s.workers, w)
 		go s.workerLoop(w)
@@ -328,18 +320,21 @@ func (s *engineState) dispatch(op int) {
 
 // computeShard steps the worker's machines, validates their outboxes, and
 // accumulates link bits into the worker-local map. Only indices in [lo, hi)
-// are written, so shards never contend.
+// are written, so workers never contend.
 func (s *engineState) computeShard(w *engineWorker) {
 	clear(w.linkBits)
-	w.totalBits, w.messages = 0, 0
-	w.egress = w.egress[:0]
+	w.totalBits, w.messages, w.exRows, w.exBits = 0, 0, 0, 0
 	for t := range w.routes {
 		w.routes[t] = w.routes[t][:0]
 	}
+	si := w.slice
 	for i := w.lo; i < w.hi; i++ {
+		for i >= s.sg.Slices[si].Hi {
+			si++
+		}
+		sl := s.sg.Slices[si]
 		s.stepErrs[i], s.valErrs[i] = nil, nil
 		out, err := s.machines[i].Step(s.round, s.inboxes[i])
-		s.outboxes[i] = out
 		if err != nil {
 			s.stepErrs[i] = err
 			continue
@@ -349,96 +344,40 @@ func (s *engineState) computeShard(w *engineWorker) {
 				s.valErrs[i] = fmt.Errorf("network: machine %d forged sender %d", i, msg.From)
 				break
 			}
-			if !s.g.HasEdge(msg.From, msg.To) {
+			// LocalOf maps only owned and halo vertices, so it also
+			// rejects every recipient outside [0, n).
+			to, ok := sl.LocalOf(msg.To)
+			if !ok || !sl.CSR.HasEdge(i-sl.Lo, to) {
 				s.valErrs[i] = fmt.Errorf("network: message %d->%d without link", msg.From, msg.To)
 				break
 			}
-			w.linkBits[linkKey(msg.From, msg.To)] += msg.Bits
+			w.linkBits[linkKey(i, msg.To)] += msg.Bits
 			w.totalBits += int64(msg.Bits)
 			w.messages++
-			if msg.To >= s.egressAt {
-				w.egress = append(w.egress, msg)
-				continue
+			if to >= sl.Own() {
+				w.exRows++
+				w.exBits += int64(msg.Bits)
 			}
-			t := s.shardOf[msg.To]
+			t := s.workerOf[msg.To]
 			w.routes[t] = append(w.routes[t], msg)
 		}
 	}
 }
 
-// deliverShard appends the messages routed to the worker's own shard and
-// sorts its inboxes by sender. Producer workers are drained in index order
-// and shards are contiguous ascending machine ranges, so the pre-sort
-// append order equals a sequential machine-order scan of all outboxes —
-// identical to the spawn scheduler's delivery — while each worker touches
-// only its own shard's messages.
+// deliverShard fills the next-round inboxes of the worker's machines with
+// the messages routed to it. Producer workers are drained in index order,
+// each stepped an ascending machine range and emitted in machine order, so
+// every inbox arrives sorted by sender, with one sender's messages in
+// emission order, and needs no sort.
 func (s *engineState) deliverShard(w *engineWorker) {
+	for to := w.lo; to < w.hi; to++ {
+		s.next[to] = s.next[to][:0]
+	}
 	for _, src := range s.workers {
 		for _, msg := range src.routes[w.idx] {
 			s.next[msg.To] = append(s.next[msg.To], msg)
 		}
 	}
-	for to := w.lo; to < w.hi; to++ {
-		sortInbox(s.next[to])
-	}
-}
-
-// sortInbox orders an inbox by sender, stably: messages from the same
-// sender keep the order they were emitted in. Both schedulers use it, so
-// the delivered sequences are identical and fully specified.
-func sortInbox(inbox []Message) {
-	slices.SortStableFunc(inbox, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
-}
-
-func (s *engineState) stepPooled() error {
-	before := s.stats
-	if err := s.computePooled(); err != nil {
-		return err
-	}
-	roundMax, err := checkLinkCap(s.linkBits, s.bandwidth, s.round)
-	if err != nil {
-		return err
-	}
-	if roundMax > s.stats.MaxLinkBits {
-		s.stats.MaxLinkBits = roundMax
-	}
-	s.finishPooled(before, roundMax)
-	return nil
-}
-
-// computePooled is the compute half of a pooled round: it clears the
-// next-round inboxes, steps every machine, surfaces machine and validation
-// errors, and merges the per-worker accumulators into the round link-bit map
-// and the running totals. Sums are order-independent, and per-link totals
-// are summed before taking the max, so LinkStats are identical to a single
-// global pass over all messages. The multi-engine coordinator calls it per
-// sub-engine, re-routes egress messages, then calls finishPooled.
-func (s *engineState) computePooled() error {
-	s.startPool()
-	n := len(s.machines)
-	for i := range s.next {
-		s.next[i] = s.next[i][:0]
-	}
-	s.dispatch(opCompute)
-	for i := 0; i < n; i++ {
-		if err := s.stepErrs[i]; err != nil {
-			return fmt.Errorf("network: machine %d round %d: %w", i, s.round, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := s.valErrs[i]; err != nil {
-			return err
-		}
-	}
-	clear(s.linkBits)
-	for _, w := range s.workers {
-		s.stats.TotalBits += w.totalBits
-		s.stats.Messages += w.messages
-		for key, bits := range w.linkBits {
-			s.linkBits[key] += bits
-		}
-	}
-	return nil
 }
 
 // checkLinkCap scans a round's per-link totals, returning the round maximum
@@ -462,95 +401,6 @@ func checkLinkCap(linkBits map[[2]int32]int, bandwidth, round int) (int, error) 
 			overKey[0], overKey[1], overBits, bandwidth, round)
 	}
 	return roundMax, nil
-}
-
-// finishPooled is the deliver half of a pooled round: routed messages are
-// appended and sorted into next-round inboxes, the buffers swap, and the
-// round commits.
-func (s *engineState) finishPooled(before LinkStats, roundMax int) {
-	s.dispatch(opDeliver)
-	// The just-consumed inboxes become the scratch buffers for the next
-	// round's delivery; machines must not have retained them.
-	s.inboxes, s.next = s.next, s.inboxes
-	s.round++
-	s.stats.Rounds = s.round
-	if s.observer != nil {
-		s.observer(s.round-1, LinkStats{
-			Rounds:      1,
-			TotalBits:   s.stats.TotalBits - before.TotalBits,
-			MaxLinkBits: roundMax,
-			Messages:    s.stats.Messages - before.Messages,
-		})
-	}
-}
-
-// --- spawn scheduler (reference) -----------------------------------------
-
-// stepSpawn is the original engine loop: goroutine per machine per round,
-// sequential delivery, fresh allocations throughout. The pooled scheduler
-// is validated against it.
-func (s *engineState) stepSpawn() error {
-	before := s.stats
-	n := s.g.N()
-	outboxes := make([][]Message, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			inbox := s.pending[i]
-			s.pending[i] = nil
-			out, err := s.machines[i].Step(s.round, inbox)
-			outboxes[i] = out
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("network: machine %d round %d: %w", i, s.round, err)
-		}
-	}
-	// Deliver, validating topology and accounting bandwidth per link.
-	linkBits := make(map[[2]int32]int)
-	for from, out := range outboxes {
-		for _, msg := range out {
-			if msg.From != from {
-				return fmt.Errorf("network: machine %d forged sender %d", from, msg.From)
-			}
-			if !s.g.HasEdge(msg.From, msg.To) {
-				return fmt.Errorf("network: message %d->%d without link", msg.From, msg.To)
-			}
-			key := linkKey(msg.From, msg.To)
-			linkBits[key] += msg.Bits
-			s.stats.TotalBits += int64(msg.Bits)
-			s.stats.Messages++
-			s.pending[msg.To] = append(s.pending[msg.To], msg)
-		}
-	}
-	roundMax, err := checkLinkCap(linkBits, s.bandwidth, s.round)
-	if err != nil {
-		return err
-	}
-	if roundMax > s.stats.MaxLinkBits {
-		s.stats.MaxLinkBits = roundMax
-	}
-	// Deterministic inbox order regardless of goroutine scheduling.
-	for i := range s.pending {
-		sortInbox(s.pending[i])
-	}
-	s.round++
-	s.stats.Rounds = s.round
-	if s.observer != nil {
-		s.observer(s.round-1, LinkStats{
-			Rounds:      1,
-			TotalBits:   s.stats.TotalBits - before.TotalBits,
-			MaxLinkBits: roundMax,
-			Messages:    s.stats.Messages - before.Messages,
-		})
-	}
-	return nil
 }
 
 func linkKey(u, v int) [2]int32 {

@@ -1,6 +1,10 @@
 package network
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -8,26 +12,143 @@ import (
 	"clustercolor/internal/graph"
 )
 
+// spawnEngine is the reference the Engine is checked against: the original
+// round loop, with one fresh goroutine per machine per round, sequential
+// validation and delivery over the global graph, inboxes sorted by sender
+// explicitly, and fresh allocations throughout.
+type spawnEngine struct {
+	g         *graph.Graph
+	machines  []Machine
+	bandwidth int
+	round     int
+	stats     LinkStats
+	pending   [][]Message
+}
+
+func newSpawnEngine(g *graph.Graph, machines []Machine, bandwidthBits int) *spawnEngine {
+	return &spawnEngine{g: g, machines: machines, bandwidth: bandwidthBits, pending: make([][]Message, g.N())}
+}
+
+func (s *spawnEngine) Step() error {
+	n := s.g.N()
+	outboxes := make([][]Message, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			inbox := s.pending[i]
+			s.pending[i] = nil
+			outboxes[i], errs[i] = s.machines[i].Step(s.round, inbox)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("network: machine %d round %d: %w", i, s.round, err)
+		}
+	}
+	linkBits := make(map[[2]int32]int)
+	for from, out := range outboxes {
+		for _, msg := range out {
+			if msg.From != from {
+				return fmt.Errorf("network: machine %d forged sender %d", from, msg.From)
+			}
+			if msg.To < 0 || msg.To >= n || !s.g.HasEdge(msg.From, msg.To) {
+				return fmt.Errorf("network: message %d->%d without link", msg.From, msg.To)
+			}
+			linkBits[linkKey(msg.From, msg.To)] += msg.Bits
+			s.stats.TotalBits += int64(msg.Bits)
+			s.stats.Messages++
+			s.pending[msg.To] = append(s.pending[msg.To], msg)
+		}
+	}
+	roundMax, err := checkLinkCap(linkBits, s.bandwidth, s.round)
+	if err != nil {
+		return err
+	}
+	s.stats.MaxLinkBits = max(s.stats.MaxLinkBits, roundMax)
+	for _, inbox := range s.pending {
+		slices.SortStableFunc(inbox, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
+	}
+	s.round++
+	s.stats.Rounds = s.round
+	return nil
+}
+
+// newEngine builds an engine over the k-slice partition of g.
+func newEngine(t testing.TB, g *graph.Graph, slices int, machines []Machine, bandwidthBits int) *Engine {
+	t.Helper()
+	sg, err := graph.NewShardedGraph(g, slices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(sg, machines, bandwidthBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// lockstep steps one machine set on the engine over k slices and a second,
+// identically built set on the spawn reference, for up to rounds rounds. It
+// fails on the first round whose error or LinkStats differ, stops after a
+// round both fail identically, and returns the two machine sets, the
+// engine, and the shared error (nil if every round succeeded).
+func lockstep(t *testing.T, g *graph.Graph, slices, rounds, bandwidthBits int, build func() []Machine) (got, want []Machine, eng *Engine, err error) {
+	t.Helper()
+	got, want = build(), build()
+	eng = newEngine(t, g, slices, got, bandwidthBits)
+	ref := newSpawnEngine(g, want, bandwidthBits)
+	for r := 0; r < rounds; r++ {
+		gotErr, wantErr := eng.Step(), ref.Step()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("slices=%d round %d: engine error %v, reference error %v", slices, r, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return got, want, eng, wantErr
+		}
+		if eng.Stats() != ref.stats {
+			t.Fatalf("slices=%d round %d: LinkStats %+v, reference %+v", slices, r, eng.Stats(), ref.stats)
+		}
+	}
+	return got, want, eng, nil
+}
+
+// equivalenceGraphs are the topologies the engine must match the reference
+// on: a sparse random graph, a clique (every pair of slices linked) and a
+// path (one link per slice boundary).
+func equivalenceGraphs() []struct {
+	name string
+	g    *graph.Graph
+} {
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"gnp", graph.MustGNP(120, 0.08, graph.NewRand(31))},
+		{"clique", graph.Clique(12)},
+		{"path", graph.Path(30)},
+	}
+}
+
+var sliceCounts = []int{1, 2, 4}
+
 // floodMachine implements a simple BFS flood: the source emits a token; each
 // machine forwards the token to all neighbors the round after first hearing
 // it. Used to validate the engine against known BFS depths.
 type floodMachine struct {
 	id        int
 	neighbors []int32
-	mu        sync.Mutex
 	heardAt   int // -1 until heard
 	forwarded bool
 }
 
 func (m *floodMachine) Step(round int, inbox []Message) ([]Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.heardAt < 0 {
-		for _, msg := range inbox {
-			_ = msg
-			m.heardAt = round
-			break
-		}
+	if m.heardAt < 0 && len(inbox) > 0 {
+		m.heardAt = round
 	}
 	if m.heardAt >= 0 && !m.forwarded {
 		m.forwarded = true
@@ -57,10 +178,8 @@ func TestEngineFloodMatchesBFS(t *testing.T) {
 	g := graph.MustGNP(40, 0.15, rng)
 	labels, count := g.ConnectedComponents()
 	src := 0
-	eng, err := NewEngine(g, newFlood(g, src), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	machines := newFlood(g, src)
+	eng := newEngine(t, g, 1, machines, 64)
 	for i := 0; i < g.N()+2; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -68,7 +187,7 @@ func TestEngineFloodMatchesBFS(t *testing.T) {
 	}
 	depth, _ := g.BFSDepths(src, nil)
 	for v := 0; v < g.N(); v++ {
-		fm := eng.machines[v].(*floodMachine)
+		fm := machines[v].(*floodMachine)
 		if labels[v] != labels[src] {
 			if fm.heardAt >= 0 {
 				t.Fatalf("machine %d in other component heard token", v)
@@ -86,41 +205,33 @@ func TestEngineFloodMatchesBFS(t *testing.T) {
 	}
 }
 
-// runFlood executes a full flood to quiescence under the given scheduler
-// and returns the per-machine hear times plus the engine stats.
-func runFlood(t *testing.T, g *graph.Graph, src int, sched Scheduler) ([]int, LinkStats) {
-	t.Helper()
-	eng, err := NewEngineWithScheduler(g, newFlood(g, src), 0, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for i := 0; i < g.N()+2; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	heard := make([]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		heard[v] = eng.machines[v].(*floodMachine).heardAt
-	}
-	return heard, eng.Stats()
-}
-
-// TestEngineSchedulersAgreeFlood checks the acceptance contract: the pooled
-// scheduler produces the same machine results and byte-identical LinkStats
-// as the legacy spawn scheduler.
+// TestEngineSchedulersAgreeFlood runs the flood to quiescence on the engine
+// at 1, 2 and 4 slices and on the spawn reference: hear times and LinkStats
+// must match round for round, and cross-slice traffic must appear exactly
+// when the partition cuts edges.
 func TestEngineSchedulersAgreeFlood(t *testing.T) {
-	g := graph.MustGNP(300, 0.03, graph.NewRand(23))
-	heardPooled, statsPooled := runFlood(t, g, 0, SchedulerPooled)
-	heardSpawn, statsSpawn := runFlood(t, g, 0, SchedulerSpawn)
-	for v := range heardPooled {
-		if heardPooled[v] != heardSpawn[v] {
-			t.Fatalf("machine %d heardAt pooled=%d spawn=%d", v, heardPooled[v], heardSpawn[v])
+	for _, tg := range equivalenceGraphs() {
+		g := tg.g
+		for _, k := range sliceCounts {
+			t.Run(fmt.Sprintf("%s/slices=%d", tg.name, k), func(t *testing.T) {
+				got, want, eng, err := lockstep(t, g, k, g.N()+2, 0, func() []Machine { return newFlood(g, 0) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range got {
+					if h, w := got[v].(*floodMachine).heardAt, want[v].(*floodMachine).heardAt; h != w {
+						t.Fatalf("machine %d heardAt=%d, reference %d", v, h, w)
+					}
+				}
+				rows, bits := eng.Exchanged()
+				if k == 1 && (rows != 0 || bits != 0) {
+					t.Fatalf("one slice exchanged %d rows, %d bits", rows, bits)
+				}
+				if k > 1 && rows == 0 {
+					t.Fatal("no cross-slice traffic on a connected graph")
+				}
+			})
 		}
-	}
-	if statsPooled != statsSpawn {
-		t.Fatalf("LinkStats diverge: pooled=%+v spawn=%+v", statsPooled, statsSpawn)
 	}
 }
 
@@ -141,238 +252,250 @@ func (m *recorderMachine) Step(round int, inbox []Message) ([]Message, error) {
 	if round >= 3 {
 		return nil, nil
 	}
-	out := make([]Message, 0, len(m.neighbors))
+	out := make([]Message, 0, 2*len(m.neighbors))
 	for _, nb := range m.neighbors {
 		out = append(out, Message{From: m.id, To: int(nb), Bits: 2, Payload: round})
+	}
+	// A second message to the lowest neighbor pins that one sender's
+	// messages keep their emission order.
+	if len(m.neighbors) > 0 {
+		out = append(out, Message{From: m.id, To: int(m.neighbors[0]), Bits: 1, Payload: -round})
 	}
 	return out, nil
 }
 
-func runRecorders(t *testing.T, g *graph.Graph, sched Scheduler) [][][]int {
-	t.Helper()
+func newRecorders(g *graph.Graph) []Machine {
 	ms := make([]Machine, g.N())
-	for i := 0; i < g.N(); i++ {
+	for i := range ms {
 		ms[i] = &recorderMachine{id: i, neighbors: g.Neighbors(i)}
 	}
-	eng, err := NewEngineWithScheduler(g, ms, 0, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for r := 0; r < 5; r++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	histories := make([][][]int, g.N())
-	for i, m := range ms {
-		histories[i] = m.(*recorderMachine).history
-	}
-	return histories
+	return ms
 }
 
 // TestEngineInboxOrderDeterministic checks the sorted-inbox contract: the
-// exact inbox sequences every machine observes are identical under both
-// schedulers (and therefore across reruns).
+// exact sender sequence of every inbox in every round is the spawn
+// reference's at 1, 2 and 4 slices.
 func TestEngineInboxOrderDeterministic(t *testing.T) {
-	g := graph.MustGNP(120, 0.08, graph.NewRand(31))
-	pooled := runRecorders(t, g, SchedulerPooled)
-	spawn := runRecorders(t, g, SchedulerSpawn)
-	for v := range pooled {
-		if len(pooled[v]) != len(spawn[v]) {
-			t.Fatalf("machine %d history length pooled=%d spawn=%d", v, len(pooled[v]), len(spawn[v]))
+	for _, tg := range equivalenceGraphs() {
+		g := tg.g
+		for _, k := range sliceCounts {
+			t.Run(fmt.Sprintf("%s/slices=%d", tg.name, k), func(t *testing.T) {
+				got, want, _, err := lockstep(t, g, k, 5, 0, func() []Machine { return newRecorders(g) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range got {
+					gh, wh := got[v].(*recorderMachine).history, want[v].(*recorderMachine).history
+					if len(gh) != len(wh) {
+						t.Fatalf("machine %d history length %d, reference %d", v, len(gh), len(wh))
+					}
+					for r := range gh {
+						if !slices.Equal(gh[r], wh[r]) {
+							t.Fatalf("machine %d round %d: senders %v, reference %v", v, r, gh[r], wh[r])
+						}
+					}
+				}
+			})
 		}
-		for r := range pooled[v] {
-			if len(pooled[v][r]) != len(spawn[v][r]) {
-				t.Fatalf("machine %d round %d inbox size pooled=%d spawn=%d",
-					v, r, len(pooled[v][r]), len(spawn[v][r]))
+	}
+}
+
+type stepFunc func(round int, inbox []Message) ([]Message, error)
+
+func (f stepFunc) Step(round int, inbox []Message) ([]Message, error) { return f(round, inbox) }
+
+type idleMachine struct{}
+
+func (idleMachine) Step(int, []Message) ([]Message, error) { return nil, nil }
+
+// faulty returns n idle machines except that each machine in sends emits,
+// in round 0, the messages sends lists for it.
+func faulty(n int, sends map[int][]Message) []Machine {
+	ms := make([]Machine, n)
+	for i := range ms {
+		ms[i] = idleMachine{}
+	}
+	for id, out := range sends {
+		out := out
+		ms[id] = stepFunc(func(round int, inbox []Message) ([]Message, error) {
+			if round > 0 {
+				return nil, nil
 			}
-			for k := range pooled[v][r] {
-				if pooled[v][r][k] != spawn[v][r][k] {
-					t.Fatalf("machine %d round %d position %d: pooled from %d, spawn from %d",
-						v, r, k, pooled[v][r][k], spawn[v][r][k])
+			return out, nil
+		})
+	}
+	return ms
+}
+
+// TestEnginePooledErrors checks that every fault surfaces as the spawn
+// reference's first error at 1, 2 and 4 slices: machine errors before
+// message errors, the lowest faulty machine first, and a bandwidth violation
+// naming the lowest link over the cap.
+func TestEnginePooledErrors(t *testing.T) {
+	g := graph.Clique(8)
+	boom := errors.New("boom")
+	cases := []struct {
+		name      string
+		bandwidth int
+		machines  func() []Machine
+		want      string
+	}{
+		{"machine error", 0, func() []Machine {
+			ms := faulty(8, map[int][]Message{2: {{From: 2, To: 9, Bits: 1}}})
+			ms[5] = stepFunc(func(int, []Message) ([]Message, error) { return nil, boom })
+			return ms
+		}, "machine 5 round 0: boom"},
+		{"forged sender", 0, func() []Machine {
+			return faulty(8, map[int][]Message{3: {{From: 3, To: 4, Bits: 1}, {From: 6, To: 4, Bits: 1}}})
+		}, "machine 3 forged sender 6"},
+		{"lowest faulty machine", 0, func() []Machine {
+			return faulty(8, map[int][]Message{
+				6: {{From: 6, To: 6, Bits: 1}},
+				4: {{From: 4, To: 1, Bits: 1}, {From: 4, To: -1, Bits: 1}, {From: 4, To: 8, Bits: 1}},
+			})
+		}, "message 4->-1 without link"},
+		{"lowest link over the cap", 4, func() []Machine {
+			return faulty(8, map[int][]Message{
+				1: {{From: 1, To: 7, Bits: 5}},
+				6: {{From: 6, To: 2, Bits: 3}, {From: 6, To: 3, Bits: 9}},
+				2: {{From: 2, To: 6, Bits: 2}},
+			})
+		}, "link {1,7} carried 5 bits > bandwidth 4"},
+		{"both directions of a link", 4, func() []Machine {
+			return faulty(8, map[int][]Message{
+				2: {{From: 2, To: 6, Bits: 3}},
+				6: {{From: 6, To: 2, Bits: 2}},
+			})
+		}, "link {2,6} carried 5 bits > bandwidth 4"},
+	}
+	for _, tc := range cases {
+		for _, k := range sliceCounts {
+			t.Run(fmt.Sprintf("%s/slices=%d", tc.name, k), func(t *testing.T) {
+				_, _, _, err := lockstep(t, g, k, 2, tc.bandwidth, tc.machines)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %v, want %q", err, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestEngineRejectsNonLinkMessage checks that a message to a non-neighbor
+// fails with the link error at every slice count, whether the recipient is
+// owned by the sender's slice, owned by another slice, or outside [0, n)
+// altogether.
+func TestEngineRejectsNonLinkMessage(t *testing.T) {
+	g := graph.Path(8) // edges {i, i+1}
+	for _, k := range sliceCounts {
+		t.Run(fmt.Sprintf("slices=%d", k), func(t *testing.T) {
+			for _, to := range []int{2, 7, -1, 8} {
+				eng := newEngine(t, g, k, faulty(8, map[int][]Message{0: {{From: 0, To: to, Bits: 1}}}), 0)
+				err := eng.Step()
+				want := fmt.Sprintf("message 0->%d without link", to)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("to=%d: error %v, want %q", to, err, want)
 				}
 			}
-		}
+		})
+	}
+}
+
+func TestEngineRejectsForgedSender(t *testing.T) {
+	eng := newEngine(t, graph.Path(2), 1, faulty(2, map[int][]Message{0: {{From: 5, To: 1, Bits: 1}}}), 0)
+	if err := eng.Step(); err == nil {
+		t.Fatal("forged sender accepted")
+	}
+}
+
+// TestEngineEnforcesBandwidth checks the cap on the merged per-link totals:
+// a one-bit flood on a clique, which loads a link with one message each way
+// in the round every machine forwards, passes a cap of 2 at every slice
+// count, and a wide message on a link that crosses slices trips it.
+func TestEngineEnforcesBandwidth(t *testing.T) {
+	g := graph.Clique(6)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("slices=%d", k), func(t *testing.T) {
+			eng := newEngine(t, g, k, newFlood(g, 0), 2)
+			for i := 0; i < g.N()+2; i++ {
+				if err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if eng.Stats().MaxLinkBits != 2 {
+				t.Fatalf("MaxLinkBits = %d, want 2", eng.Stats().MaxLinkBits)
+			}
+			wide := newEngine(t, g, k, faulty(6, map[int][]Message{0: {{From: 0, To: 5, Bits: 9}}}), 2)
+			if err := wide.Step(); err == nil || !strings.Contains(err.Error(), "bandwidth") {
+				t.Fatalf("want bandwidth violation, got %v", err)
+			}
+		})
+	}
+	// Within budget is fine.
+	eng := newEngine(t, graph.Path(2), 1, faulty(2, map[int][]Message{0: {{From: 0, To: 1, Bits: 64}}}), 64)
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stats().MaxLinkBits != 64 {
+		t.Fatalf("MaxLinkBits = %d, want 64", eng.Stats().MaxLinkBits)
 	}
 }
 
 func TestEngineCloseIdempotent(t *testing.T) {
 	g := graph.Path(4)
-	eng, err := NewEngine(g, []Machine{idleMachine{}, idleMachine{}, idleMachine{}, idleMachine{}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, g, 1, faulty(4, nil), 0)
 	if err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
 	eng.Close()
 	// Close before first Step must also be safe.
-	eng2, err := NewEngine(g, []Machine{idleMachine{}, idleMachine{}, idleMachine{}, idleMachine{}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.Close()
+	newEngine(t, g, 2, faulty(4, nil), 0).Close()
 }
 
 // TestEngineStepAfterCloseErrors pins the lifecycle contract: Step on a
 // closed engine must fail fast instead of dispatching to released workers.
 func TestEngineStepAfterCloseErrors(t *testing.T) {
 	g := graph.Path(2)
-	for _, sched := range []Scheduler{SchedulerPooled, SchedulerSpawn} {
-		eng, err := NewEngineWithScheduler(g, []Machine{idleMachine{}, idleMachine{}}, 0, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		if err := eng.Step(); err == nil {
-			t.Fatalf("scheduler %d: Step after Close succeeded", sched)
-		}
-		// Close before any Step, then Step: same contract.
-		eng2, err := NewEngineWithScheduler(g, []Machine{idleMachine{}, idleMachine{}}, 0, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng2.Close()
-		if err := eng2.Step(); err == nil {
-			t.Fatalf("scheduler %d: Step on never-started closed engine succeeded", sched)
-		}
+	eng := newEngine(t, g, 1, faulty(2, nil), 0)
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	if err := eng.Step(); err == nil {
+		t.Fatal("Step after Close succeeded")
+	}
+	// Close before any Step, then Step: same contract.
+	eng2 := newEngine(t, g, 1, faulty(2, nil), 0)
+	eng2.Close()
+	if err := eng2.Step(); err == nil {
+		t.Fatal("Step on never-started closed engine succeeded")
 	}
 }
 
 func TestEngineEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(0).Build()
-	eng, err := NewEngine(g, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newEngine(t, graph.NewBuilder(0).Build(), 1, nil, 0)
 	for i := 0; i < 3; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if eng.Round() != 3 {
-		t.Fatalf("Round = %d, want 3", eng.Round())
-	}
-}
-
-func TestEngineRejectsUnknownScheduler(t *testing.T) {
-	g := graph.Path(2)
-	if _, err := NewEngineWithScheduler(g, []Machine{idleMachine{}, idleMachine{}}, 0, Scheduler(99)); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-}
-
-// TestEnginePooledErrors re-runs the validation tests under the pooled
-// scheduler explicitly (the default may change).
-func TestEnginePooledErrors(t *testing.T) {
-	g := graph.Path(3)
-	eng, err := NewEngineWithScheduler(g, []Machine{badSender{to: 2}, idleMachine{}, idleMachine{}}, 0, SchedulerPooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.Step(); err == nil {
-		t.Fatal("message over non-existent link accepted")
-	}
-	eng2, err := NewEngineWithScheduler(graph.Path(2), []Machine{chatty{bits: 100}, idleMachine{}}, 64, SchedulerPooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if err := eng2.Step(); err == nil {
-		t.Fatal("over-bandwidth message accepted")
-	}
-}
-
-type badSender struct{ to int }
-
-func (b badSender) Step(round int, inbox []Message) ([]Message, error) {
-	return []Message{{From: 0, To: b.to, Bits: 1}}, nil
-}
-
-type idleMachine struct{}
-
-func (idleMachine) Step(int, []Message) ([]Message, error) { return nil, nil }
-
-func TestEngineRejectsNonLinkMessage(t *testing.T) {
-	g := graph.Path(3) // edges {0,1},{1,2}
-	ms := []Machine{badSender{to: 2}, idleMachine{}, idleMachine{}}
-	eng, err := NewEngine(g, ms, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(); err == nil {
-		t.Fatal("message over non-existent link accepted")
-	}
-}
-
-type forger struct{}
-
-func (forger) Step(int, []Message) ([]Message, error) {
-	return []Message{{From: 5, To: 1, Bits: 1}}, nil
-}
-
-func TestEngineRejectsForgedSender(t *testing.T) {
-	g := graph.Path(2)
-	eng, err := NewEngine(g, []Machine{forger{}, idleMachine{}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(); err == nil {
-		t.Fatal("forged sender accepted")
-	}
-}
-
-type chatty struct{ bits int }
-
-func (c chatty) Step(round int, inbox []Message) ([]Message, error) {
-	if round > 0 {
-		return nil, nil
-	}
-	return []Message{{From: 0, To: 1, Bits: c.bits}}, nil
-}
-
-func TestEngineEnforcesBandwidth(t *testing.T) {
-	g := graph.Path(2)
-	eng, err := NewEngine(g, []Machine{chatty{bits: 100}, idleMachine{}}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(); err == nil {
-		t.Fatal("over-bandwidth message accepted")
-	}
-	// Within budget is fine.
-	eng2, err := NewEngine(g, []Machine{chatty{bits: 64}, idleMachine{}}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng2.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if eng2.Stats().MaxLinkBits != 64 {
-		t.Fatalf("MaxLinkBits = %d, want 64", eng2.Stats().MaxLinkBits)
+	if got := eng.Stats().Rounds; got != 3 {
+		t.Fatalf("Rounds = %d, want 3", got)
 	}
 }
 
 func TestEngineMachineCountMismatch(t *testing.T) {
-	g := graph.Path(3)
-	if _, err := NewEngine(g, []Machine{idleMachine{}}, 0); err == nil {
+	sg, err := graph.NewShardedGraph(graph.Path(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(sg, faulty(1, nil), 0); err == nil {
 		t.Fatal("machine count mismatch accepted")
 	}
 }
 
 func TestEngineRunBudget(t *testing.T) {
-	g := graph.Path(2)
-	eng, err := NewEngine(g, []Machine{idleMachine{}, idleMachine{}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, graph.Path(2), 1, faulty(2, nil), 0)
 	ran, err := eng.Run(5, func() bool { return false })
 	if err == nil {
 		t.Fatal("exhausted budget should error")
@@ -384,6 +507,82 @@ func TestEngineRunBudget(t *testing.T) {
 	if err != nil || ran != 0 {
 		t.Fatalf("Run with immediate done = %d, %v", ran, err)
 	}
+}
+
+// gossipMachine sends one small message to every neighbor each round, the
+// steady-state traffic of benchwork.GossipMachines (which the -enginebench
+// emitter runs), rebuilt here because benchwork imports this package.
+type gossipMachine struct {
+	id        int
+	neighbors []int32
+}
+
+func (m *gossipMachine) Step(round int, inbox []Message) ([]Message, error) {
+	out := make([]Message, 0, len(m.neighbors))
+	for _, nb := range m.neighbors {
+		out = append(out, Message{From: m.id, To: int(nb), Bits: 8, Payload: round})
+	}
+	return out, nil
+}
+
+func newGossip(g *graph.Graph) []Machine {
+	ms := make([]Machine, g.N())
+	for i := range ms {
+		ms[i] = &gossipMachine{id: i, neighbors: g.Neighbors(i)}
+	}
+	return ms
+}
+
+// TestEngineAllocatesLessThanSpawn pins what the worker pool buys over the
+// goroutine-per-machine reference: fewer allocations per gossip round, at
+// one slice and at four.
+func TestEngineAllocatesLessThanSpawn(t *testing.T) {
+	g := graph.MustGNP(400, 8.0/400, graph.NewRand(7))
+	ref := newSpawnEngine(g, newGossip(g), 0)
+	spawn := testing.AllocsPerRun(5, func() {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, k := range []int{1, 4} {
+		eng := newEngine(t, g, k, newGossip(g), 0)
+		pooled := testing.AllocsPerRun(5, func() {
+			if err := eng.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if pooled >= spawn {
+			t.Errorf("slices=%d: engine allocates %.0f per round, spawn reference %.0f", k, pooled, spawn)
+		}
+	}
+}
+
+// BenchmarkEngineStep measures one gossip round on a 10k-machine GNP network
+// (deg≈8, seed 9): the engine over the one-slice and four-slice partitions,
+// and the goroutine-per-machine spawn reference.
+func BenchmarkEngineStep(b *testing.B) {
+	const machines = 10000
+	g := graph.MustGNP(machines, 8.0/machines, graph.NewRand(9))
+	run := func(b *testing.B, step func() error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		slices int
+	}{{"one-slice", 1}, {"four-slice", 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			run(b, newEngine(b, g, c.slices, newGossip(g), 0).Step)
+		})
+	}
+	b.Run("spawn-reference", func(b *testing.B) {
+		run(b, newSpawnEngine(g, newGossip(g), 0).Step)
+	})
 }
 
 func TestCostModelChargeAndPipelining(t *testing.T) {
@@ -536,45 +735,5 @@ func TestCostModelMultiplier(t *testing.T) {
 	}
 	if c.Rounds() != 12 {
 		t.Fatalf("total = %d, want 12", c.Rounds())
-	}
-}
-
-// TestRoundObserver pins the per-round observation hook on both schedulers:
-// the observer sees consecutive round indices, its deltas sum to the final
-// LinkStats, and each round's MaxLinkBits never exceeds the global maximum.
-func TestRoundObserver(t *testing.T) {
-	rng := graph.NewRand(7)
-	g := graph.MustGNP(40, 0.2, rng)
-	for _, sched := range []Scheduler{SchedulerPooled, SchedulerSpawn} {
-		eng, err := NewEngineWithScheduler(g, newFlood(g, 0), 0, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rounds []int
-		var sum LinkStats
-		eng.SetRoundObserver(func(round int, delta LinkStats) {
-			rounds = append(rounds, round)
-			sum.Rounds += delta.Rounds
-			sum.TotalBits += delta.TotalBits
-			sum.Messages += delta.Messages
-			if delta.MaxLinkBits > sum.MaxLinkBits {
-				sum.MaxLinkBits = delta.MaxLinkBits
-			}
-		})
-		for i := 0; i < 6; i++ {
-			if err := eng.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats := eng.Stats()
-		eng.Close()
-		for i, r := range rounds {
-			if r != i {
-				t.Fatalf("scheduler %v: observer saw round %d at position %d", sched, r, i)
-			}
-		}
-		if sum != stats {
-			t.Fatalf("scheduler %v: observer deltas sum to %+v, stats %+v", sched, sum, stats)
-		}
 	}
 }

@@ -202,22 +202,6 @@ func ForRange(n int, f func(lo, hi int) error) error {
 	return err
 }
 
-// ForRangeWeighted is ForRange with WeightedChunkBounds: chunk boundaries
-// equalize cum instead of item count, so degree-skewed CSR sweeps don't
-// straggle on tail chunks that happen to hold the heavy vertices. Same
-// ownership and determinism contract as ForRange.
-func ForRangeWeighted(n int, cum func(v int) int64, f func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	chunks := RangeChunks(n)
-	_, err := ForEach(chunks, func(i int) (struct{}, error) {
-		lo, hi := WeightedChunkBounds(n, chunks, i, cum)
-		return struct{}{}, f(lo, hi)
-	})
-	return err
-}
-
 // StreamRNG returns the canonical PRNG stream for a derived seed. Every
 // consumer of a RowSeed-derived stream — the per-clique stage loops, the
 // distsim machine-level replays, and the pipeline itself — must construct

@@ -3,7 +3,6 @@ package parwork_test
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"testing"
 
 	"clustercolor/internal/parwork"
@@ -126,33 +125,6 @@ func TestWeightedChunkBoundsPartition(t *testing.T) {
 	wlo, whi := parwork.ChunkBoundsIn(100, 4, 1)
 	if lo != wlo || hi != whi {
 		t.Fatalf("zero-weight bounds [%d, %d), want even split [%d, %d)", lo, hi, wlo, whi)
-	}
-}
-
-// TestForRangeWeightedCovers checks the weighted fan-out visits every index
-// exactly once, at a parallel budget.
-func TestForRangeWeightedCovers(t *testing.T) {
-	prev := parwork.SetParallelism(4)
-	defer parwork.SetParallelism(prev)
-	const n = 10_000
-	cum := func(v int) int64 { return int64(v) * int64(v) } // quadratic skew
-	var mu sync.Mutex
-	seen := make([]int, n)
-	err := parwork.ForRangeWeighted(n, cum, func(lo, hi int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for v := lo; v < hi; v++ {
-			seen[v]++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", v, c)
-		}
 	}
 }
 

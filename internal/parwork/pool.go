@@ -145,17 +145,3 @@ func (p *ShardPool) ForRange(n int, f func(lo, hi int) error) error {
 		return f(lo, hi)
 	})
 }
-
-// ForRangeWeighted is ForRange with WeightedChunkBounds over the pool's
-// grain: boundaries equalize cum (e.g. a CSR offsets array plus a constant
-// per item) so degree-skewed sweeps don't straggle on tail chunks.
-func (p *ShardPool) ForRangeWeighted(n int, cum func(v int) int64, f func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	chunks := RangeChunksAt(n, p.Workers())
-	return p.ForEach(chunks, func(i int) error {
-		lo, hi := WeightedChunkBounds(n, chunks, i, cum)
-		return f(lo, hi)
-	})
-}

@@ -5,7 +5,6 @@
 //   - k-wise independent polynomial hash families over a prime field,
 //   - (ε, s)-min-wise independent hashing via O(log 1/ε)-wise independence
 //     (Definition C.1, Lemma C.2),
-//   - ε-almost-pairwise independent hashing (Definition C.3, Theorem C.4),
 //   - representative set families (Definition C.5, Lemma C.6) used by
 //     TryPseudorandomColors,
 //   - seed-describable pseudorandom permutations for the synchronized color
@@ -90,11 +89,6 @@ func (h *KWiseHash) Eval(x uint64) uint64 {
 	return acc
 }
 
-// EvalRange returns the hash mapped to [0, m).
-func (h *KWiseHash) EvalRange(x uint64, m uint64) uint64 {
-	return h.Eval(x) % m
-}
-
 // SeedBits returns the description length of the function in bits.
 func (h *KWiseHash) SeedBits() int { return 61 * len(h.coeffs) }
 
@@ -150,34 +144,3 @@ func (h *MinWiseHash) ArgMin(ids []int) int {
 	}
 	return best
 }
-
-// AlmostPairwiseHash is an ε-almost-pairwise independent function
-// [N] → [M] (Definition C.3, Theorem C.4): collisions on any fixed pair
-// occur with probability at most (1+ε)/M². Implemented as a 2-wise
-// polynomial over the Mersenne field truncated to [M] — the truncation
-// contributes the ε slack — so its description fits in O(log M + log 1/ε)
-// bits plus the field seed.
-type AlmostPairwiseHash struct {
-	h *KWiseHash
-	m uint64
-}
-
-// NewAlmostPairwiseHash draws a random member mapping [n] → [m].
-func NewAlmostPairwiseHash(n, m int, rng *rand.Rand) (*AlmostPairwiseHash, error) {
-	if n < 1 || m < 1 {
-		return nil, fmt.Errorf("prng: domain %d and range %d must be positive", n, m)
-	}
-	h, err := NewKWiseHash(2, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &AlmostPairwiseHash{h: h, m: uint64(m)}, nil
-}
-
-// Eval hashes x into [0, m).
-func (h *AlmostPairwiseHash) Eval(x int) uint64 {
-	return h.h.Eval(uint64(x)) % h.m
-}
-
-// SeedBits returns the description length in bits.
-func (h *AlmostPairwiseHash) SeedBits() int { return h.h.SeedBits() }

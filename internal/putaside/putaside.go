@@ -173,30 +173,3 @@ func ComputePutAside(cg *cluster.CG, col *coloring.Coloring, opts ComputeOptions
 	}
 	return out, nil
 }
-
-// ForeignAdjacencyFraction measures Property 3 of Lemma 4.18: the fraction
-// of a cabal's members adjacent to put-aside vertices of other cabals.
-func ForeignAdjacencyFraction(cg *cluster.CG, cabal []int, cabalIdx int, putAside [][]int) float64 {
-	foreign := make(map[int]bool)
-	for j, ps := range putAside {
-		if j == cabalIdx {
-			continue
-		}
-		for _, v := range ps {
-			foreign[v] = true
-		}
-	}
-	if len(cabal) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, v := range cabal {
-		for _, u := range cg.H.Neighbors(v) {
-			if foreign[int(u)] {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(cabal))
-}

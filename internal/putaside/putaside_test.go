@@ -87,7 +87,7 @@ func TestComputePutAsideProperties(t *testing.T) {
 	}
 	// Property 3: few members adjacent to foreign put-aside vertices.
 	for i, members := range cabals {
-		frac := ForeignAdjacencyFraction(cg, members, i, ps)
+		frac := foreignAdjacencyFraction(cg, members, i, ps)
 		if frac > 0.5 {
 			t.Fatalf("cabal %d: %.2f of members adjacent to foreign put-aside sets", i, frac)
 		}
@@ -292,4 +292,31 @@ func TestColorPutAsideEmptySet(t *testing.T) {
 	if res.Uncolored != 0 || res.ViaDonation != 0 {
 		t.Fatalf("empty put-aside result %+v", res)
 	}
+}
+
+// foreignAdjacencyFraction measures Property 3 of Lemma 4.18: the fraction
+// of a cabal's members adjacent to put-aside vertices of other cabals.
+func foreignAdjacencyFraction(cg *cluster.CG, cabal []int, cabalIdx int, putAside [][]int) float64 {
+	foreign := make(map[int]bool)
+	for j, ps := range putAside {
+		if j == cabalIdx {
+			continue
+		}
+		for _, v := range ps {
+			foreign[v] = true
+		}
+	}
+	if len(cabal) == 0 {
+		return 0
+	}
+	hit := 0
+	for _, v := range cabal {
+		for _, u := range cg.H.Neighbors(v) {
+			if foreign[int(u)] {
+				hit++
+				break
+			}
+		}
+	}
+	return float64(hit) / float64(len(cabal))
 }

@@ -99,18 +99,3 @@ func Run(cg *cluster.CG, col *coloring.Coloring, opts Options, rng *rand.Rand) (
 	}
 	return res, nil
 }
-
-// RunAll executes trials in many cliques; the cliques are vertex-disjoint so
-// the trials run in parallel (one shared round structure). It returns
-// per-clique results.
-func RunAll(cg *cluster.CG, col *coloring.Coloring, optsList []Options, rng *rand.Rand) ([]*Result, error) {
-	out := make([]*Result, len(optsList))
-	for i, opts := range optsList {
-		res, err := Run(cg, col, opts, rng)
-		if err != nil {
-			return nil, fmt.Errorf("sct: clique %d: %w", i, err)
-		}
-		out[i] = res
-	}
-	return out, nil
-}

@@ -72,7 +72,9 @@ func TestRunLeavesOnlyExternalConflicts(t *testing.T) {
 	}
 	cg := testCG(t, g)
 	col := coloring.New(g.N(), g.MaxDegree())
-	var optsList []Options
+	// The cliques are vertex-disjoint, so their trials run one after the
+	// other on one stream.
+	trialRNG := graph.NewRand(7)
 	for k := 0; k < 2; k++ {
 		var members []int
 		for v := 0; v < g.N(); v++ {
@@ -80,26 +82,23 @@ func TestRunLeavesOnlyExternalConflicts(t *testing.T) {
 				members = append(members, v)
 			}
 		}
-		optsList = append(optsList, Options{
+		res, err := Run(cg, col, Options{
 			Phase:        "sct",
 			Members:      members,
 			Participants: members,
-		})
-	}
-	results, err := RunAll(cg, col, optsList, graph.NewRand(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coloring.VerifyProper(g, col); err != nil {
-		t.Fatal(err)
-	}
-	for k, res := range results {
+		}, trialRNG)
+		if err != nil {
+			t.Fatalf("clique %d: %v", k, err)
+		}
 		uncolored := res.Tried - res.Colored
 		// Average external degree ≈ 6; Lemma 4.13 bounds leftovers by
 		// O(e_K). 25 is a generous constant for 50-vertex cliques.
 		if uncolored > 25 {
 			t.Fatalf("clique %d left %d/50 uncolored, want O(e_K)", k, uncolored)
 		}
+	}
+	if err := coloring.VerifyProper(g, col); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 const Empty = -1
 
 // MaxCell8 is the saturation ceiling of the max kernel's cells. Fill values
-// are trailing-zero counts, at most 64, and weighted draws stay below 117,
-// so organic rows never reach it; SaturateCell8 defines the behavior for hand-built or adversarially
-// decoded values anyway: cells clamp here, merging preserves the ceiling
+// are trailing-zero counts, at most 64, so organic rows never reach it;
+// SaturateCell8 defines the behavior for hand-built or adversarially decoded
+// values anyway: cells clamp here, merging preserves the ceiling
 // (the max of in-range values is in range), and the estimator clamps
 // saturated cells into its top histogram bucket, so a saturated row still
 // satisfies the merge laws and estimates to a finite value.

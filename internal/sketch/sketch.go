@@ -12,24 +12,23 @@
 // byte-identical every time. The one kernel is the paper's Section 5
 // fingerprint (per-trial geometric maxima, Lemma 5.2-style estimation, the
 // Lemma 5.5–5.6 deviation encoding). internal/fingerprint keeps the paper's
-// vocabulary on top of it (the sample draws, the trial budget, the Lemma 9.4
-// weighted sum), and the decomposition, Algorithm 7's fingerprint matching
-// and the machine-level distsim replays all merge through MergeMax8, so
-// vertex-level and machine-level execution share one merge implementation.
+// vocabulary on top of it (the sample draw and the trial budget), and the
+// decomposition, Algorithm 7's fingerprint matching and the machine-level
+// distsim replays all merge through MergeMax8, so vertex-level and
+// machine-level execution share one merge implementation.
 //
 // # Cell width
 //
 // Every row is int8. Cells hold maxima of geometric(1/2) samples — at most
-// 64 (one machine word of trailing zeros), or below 117 for the weighted
-// draws of fingerprint.MaxGeometricOf — under the MaxCell8 = 127 saturation
-// ceiling. Cells saturate at MaxCell8 (SaturateCell8): merging preserves the
-// ceiling (max of in-range values stays in range) and the estimator clamps
-// saturated values into its histogram, so a saturated row still obeys the
-// merge laws and estimates to a documented finite value. One byte per cell
-// keeps the collect wave, the per-edge merges, and the shard boundary
-// exchange — the most-trafficked paths in the repo — at the least memory
-// traffic. The Cell type parameter stays on the API only because callers
-// such as the perfbench harness instantiate it (NewEngine[int8],
+// 64 (one machine word of trailing zeros) — under the MaxCell8 = 127
+// saturation ceiling. Cells saturate at MaxCell8 (SaturateCell8): merging
+// preserves the ceiling (max of in-range values stays in range) and the
+// estimator clamps saturated values into its histogram, so a saturated row
+// still obeys the merge laws and estimates to a documented finite value. One
+// byte per cell keeps the collect wave, the per-edge merges, and the shard
+// boundary exchange — the most-trafficked paths in the repo — at the least
+// memory traffic. The Cell type parameter stays on the API only because
+// callers such as the perfbench harness instantiate it (NewEngine[int8],
 // MaxEstimator[int8], Scratch[int8]); it admits int8 alone.
 //
 // # Kernels, stride and alignment
