@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-smoke bench-engine bench-graph bench-color bench-distsim bench-acd bench-sketch bench-shard bench-speedup bench-speedup-smoke bench-compare tables benchjson vet fmt check
+.PHONY: build test race fuzz bench bench-smoke bench-distsim bench-acd bench-sketch bench-shard bench-speedup bench-speedup-smoke bench-compare tables vet fmt check
 
 build:
 	$(GO) build ./...
@@ -34,12 +34,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-bench-graph:
-	$(GO) run ./cmd/benchtables -graphbench BENCH_graph.json
-
-bench-color:
-	$(GO) run ./cmd/benchtables -colorbench BENCH_color.json
-
 bench-distsim:
 	$(GO) run ./cmd/benchtables -distsimbench BENCH_distsim.json
 
@@ -48,9 +42,9 @@ bench-distsim:
 bench-acd:
 	$(GO) run ./cmd/benchtables -acdbench BENCH_acd.json
 
-# Sketch-engine microbench: merge kernels in isolation, collect waves at
-# parallelism 1/2/4/NumCPU, and the bits-per-vertex/accuracy profile of the
-# estimator.
+# Sketch-engine bench: collect waves at parallelism 1/2/4/NumCPU and the
+# bits-per-vertex/accuracy profile of the estimator. The isolated merge
+# kernels are internal/sketch's go-test benchmarks.
 bench-sketch:
 	$(GO) run ./cmd/benchtables -sketchbench BENCH_sketch.json
 
@@ -90,13 +84,6 @@ bench-compare:
 
 tables:
 	$(GO) run ./cmd/benchtables
-
-# Round-engine + experiment-runner microbench (BENCH_engine.json), part of
-# the bench-* family; benchjson is the historical alias.
-bench-engine:
-	$(GO) run ./cmd/benchtables -enginebench BENCH_engine.json
-
-benchjson: bench-engine
 
 vet:
 	$(GO) vet ./...

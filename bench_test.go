@@ -15,6 +15,7 @@ import (
 	"clustercolor/internal/benchwork"
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
+	"clustercolor/internal/core"
 	"clustercolor/internal/experiments"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/graph"
@@ -161,9 +162,8 @@ func BenchmarkA5ReservedAblation(b *testing.B) {
 }
 
 // --- runner benchmark ----------------------------------------------------
-// The workload lives in internal/benchwork, shared with the benchtables
-// -enginebench emitter so BENCH_engine.json stays comparable to it. The
-// round engine's own benchmark (BenchmarkEngineStep) is in internal/network.
+// The workload lives in internal/benchwork. The round engine's own benchmark
+// (BenchmarkEngineStep) is in internal/network.
 
 // BenchmarkExperimentRunner measures a cross-section of the experiment
 // battery at sequential and full parallelism; the emitted tables are
@@ -193,10 +193,9 @@ func BenchmarkExperimentRunner(b *testing.B) {
 }
 
 // BenchmarkGraphGen measures the O(n+m) instance generators at the scales
-// the ROADMAP's scenarios need, up to a million vertices. The workloads live
-// in internal/benchwork, shared with the benchtables -graphbench emitter so
-// BENCH_graph.json stays comparable to these. GNP and geometric run at two
-// sizes a decade apart: linear scaling shows as ≈10× ns/op between them.
+// the ROADMAP's scenarios need, up to a million vertices (the workloads live
+// in internal/benchwork). GNP and geometric run at two sizes a decade apart:
+// linear scaling shows as ≈10× ns/op between them.
 func BenchmarkGraphGen(b *testing.B) {
 	for _, w := range benchwork.GraphGenWorkloads() {
 		b.Run(w.Name, func(b *testing.B) {
@@ -215,9 +214,10 @@ func BenchmarkGraphGen(b *testing.B) {
 }
 
 // BenchmarkColor measures the full coloring pipeline per stage-level
-// workload (internal/benchwork.ColorWorkloads, shared with the benchtables
-// -colorbench emitter so BENCH_color.json stays comparable). allocs/op here
-// is the headline number the bitset palette machinery is accountable for.
+// workload (internal/benchwork.ColorWorkloads). allocs/op here is the
+// headline number the bitset palette machinery is accountable for. The
+// rounds and fallback_rounds metrics are the charged rounds of the seed-1
+// run (iteration 0), so they are deterministic at any -benchtime.
 func BenchmarkColor(b *testing.B) {
 	for _, w := range benchwork.ColorWorkloads() {
 		b.Run(w.Name, func(b *testing.B) {
@@ -228,6 +228,7 @@ func BenchmarkColor(b *testing.B) {
 			params := w.Params(h.N())
 			b.ReportAllocs()
 			b.ResetTimer()
+			var first *core.Stats
 			for i := 0; i < b.N; i++ {
 				stats, err := benchwork.RunColor(h, params, uint64(i)+1)
 				if err != nil {
@@ -236,7 +237,12 @@ func BenchmarkColor(b *testing.B) {
 				if stats.Rounds <= 0 {
 					b.Fatal("no rounds charged")
 				}
+				if i == 0 {
+					first = stats
+				}
 			}
+			b.ReportMetric(float64(first.Rounds), "rounds")
+			b.ReportMetric(float64(first.FallbackRounds), "fallback_rounds")
 		})
 	}
 }
@@ -276,8 +282,8 @@ func BenchmarkACD(b *testing.B) {
 // BenchmarkPaletteOps measures the palette primitives on the shared GNP
 // deg≈64 fixture: the caller-owned PaletteScratch paths must report zero
 // allocs/op, and the package-level wrappers at most one (Palette's result).
-// The case table lives in internal/benchwork, shared with the benchtables
-// -colorbench emitter.
+// The case table lives in internal/benchwork, whose
+// TestPaletteOpCasesAllocs pins that contract.
 func BenchmarkPaletteOps(b *testing.B) {
 	g, col, err := benchwork.PaletteOpsFixture(100_000)
 	if err != nil {

@@ -23,7 +23,6 @@ package clustercolor
 
 import (
 	"fmt"
-	"math/bits"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
@@ -137,7 +136,8 @@ func (t Topology) expandTopology() graph.ClusterTopology {
 
 // Options configures a coloring run.
 type Options struct {
-	// Topology is the cluster wiring (default Singleton).
+	// Topology is the cluster wiring (default Singleton). A value other
+	// than 0 and the constants above is an error.
 	Topology Topology
 	// MachinesPerCluster sizes each cluster (default 1; ignored for
 	// Singleton).
@@ -146,7 +146,7 @@ type Options struct {
 	// edge (default 1), capped at MachinesPerCluster², the distinct
 	// machine pairs between two clusters. Higher values exercise the
 	// double-counting hazards the paper's aggregation primitives are
-	// designed for.
+	// designed for. A negative value is an error.
 	RedundantLinks int
 	// BandwidthBits is the per-link per-round budget (default
 	// 2·⌈log₂ n⌉ + 16, the model's Θ(log n)).
@@ -159,12 +159,30 @@ type Options struct {
 	// stage partitions the graph into, with explicit boundary exchanges
 	// between sketch waves. 0 or 1 runs one slice that shares the graph's
 	// memory and exchanges nothing. The coloring and charged rounds are
-	// byte-identical at every count. Overrides Params.Shards when positive.
+	// byte-identical at every count. Overrides Params.Shards when positive;
+	// a negative value is an error.
 	Shards int
 	// Seed drives all randomness (expansion and algorithm). It always
 	// takes effect — 0 is a valid explicit seed, not "unset" — and
 	// overrides Params.Seed.
 	Seed uint64
+}
+
+// validate rejects option values no run would honor as given: a Topology
+// outside the declared constants, which expandTopology maps to Singleton,
+// and a negative RedundantLinks or Shards, which the expansion and
+// resolveParams would read as the default.
+func (o Options) validate() error {
+	if o.Topology < 0 || o.Topology > TreeCluster {
+		return fmt.Errorf("clustercolor: unknown Topology %d", int(o.Topology))
+	}
+	if o.RedundantLinks < 0 {
+		return fmt.Errorf("clustercolor: RedundantLinks %d is negative", o.RedundantLinks)
+	}
+	if o.Shards < 0 {
+		return fmt.Errorf("clustercolor: Shards %d is negative", o.Shards)
+	}
+	return nil
 }
 
 // resolveParams returns opts.Params with the zero value replaced by
@@ -218,13 +236,9 @@ func (r *Result) Stats() *core.Stats { return r.stats }
 // CostSummary renders the per-phase round breakdown.
 func (r *Result) CostSummary() string { return r.cost.Summary() }
 
-// DefaultBandwidth returns the Θ(log n) default link budget for n machines.
-func DefaultBandwidth(n int) int {
-	if n < 2 {
-		n = 2
-	}
-	return 2*bits.Len(uint(n)) + 16
-}
+// DefaultBandwidth returns the Θ(log n) default link budget for n machines
+// (network.DefaultBandwidth).
+func DefaultBandwidth(n int) int { return network.DefaultBandwidth(n) }
 
 // Color computes a (Δ+1)-coloring of h under the given options and verifies
 // it before returning.
@@ -267,6 +281,9 @@ func Verify(h *Graph, colors []int) error {
 }
 
 func buildClusterGraph(h *Graph, opts Options) (*cluster.CG, *network.CostModel, error) {
+	if err := opts.validate(); err != nil {
+		return nil, nil, err
+	}
 	spec := graph.ExpandSpec{
 		Topology:           opts.Topology.expandTopology(),
 		MachinesPerCluster: opts.MachinesPerCluster,

@@ -241,6 +241,30 @@ func TestColorHugeRedundantLinks(t *testing.T) {
 	}
 }
 
+// TestColorRejectsInvalidOptions pins that Color refuses options it would
+// otherwise quietly replace (an unknown Topology would run a singleton
+// network, RedundantLinks -2 one link per edge, and Shards -1 one slice),
+// and returns an error for a cluster size whose machine count overflows the
+// int32 network ids instead of panicking in makeslice.
+func TestColorRejectsInvalidOptions(t *testing.T) {
+	h := mustGNP(t, 200, 0.05, 1)
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"topology 99", Options{Topology: 99, MachinesPerCluster: 3}, "Topology"},
+		{"topology -1", Options{Topology: -1}, "Topology"},
+		{"redundant links -2", Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: -2}, "RedundantLinks"},
+		{"shards -1", Options{Shards: -1}, "Shards"},
+		{"2^40 machines per cluster", Options{Topology: PathCluster, MachinesPerCluster: 1 << 40}, "int32"},
+	} {
+		if _, err := Color(h, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Color error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestBuildClusterGraphSharesH pins the CONGEST fast path at the library
 // boundary: with one machine per cluster the communication network is the
 // input graph itself, and building the cluster layer costs O(n) bytes, not a

@@ -23,6 +23,9 @@ import (
 // clusterOf must assign every machine a cluster id in [0, k) for some k,
 // and every cluster must induce a connected subgraph of g.
 func ColorClustered(g *Graph, clusterOf []int, opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	h, exp, err := contract(g, clusterOf)
 	if err != nil {
 		return nil, err
@@ -111,6 +114,9 @@ func contract(g *Graph, clusterOf []int) (*Graph, *graph.Expansion, error) {
 // congestion overhead factor. The returned colors, indexed by g's vertices,
 // are distinct within every distance-2 pair and use at most Δ²+1 colors.
 func ColorDistance2(g *Graph, opts Options) (*Result, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	vg, err := virtual.Distance2(g)
 	if err != nil {
 		return nil, err

@@ -87,6 +87,9 @@ func TestColorClusteredValidation(t *testing.T) {
 			t.Fatalf("ColorClustered with cluster %d: error %v, want a density error", huge, err)
 		}
 	}
+	if _, err := ColorClustered(g, clusterOf, Options{Shards: -1}); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("ColorClustered with Shards -1: error %v, want one naming Shards", err)
+	}
 	// Disconnected cluster: machines 0 and 7 as one cluster.
 	disc := append([]int(nil), clusterOf...)
 	disc[0] = 2

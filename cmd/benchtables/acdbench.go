@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"testing"
 
 	"clustercolor/internal/acd"
 	"clustercolor/internal/benchwork"
@@ -15,8 +12,8 @@ import (
 // acdBenchReport is the BENCH_acd.json schema: one record per decomposition
 // workload with what the representative run found (dense/sparse/cabal
 // counts), what it charged (rounds, peak sketch payload), and the timings.
-// It tracks the perf trajectory of the fingerprint→ACD→profile stack the
-// way BENCH_color.json tracks the coloring pipeline.
+// It tracks the perf trajectory of the fingerprint→ACD→profile stack, and
+// CI gates its million-vertex row against BENCH_acd_baseline.json.
 type acdBenchReport struct {
 	Schema      string `json:"schema"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
@@ -113,20 +110,13 @@ func emitACDBenchWorkloads(path string, seed uint64, maxN int, workloads []bench
 				rec.Sparse--
 			}
 		}
-		var loopErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := benchwork.RunACDOnce(cg, w.Eps, seed+uint64(i)+1, ws); err != nil {
-					loopErr = fmt.Errorf("%s: %w", w.Name, err)
-					b.Fatal(err)
-				}
-			}
+		rec.benchResult, err = measure(w.Name, func(i int) error {
+			_, _, err := benchwork.RunACDOnce(cg, w.Eps, seed+uint64(i)+1, ws)
+			return err
 		})
-		if loopErr != nil {
-			return loopErr
+		if err != nil {
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		rec.benchResult = record(w.Name, r)
 		rec.Edges = h.M()
 		report.Benchmarks = append(report.Benchmarks, rec)
 		curves, err := acdCurves(w, cg, ws, seed, levels)
@@ -135,14 +125,5 @@ func emitACDBenchWorkloads(path string, seed uint64, maxN int, workloads []bench
 		}
 		report.Curves = append(report.Curves, curves...)
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
+	return writeReport(path, report)
 }

@@ -42,8 +42,8 @@ type compareRow struct {
 // collectCompareRows walks an unmarshalled BENCH_*.json generically and
 // returns every object that carries an ns_per_op measurement, keyed by its
 // JSON path plus all identity fields. The walk is schema-agnostic so one
-// tool covers every artifact family (engine, graph, color, acd, sketch,
-// shard, speedup) and future ones for free.
+// tool covers every artifact family (acd, sketch, shard, speedup, distsim)
+// and future ones for free.
 func collectCompareRows(v any, path string, out map[string]compareRow) error {
 	switch node := v.(type) {
 	case map[string]any:

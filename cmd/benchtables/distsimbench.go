@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"testing"
 
 	"clustercolor/internal/distsim"
 	"clustercolor/internal/experiments"
@@ -15,9 +12,7 @@ import (
 // conformance scenario with the timing of a full machine-granularity
 // conformance run and, per primitive, the engine-measured communication
 // rounds next to the cost-model charge (plus bandwidth usage). It gives
-// engine-level primitive cost a tracked trajectory the way
-// BENCH_engine.json does for raw rounds and BENCH_color.json for the
-// vertex-level pipeline.
+// engine-level primitive cost a tracked trajectory.
 type distsimBenchReport struct {
 	Schema      string                 `json:"schema"`
 	GoMaxProcs  int                    `json:"gomaxprocs"`
@@ -50,28 +45,18 @@ func emitDistsimBenchScenarios(path string, seed uint64, scenarios []distsim.Sce
 	}
 	for _, sc := range scenarios {
 		var rep *distsim.Report
-		var loopErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				got, err := distsim.Conformance(sc, seed, 0)
-				if err != nil {
-					loopErr = fmt.Errorf("%s: %w", sc.Name, err)
-					b.Fatal(err)
-				}
-				if rep == nil {
-					rep = got
-				}
+		res, err := measure("Conformance/"+sc.Name, func(int) error {
+			got, err := distsim.Conformance(sc, seed, 0)
+			if rep == nil {
+				rep = got
 			}
+			return err
 		})
-		if loopErr != nil {
-			return loopErr
-		}
-		if rep == nil {
-			return fmt.Errorf("%s: benchmark ran zero iterations", sc.Name)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sc.Name, err)
 		}
 		rec := distsimScenarioBench{
-			benchResult: record("Conformance/"+sc.Name, r),
+			benchResult: res,
 			Vertices:    rep.Vertices,
 			Dilation:    rep.Dilation,
 			Primitives:  rep.Primitives,
@@ -79,14 +64,5 @@ func emitDistsimBenchScenarios(path string, seed uint64, scenarios []distsim.Sce
 		rec.Machines = rep.Machines
 		report.Scenarios = append(report.Scenarios, rec)
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
+	return writeReport(path, report)
 }

@@ -6,9 +6,6 @@
 //	benchtables -id E7,E8            # selected experiments
 //	benchtables -seed 9              # different randomness
 //	benchtables -parallel 1          # sequential reference run (same output)
-//	benchtables -enginebench out.json  # emit engine benchmarks instead
-//	benchtables -graphbench out.json   # emit graph-generator benchmarks instead
-//	benchtables -colorbench out.json   # emit stage-level coloring benchmarks instead
 //	benchtables -distsimbench out.json # emit machine-granularity conformance benchmarks instead
 //	benchtables -acdbench out.json     # emit decomposition benchmarks instead (-acdn caps size)
 //	benchtables -sketchbench out.json  # emit sketch-engine benchmarks instead (-sketchn caps size)
@@ -18,20 +15,21 @@
 //
 // Tables are computed by a parallel runner that fans experiments and their
 // rows across CPUs; the output is byte-identical for every -parallel value.
-// -enginebench benchmarks one gossip round of the round engine over the
-// one-slice partition and the experiment runner, and writes a
-// machine-readable JSON report (conventionally BENCH_engine.json). -graphbench does the same for the
-// O(n+m) instance generators (conventionally BENCH_graph.json), and
-// -colorbench for the coloring pipeline itself with per-stage round
-// breakdowns and palette micro-benchmarks (conventionally BENCH_color.json).
+// The five -*bench emitters write machine-readable JSON reports
+// (conventionally BENCH_<kind>.json) of what a run found and charged beside
+// its timings, through one report writer; -acdbench, -sketchbench,
+// -shardbench and -distsimbench time their rows with testing.Benchmark
+// through one measure helper. The round engine, the instance generators,
+// Color's stage-level workloads, the palette primitives and the isolated
+// sketch kernels have no emitter: their `go test -bench` benchmarks
+// (BenchmarkColor reports the rounds of its seed-1 run) measure the same
+// workloads.
 // -acdbench benchmarks the fingerprint→ACD→profile decomposition stack
 // (conventionally BENCH_acd.json) with dense/sparse/cabal counts and peak
 // sketch payloads per workload. -sketchbench benchmarks the mergeable-sketch
-// engine itself (conventionally BENCH_sketch.json): the isolated merge
-// kernel (AVX2 where the CPU has it, SWAR otherwise) against its scalar
-// reference, collect waves at parallelism
-// 1/2/4/NumCPU, and bits-per-vertex plus accuracy for every estimator
-// variant. -shardbench benchmarks the partitioned execution substrate
+// engine's collect waves (conventionally BENCH_sketch.json) at parallelism
+// 1/2/4/NumCPU, plus bits-per-vertex and accuracy of the estimator.
+// -shardbench benchmarks the partitioned execution substrate
 // (conventionally BENCH_shard.json): the decomposition at shard counts
 // 1/2/4/8 × parallelism 1/2/4/NumCPU against an unsharded reference, with
 // charged rounds asserted shard-invariant and the cross-shard
@@ -71,10 +69,6 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "also run the ablation battery (A1–A5)")
 		format     = flag.String("format", "table", "output format: table | csv")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment runner parallelism (1 = sequential)")
-		benchOut   = flag.String("enginebench", "", "run engine benchmarks and write BENCH_engine.json to this path ('-' = stdout), then exit")
-		benchN     = flag.Int("benchn", 10000, "machine count for -enginebench")
-		graphOut   = flag.String("graphbench", "", "run graph-generator benchmarks and write BENCH_graph.json to this path ('-' = stdout), then exit")
-		colorOut   = flag.String("colorbench", "", "run stage-level coloring benchmarks and write BENCH_color.json to this path ('-' = stdout), then exit")
 		distsimOut = flag.String("distsimbench", "", "run the machine-granularity conformance benchmarks and write BENCH_distsim.json to this path ('-' = stdout), then exit")
 		acdOut     = flag.String("acdbench", "", "run decomposition benchmarks and write BENCH_acd.json to this path ('-' = stdout), then exit")
 		acdN       = flag.Int("acdn", 0, "skip -acdbench workloads with more than this many vertices (0 = no cap; CI smoke uses a small cap)")
@@ -95,68 +89,30 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchtables: -compare old.json takes exactly one positional argument: the new artifact")
 			os.Exit(2)
 		}
-		if err := runCompare(os.Stdout, *compareOld, flag.Arg(0)); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
+		check(runCompare(os.Stdout, *compareOld, flag.Arg(0)))
 		return
 	}
 	experiments.SetParallelism(*parallel)
 	requireFullGrid = *fullGrid
-	if *benchOut != "" || *graphOut != "" || *colorOut != "" || *distsimOut != "" || *acdOut != "" || *sketchOut != "" || *shardOut != "" || *speedupOut != "" {
-		if *benchOut != "" {
-			if err := emitEngineBench(*benchOut, *benchN, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
+	emitted := false
+	emit := func(path string, run func(path string) error) {
+		if path != "" {
+			emitted = true
+			check(run(path))
 		}
-		if *graphOut != "" {
-			if err := emitGraphBench(*graphOut, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
+	}
+	emit(*distsimOut, func(path string) error { return emitDistsimBench(path, *seed) })
+	emit(*acdOut, func(path string) error { return emitACDBench(path, *seed, *acdN) })
+	emit(*sketchOut, func(path string) error { return emitSketchBench(path, *seed, *sketchN) })
+	emit(*shardOut, func(path string) error { return emitShardBench(path, *seed, *shardN, *streamN) })
+	emit(*speedupOut, func(path string) error {
+		grid, err := parseParGrid(*speedupGr)
+		if err != nil {
+			return err
 		}
-		if *colorOut != "" {
-			if err := emitColorBench(*colorOut, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *distsimOut != "" {
-			if err := emitDistsimBench(*distsimOut, *seed); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *acdOut != "" {
-			if err := emitACDBench(*acdOut, *seed, *acdN); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *sketchOut != "" {
-			if err := emitSketchBench(*sketchOut, *seed, *sketchN); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *shardOut != "" {
-			if err := emitShardBench(*shardOut, *seed, *shardN, *streamN); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
-		if *speedupOut != "" {
-			grid, err := parseParGrid(*speedupGr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-			if err := emitSpeedupBench(*speedupOut, *seed, *speedupN, grid); err != nil {
-				fmt.Fprintln(os.Stderr, "benchtables:", err)
-				os.Exit(1)
-			}
-		}
+		return emitSpeedupBench(path, *seed, *speedupN, grid)
+	})
+	if emitted {
 		return
 	}
 	want := map[string]bool{}
@@ -171,16 +127,10 @@ func main() {
 		}
 	}
 	tables, err := experiments.All(*seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(1)
-	}
+	check(err)
 	if *ablations || wantAblation {
 		abl, err := experiments.Ablations(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
+		check(err)
 		tables = append(tables, abl...)
 	}
 	for _, t := range tables {
@@ -192,5 +142,13 @@ func main() {
 		} else {
 			fmt.Println(t.Render())
 		}
+	}
+}
+
+// check prints a non-nil err and exits with status 1.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(1)
 	}
 }

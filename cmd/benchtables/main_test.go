@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,23 @@ import (
 	"clustercolor/internal/distsim"
 	"clustercolor/internal/experiments"
 )
+
+// TestMain runs each emitter benchmark body once (-test.benchtime=1x)
+// unless the caller passed -benchtime: the emitter tests check schemas and
+// invariants, not timings, and testing.Benchmark's default 1 s per row is
+// most of their cost.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "test.benchtime" })
+	if !set {
+		if err := flag.Set("test.benchtime", "1x"); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+	}
+	os.Exit(m.Run())
+}
 
 // TestTablesRenderAndCSVRoundTrip smoke-tests the full battery the command
 // prints: every table renders with its id banner, and its CSV form parses
@@ -61,46 +79,6 @@ func TestTablesRenderAndCSVRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestEmitEngineBench exercises the BENCH_engine.json emitter end-to-end on
-// a small graph and validates the report schema.
-func TestEmitEngineBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark emitter in short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := emitEngineBench(path, 400, 7); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if report.Schema != "clustercolor/bench-engine/v1" {
-		t.Fatalf("schema = %q", report.Schema)
-	}
-	names := map[string]benchResult{}
-	for _, b := range report.Benchmarks {
-		if b.Iterations <= 0 || b.NsPerOp <= 0 {
-			t.Errorf("benchmark %s has empty measurements: %+v", b.Name, b)
-		}
-		names[b.Name] = b
-	}
-	pooled, ok := names["EngineStep/pooled"]
-	if !ok {
-		t.Fatal("missing EngineStep/pooled")
-	}
-	if pooled.Machines != 400 {
-		t.Fatalf("EngineStep/pooled machines = %d, want 400", pooled.Machines)
-	}
-	if _, ok := names["ExperimentRunner/parallel-1"]; !ok {
-		t.Fatal("missing ExperimentRunner/parallel-1")
 	}
 }
 

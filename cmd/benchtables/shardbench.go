@@ -2,12 +2,10 @@ package main
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"runtime"
-	"testing"
 	"time"
 
 	"clustercolor/internal/acd"
@@ -174,25 +172,19 @@ func emitShardBenchWorkloads(path string, seed uint64, maxN, streamN int, worklo
 		// fixed across all iterations and cells so the byte-identity contract
 		// makes the round assertion exact.
 		var refRounds int64
-		var loopErr error
 		prev := parwork.SetParallelism(1)
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				before := cg.Cost().Rounds()
-				if _, _, err := benchwork.RunACDOnce(cg, w.Eps, seed, ws); err != nil {
-					loopErr = fmt.Errorf("%s: %w", w.Name, err)
-					b.Fatal(err)
-				}
-				refRounds = cg.Cost().Rounds() - before
-			}
+		res, err := measure(w.Name+"/unsharded", func(int) error {
+			before := cg.Cost().Rounds()
+			_, _, err := benchwork.RunACDOnce(cg, w.Eps, seed, ws)
+			refRounds = cg.Cost().Rounds() - before
+			return err
 		})
 		parwork.SetParallelism(prev)
-		if loopErr != nil {
-			return loopErr
+		if err != nil {
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
 		ref := shardBenchResult{
-			benchResult: record(w.Name+"/unsharded", r),
+			benchResult: res,
 			Vertices:    h.N(),
 			Delta:       h.MaxDegree(),
 			Rounds:      refRounds,
@@ -221,22 +213,17 @@ func emitShardBenchWorkloads(path string, seed uint64, maxN, streamN int, worklo
 				// parallelism knob at construction, so it is built inside the
 				// SetParallelism scope.
 				se := shard.NewEngine(sg, sketch.MaxKernel{})
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						se.ResetStats()
-						before := cg.Cost().Rounds()
-						if _, _, err := benchwork.RunACDShardedOnce(cg, se, w.Eps, seed, ws); err != nil {
-							loopErr = fmt.Errorf("%s: shards=%d par=%d: %w", w.Name, k, par, err)
-							b.Fatal(err)
-						}
-						rounds = cg.Cost().Rounds() - before
-						stats = se.Stats
-					}
+				res, err := measure(fmt.Sprintf("%s/shards=%d/par=%d", w.Name, k, par), func(int) error {
+					se.ResetStats()
+					before := cg.Cost().Rounds()
+					_, _, err := benchwork.RunACDShardedOnce(cg, se, w.Eps, seed, ws)
+					rounds = cg.Cost().Rounds() - before
+					stats = se.Stats
+					return err
 				})
 				parwork.SetParallelism(prev)
-				if loopErr != nil {
-					return loopErr
+				if err != nil {
+					return fmt.Errorf("%s: shards=%d par=%d: %w", w.Name, k, par, err)
 				}
 				if rounds != refRounds {
 					return fmt.Errorf("%s: shards=%d par=%d charged %d rounds, unsharded reference charged %d — sharding must not change the round budget",
@@ -246,7 +233,7 @@ func emitShardBenchWorkloads(path string, seed uint64, maxN, streamN int, worklo
 					return fmt.Errorf("%s: single shard exchanged %d rows", w.Name, stats.Rows)
 				}
 				rec := shardBenchResult{
-					benchResult:    record(fmt.Sprintf("%s/shards=%d/par=%d", w.Name, k, par), r),
+					benchResult:    res,
 					Vertices:       h.N(),
 					Delta:          h.MaxDegree(),
 					Shards:         k,
@@ -281,16 +268,7 @@ func emitShardBenchWorkloads(path string, seed uint64, maxN, streamN int, worklo
 			return err
 		}
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
+	return writeReport(path, report)
 }
 
 // streamSizes returns the GNP ladder the streaming rows run at, capped at

@@ -12,10 +12,9 @@ import (
 )
 
 // TestEmitSketchBench exercises the BENCH_sketch.json emitter end-to-end on
-// a small workload and validates the report schema: all three isolated merge
-// kernels measured, one wave record per parallelism level, one estimator
-// record per variant with sane wire sizes and errors, and the -sketchn cap
-// honored.
+// a small workload and validates the report schema: one wave record per
+// parallelism level, one estimator record per variant with sane wire sizes
+// and errors, and the -sketchn cap honored.
 func TestEmitSketchBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark emitter in short mode")
@@ -56,14 +55,6 @@ func TestEmitSketchBench(t *testing.T) {
 	}
 	if report.MaxN != 1000 {
 		t.Fatalf("max_n = %d, want 1000", report.MaxN)
-	}
-	if len(report.Kernels) != 5 {
-		t.Fatalf("got %d kernel records, want 5 (SWAR + generic, paired fold, fused/materialized estimate)", len(report.Kernels))
-	}
-	for _, k := range report.Kernels {
-		if k.Iterations <= 0 || k.NsPerOp <= 0 {
-			t.Fatalf("kernel record has empty measurements: %+v", k)
-		}
 	}
 	// The sweep is the honest grid: every deliverable level of {1,2,4,NumCPU}
 	// gets a row, oversubscribed levels are skipped, and each row records an

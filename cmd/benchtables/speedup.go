@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -63,16 +61,6 @@ func finishCurve(workload, stage string, pts []curvePoint) speedupCurve {
 		}
 	}
 	return c
-}
-
-// curveFromNs builds a finished curve from parallel slices of grid levels and
-// measured costs (the shape the wave-sweep emitters already have in hand).
-func curveFromNs(workload, stage string, levels []int, ns []float64) speedupCurve {
-	pts := make([]curvePoint, len(levels))
-	for i, par := range levels {
-		pts[i] = curvePoint{Parallelism: par, EffectiveParallelism: effectivePar(par), NsPerOp: ns[i]}
-	}
-	return finishCurve(workload, stage, pts)
 }
 
 // stageOrder is the canonical presentation order of stage curves; stages not
@@ -473,16 +461,7 @@ func emitSpeedupBenchWorkloads(path string, seed uint64, maxN int, requested []i
 		}
 		addAll(cs)
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
+	return writeReport(path, report)
 }
 
 // parseParGrid parses a comma-separated parallelism grid ("1,2,4").

@@ -73,7 +73,7 @@ func run() error {
 	}
 	bw := *bandwidth
 	if bw == 0 {
-		bw = defaultBandwidth(exp.G.N())
+		bw = network.DefaultBandwidth(exp.G.N())
 	}
 	cost, err := network.NewCostModel(bw)
 	if err != nil {
@@ -182,12 +182,4 @@ func parseTopology(s string) (graph.ClusterTopology, error) {
 	default:
 		return 0, fmt.Errorf("unknown topology %q", s)
 	}
-}
-
-func defaultBandwidth(machines int) int {
-	bits := 1
-	for 1<<bits < machines+1 {
-		bits++
-	}
-	return 2*bits + 16
 }

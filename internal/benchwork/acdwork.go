@@ -1,7 +1,6 @@
 package benchwork
 
 import (
-	"math/bits"
 	"time"
 
 	"clustercolor/internal/acd"
@@ -84,11 +83,7 @@ func NewACDInstance(h *graph.Graph, seed uint64) (*cluster.CG, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := exp.G.N()
-	if n < 2 {
-		n = 2
-	}
-	cost, err := network.NewCostModel(2*bits.Len(uint(n)) + 16)
+	cost, err := network.NewCostModel(network.DefaultBandwidth(exp.G.N()))
 	if err != nil {
 		return nil, err
 	}

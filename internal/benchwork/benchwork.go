@@ -1,7 +1,11 @@
-// Package benchwork holds the benchmark workloads shared by the repo's
-// go-test benchmarks (bench_test.go) and the benchtables -enginebench /
-// -graphbench emitters. Both measure exactly these, so BENCH_engine.json
-// and BENCH_graph.json numbers stay comparable to `go test -bench` output.
+// Package benchwork holds the repo's benchmark workloads: the instance
+// generators (BenchmarkGraphGen), the experiment-runner cross-section
+// (BenchmarkExperimentRunner), Color's stage-level workloads and palette
+// primitives (BenchmarkColor, BenchmarkPaletteOps, -speedupbench), the
+// decomposition matrix (BenchmarkACD, -acdbench, -shardbench,
+// -speedupbench) and the sketch waves (-sketchbench, -speedupbench). A
+// go-test benchmark and a cmd/benchtables emitter that share a workload
+// time the same instances.
 package benchwork
 
 import (
@@ -10,33 +14,7 @@ import (
 
 	"clustercolor/internal/experiments"
 	"clustercolor/internal/graph"
-	"clustercolor/internal/network"
 )
-
-// gossip sends one small message to every neighbor each round — the
-// steady-state traffic pattern that stresses the engine's scheduling and
-// delivery paths rather than any particular protocol.
-type gossip struct {
-	id        int
-	neighbors []int32
-}
-
-func (m *gossip) Step(round int, inbox []network.Message) ([]network.Message, error) {
-	out := make([]network.Message, 0, len(m.neighbors))
-	for _, nb := range m.neighbors {
-		out = append(out, network.Message{From: m.id, To: int(nb), Bits: 8, Payload: round})
-	}
-	return out, nil
-}
-
-// GossipMachines returns one gossip machine per vertex of g.
-func GossipMachines(g *graph.Graph) []network.Machine {
-	ms := make([]network.Machine, g.N())
-	for i := 0; i < g.N(); i++ {
-		ms[i] = &gossip{id: i, neighbors: g.Neighbors(i)}
-	}
-	return ms
-}
 
 // GraphGenWorkload is one graph-generation benchmark case: a named
 // generator invocation at a fixed size.

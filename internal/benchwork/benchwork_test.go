@@ -1,31 +1,38 @@
 package benchwork
 
-import (
-	"testing"
+import "testing"
 
-	"clustercolor/internal/graph"
-	"clustercolor/internal/network"
-)
-
-func TestGossipMachinesTraffic(t *testing.T) {
-	g := graph.MustGNP(50, 0.2, graph.NewRand(3))
-	sg, err := graph.NewShardedGraph(g, 1)
+// TestPaletteOpCasesAllocs pins the allocation contract PaletteOpCases
+// documents: every scratch-backed case allocates nothing per op, and the
+// package-level Palette exactly once (its caller-owned result).
+// testing.AllocsPerRun warms each case up before counting, so
+// CliquePaletteRebuild's first build, which sizes its buffers, is not
+// counted.
+func TestPaletteOpCasesAllocs(t *testing.T) {
+	g, col, err := PaletteOpsFixture(2_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := network.NewEngine(sg, GossipMachines(g), 0)
+	cases, err := PaletteOpCases(g, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	for i := 0; i < 3; i++ {
-		if err := eng.Step(); err != nil {
-			t.Fatal(err)
+	if len(cases) != 7 {
+		t.Fatalf("got %d palette cases, want 7", len(cases))
+	}
+	for _, c := range cases {
+		want := 0.0
+		if c.Name == "Palette" {
+			want = 1
 		}
-	}
-	// Every round each machine messages every neighbor: 2m messages/round.
-	if want := int64(3 * 2 * g.M()); eng.Stats().Messages != want {
-		t.Fatalf("messages = %d, want %d", eng.Stats().Messages, want)
+		i := 0
+		got := testing.AllocsPerRun(200, func() {
+			c.Op(i)
+			i++
+		})
+		if got != want {
+			t.Errorf("%s: %v allocs/op, want %v", c.Name, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package benchwork
 
 import (
 	"fmt"
-	"math/bits"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
@@ -13,9 +12,8 @@ import (
 
 // ColorWorkload is one stage-level coloring benchmark case: an instance
 // builder plus the parameters that pin which pipeline runs. The same
-// workloads back BenchmarkColor in bench_test.go and the benchtables
-// -colorbench emitter, so BENCH_color.json stays comparable to
-// `go test -bench Color` output.
+// workloads back BenchmarkColor in bench_test.go and the per-stage curves
+// of the benchtables -speedupbench emitter.
 type ColorWorkload struct {
 	// Name is the benchmark-style identifier (slashes group sub-cases).
 	Name string
@@ -93,11 +91,7 @@ func RunColor(h *graph.Graph, params core.Params, seed uint64) (*core.Stats, err
 	if err != nil {
 		return nil, err
 	}
-	n := exp.G.N()
-	if n < 2 {
-		n = 2
-	}
-	cost, err := network.NewCostModel(2*bits.Len(uint(n)) + 16)
+	cost, err := network.NewCostModel(network.DefaultBandwidth(exp.G.N()))
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +104,8 @@ func RunColor(h *graph.Graph, params core.Params, seed uint64) (*core.Stats, err
 }
 
 // PaletteOpCase is one palette micro-benchmark: a name and the operation to
-// time. The table is shared between BenchmarkPaletteOps (bench_test.go) and
-// the benchtables -colorbench emitter so the two surfaces cannot drift.
+// time. BenchmarkPaletteOps (bench_test.go) times the table, and
+// TestPaletteOpCasesAllocs pins its allocation contract.
 type PaletteOpCase struct {
 	Name string
 	Op   func(i int)

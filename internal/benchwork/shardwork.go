@@ -1,8 +1,6 @@
 package benchwork
 
 import (
-	"math/bits"
-
 	"clustercolor/internal/acd"
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/core"
@@ -40,11 +38,7 @@ func RunACDShardedOnce(cg *cluster.CG, se *shard.Engine[int8], eps float64, seed
 // streaming benchmarks can cross-check against NewACDInstance at sizes where
 // both paths exist.
 func NewStreamedACDInstance(n int) (*cluster.CG, error) {
-	m := n
-	if m < 2 {
-		m = 2
-	}
-	cost, err := network.NewCostModel(2*bits.Len(uint(m)) + 16)
+	cost, err := network.NewCostModel(network.DefaultBandwidth(n))
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // SketchWorkload is one sketch-engine benchmark case: an instance builder
-// plus the accuracy ξ the wave runs with. The same workloads back the
-// benchtables -sketchbench emitter, so BENCH_sketch.json records the engine
+// plus the accuracy ξ the wave runs with. The benchtables -sketchbench and
+// -speedupbench emitters run them, so BENCH_sketch.json records the engine
 // on the instance shapes the decomposition benchmarks already use.
 type SketchWorkload struct {
 	// Name is the benchmark-style identifier (slashes group sub-cases).

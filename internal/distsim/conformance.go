@@ -3,7 +3,6 @@ package distsim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -93,11 +92,7 @@ func Conformance(sc Scenario, seed uint64, engineBandwidth int) (*Report, error)
 	if err != nil {
 		return nil, fmt.Errorf("distsim: %s: expand: %w", sc.Name, err)
 	}
-	nG := exp.G.N()
-	if nG < 2 {
-		nG = 2
-	}
-	modelB := 2*bits.Len(uint(nG)) + 16
+	modelB := network.DefaultBandwidth(exp.G.N())
 	cost, err := network.NewCostModel(modelB)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package distsim
 
 import (
-	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,11 +21,7 @@ func buildTracedCG(t *testing.T, h *graph.Graph, sc Scenario, seed uint64) ([]*c
 	if err != nil {
 		t.Fatal(err)
 	}
-	nG := exp.G.N()
-	if nG < 2 {
-		nG = 2
-	}
-	cost, err := network.NewCostModel(2*bits.Len(uint(nG)) + 16)
+	cost, err := network.NewCostModel(network.DefaultBandwidth(exp.G.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

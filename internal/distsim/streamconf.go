@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"clustercolor/internal/acd"
@@ -59,11 +58,7 @@ func StreamConformance(sc Scenario, seed uint64, shards int) (*StreamReport, err
 	if err != nil {
 		return nil, fmt.Errorf("distsim: %s: expand: %w", sc.Name, err)
 	}
-	nG := exp.G.N()
-	if nG < 2 {
-		nG = 2
-	}
-	modelB := 2*bits.Len(uint(nG)) + 16
+	modelB := network.DefaultBandwidth(exp.G.N())
 	cost, err := network.NewCostModel(modelB)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -84,6 +85,12 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 	}
 	if size == 1 {
 		return oneMachineExpansion(h), nil
+	}
+	// Machine ids are int32 in the network's CSR, so a network past
+	// MaxInt32 machines is refused before any table is sized (the division
+	// keeps the check itself from overflowing).
+	if h.N() > 0 && size > math.MaxInt32/h.N() {
+		return nil, fmt.Errorf("graph: %d clusters of %d machines exceed the int32 machine id range", h.N(), size)
 	}
 	// Two clusters have only size² machine pairs, so more links per H-edge
 	// than that cannot be distinct. The division keeps the bound from

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -89,6 +91,30 @@ func TestExpandRejectsBadSpec(t *testing.T) {
 		if _, err := Expand(Path(3), ExpandSpec{Topology: ClusterTopology(99), MachinesPerCluster: size}, rng); err == nil {
 			t.Fatalf("unknown topology accepted at size %d", size)
 		}
+	}
+}
+
+// TestExpandRejectsMachineIDOverflow pins the int32 machine-id bound: a
+// network of more than MaxInt32 machines is an error before any table is
+// sized (unchecked, 2⁴⁰ machines per cluster panics in makeslice, and a
+// 3-vertex graph one cluster size past the bound asks for ≈17 GB). An empty
+// H has no machines at any cluster size.
+func TestExpandRejectsMachineIDOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		h    *Graph
+		size int
+	}{
+		{MustGNP(200, 0.05, NewRand(1)), 1 << 40},
+		{Path(3), math.MaxInt32/3 + 1},
+	} {
+		_, err := Expand(tc.h, ExpandSpec{Topology: TopologyPath, MachinesPerCluster: tc.size}, NewRand(2))
+		if err == nil || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("n=%d size=%d: error %v, want the int32 machine-id bound", tc.h.N(), tc.size, err)
+		}
+	}
+	exp, err := Expand(NewBuilder(0).Build(), ExpandSpec{Topology: TopologyPath, MachinesPerCluster: 1 << 40}, NewRand(2))
+	if err != nil || exp.G.N() != 0 {
+		t.Fatalf("empty H: %v, %v", exp, err)
 	}
 }
 

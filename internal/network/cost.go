@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -30,6 +31,16 @@ type CostModel struct {
 	totalBits  int64
 	maxPayload int
 	phases     map[string]int64
+}
+
+// DefaultBandwidth returns the model's Θ(log n) per-link budget for a
+// network of n machines: 2·⌈log₂(n+1)⌉ + 16 bits, with n below 2 counted
+// as 2.
+func DefaultBandwidth(n int) int {
+	if n < 2 {
+		n = 2
+	}
+	return 2*bits.Len(uint(n)) + 16
 }
 
 // NewCostModel returns a cost model with the given per-link bandwidth in

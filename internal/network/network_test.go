@@ -509,9 +509,9 @@ func TestEngineRunBudget(t *testing.T) {
 	}
 }
 
-// gossipMachine sends one small message to every neighbor each round, the
-// steady-state traffic of benchwork.GossipMachines (which the -enginebench
-// emitter runs), rebuilt here because benchwork imports this package.
+// gossipMachine sends one small message to every neighbor each round: the
+// steady-state traffic that stresses the engine's scheduling and delivery
+// rather than any particular protocol.
 type gossipMachine struct {
 	id        int
 	neighbors []int32
@@ -643,6 +643,18 @@ func TestCostModelParallelEmpty(t *testing.T) {
 	}
 	if got := c.Parallel("noop", nil); got != 1 {
 		t.Fatalf("empty Parallel = %d rounds, want 1", got)
+	}
+}
+
+// TestDefaultBandwidth pins the Θ(log n) default: 2·bits.Len(n) + 16, with
+// n below 2 counted as 2.
+func TestDefaultBandwidth(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{0, 20}, {1, 20}, {2, 20}, {3, 20}, {1024, 38}, {1 << 20, 58},
+	} {
+		if got := DefaultBandwidth(tc.n); got != tc.want {
+			t.Errorf("DefaultBandwidth(%d) = %d, want %d", tc.n, got, tc.want)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ func benchRows8(width int) (dst, src []int8) {
 // ξ/2 = ε/4, and fingerprint.TrialsFor(0.0625, 10⁵) = 1604 cells.
 const acdRowWidth = 1604
 
-// BenchmarkMergeMax8 measures the 8-lane SWAR merge — the decomposition's
-// hot inner loop — on an arena-aligned row of the width the decomposition
-// actually runs (acdRowWidth).
+// BenchmarkMergeMax8 measures the dispatching merge — AVX2 where the CPU
+// has it, the 8-lane SWAR kernel otherwise and under -race — the
+// decomposition's hot inner loop, on an arena-aligned row of the width the
+// decomposition actually runs (acdRowWidth).
 func BenchmarkMergeMax8(b *testing.B) {
 	dst, src := benchRows8(acdRowWidth)
 	b.SetBytes(int64(2 * len(dst)))
@@ -35,8 +36,8 @@ func BenchmarkMergeMax8(b *testing.B) {
 }
 
 // BenchmarkMergeMax8Generic is the scalar reference on the same rows; the
-// ratio to BenchmarkMergeMax8 is the SWAR speedup reported in
-// BENCH_sketch.json.
+// ratio to BenchmarkMergeMax8 is the kernel's speedup (CI's sketch
+// hot-loop microbench logs both).
 func BenchmarkMergeMax8Generic(b *testing.B) {
 	dst, src := benchRows8(acdRowWidth)
 	b.SetBytes(int64(2 * len(dst)))

@@ -70,8 +70,8 @@ func (MaxKernel) EncodedBits(row []int8) int { return encodedBits(row) }
 
 // MergeMax8 folds src into dst pointwise (dst[i] = max(dst[i], src[i])) and
 // panics if the lengths differ. This is the hot inner loop of every
-// max-kernel fold, so it is benchmarked in isolation (BenchmarkMergeMax8,
-// BENCH_sketch.json).
+// max-kernel fold, so it is benchmarked in isolation (BenchmarkMergeMax8
+// against BenchmarkMergeMax8Generic).
 //
 // On x86-64 with AVX2 (useAVX2) 32 cells merge per VPMAXSB, with unaligned
 // loads, so any row qualifies; the last len%32 cells, and every cell
