@@ -120,6 +120,20 @@ func BenchmarkCutoffMergedCollected(b *testing.B) {
 	benchCutoffMerged(b, x, y)
 }
 
+// BenchmarkCutoffMergedOutliers is BenchmarkCutoffMergedCollected with one
+// cell of every 32-cell step, and the last cell, raised to maxTrackedY,
+// outside the window of the AVX2 statistic: every step then adds float64
+// weights and the tail goes to the SWAR code, the slowest row the kernel
+// can meet.
+func BenchmarkCutoffMergedOutliers(b *testing.B) {
+	x, y := collectedRows8(acdRowWidth)
+	for i := 31; i < len(x); i += 32 {
+		x[i] = maxTrackedY
+	}
+	x[len(x)-1] = maxTrackedY
+	benchCutoffMerged(b, x, y)
+}
+
 // benchCutoffMerged times MergedAtMost on one row pair at benchJoinCut. It
 // fails if a decision needed the inversion, which would time the fallback.
 func benchCutoffMerged(b *testing.B, x, y []int8) {

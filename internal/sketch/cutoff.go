@@ -31,11 +31,12 @@ func init() {
 // harmonicMean is strictly decreasing, so an estimate is at most cut
 // exactly when the raw statistic S = (1/t)·Σ_i 2^−Y_i is at least
 // S* = harmonicMean(cut). A Cutoff computes S* once and answers from S
-// alone: a sum of exact powers of two, 32 cells per step on AVX2 (each
-// weight built from its exponent bits in-register) or one table lookup per
-// cell on the SWAR path. Only a statistic inside the guard band
-// S*·(1 ± 1e-6) goes to the full inversion. Every answer equals the
-// inverting one, for these reasons:
+// alone: a sum of exact powers of two, 32 cells per step on AVX2 (as exact
+// integers in units of the smallest weight of a 16-value window, with
+// float64 weights built from their exponent bits for a step with a cell
+// outside it) or one table lookup per cell on the SWAR path. Only a
+// statistic inside the guard band S*·(1 ± 1e-6) goes to the full
+// inversion. Every answer equals the inverting one, for these reasons:
 //
 //   - The inversion F(S) (invertStatistic) does not increase as S grows, up
 //     to its 1e-10 tolerance. It starts at d = 1/S, and each step
@@ -51,7 +52,10 @@ func init() {
 //     runs the full inversion on every row.
 //   - Summing S in a different order than the estimator's histogram — as
 //     the AVX2 and SWAR kernels each do — moves it by at most ~t·2⁻⁵³
-//     relative (2e-13 at t = 1604), far inside the band.
+//     relative (2e-13 at t = 1604), far inside the band. The AVX2 kernel's
+//     integer part is exact (at most 2^15 units a cell, so below 2^53 for
+//     t < 2^37) and its scaling by a power of two is exact, so it adds at
+//     most one more rounding.
 //   - The boundary cases match fill and estimateFromHist: a zero-width row
 //     compares 0 against cut; an Empty cell weighs 2 and a cell above 64
 //     weighs 2⁻⁶⁴; an all-Empty row has S = 2, the largest any row can
@@ -123,16 +127,19 @@ func (c *Cutoff) MergedAtMost(est *MaxEstimator[int8], a, b []int8) bool {
 }
 
 // statistic returns S of the pointwise max of two equal-length, non-empty
-// rows (statistic(a, a) is S of a). With AVX2 (useAVX2) the first len&^31
-// cells go through weightSumAVX2 and the rest through weightSumSWAR;
-// otherwise weightSumSWAR sums every cell. The two differ only in the order
-// of the additions, which Cutoff's guard band absorbs.
+// rows (statistic(a, a) is S of a). With AVX2 (useAVX2) rows of at least
+// 32 cells go through windowSumAVX2, and weightSumSWAR sums whatever tail
+// it leaves; otherwise weightSumSWAR sums every cell. The window kernel's
+// integer units are exact (below 2^53 for t < 2^37 cells of at most 2^15
+// units), and every float64 weight is an exact power of two, so the paths
+// differ only in the order of the float additions, which Cutoff's guard
+// band absorbs.
 func statistic(a, b []int8) float64 {
 	n := len(a)
 	var s float64
 	if useAVX2 && n >= 32 {
-		s = weightSumAVX2(a, b)
-		m := n &^ 31
+		units, shift, rest, m := windowSumAVX2(a, b)
+		s = math.Ldexp(float64(units), -shift) + rest
 		a, b = a[m:], b[m:]
 	}
 	return (s + weightSumSWAR(a, b)) / float64(n)

@@ -54,14 +54,49 @@ func statisticRef(a, b []int8) float64 {
 }
 
 // statKernels are the statistic paths checked against statisticRef: the
-// dispatcher (AVX2 plus a SWAR tail where useAVX2 holds) and the SWAR
-// kernel alone.
+// dispatcher (the window kernel plus any SWAR tail where useAVX2 holds),
+// the SWAR kernel alone and, where useAVX2 holds, the window kernel alone.
 var statKernels = []struct {
 	name string
 	stat func(a, b []int8) float64
 }{
 	{"statistic", statistic},
 	{"weightSumSWAR", func(a, b []int8) float64 { return weightSumSWAR(a, b) / float64(len(a)) }},
+	{"windowSumAVX2", windowStatistic},
+}
+
+// windowStatistic is S from windowSumAVX2 alone: the cells it leaves, and
+// rows under 32 cells or without AVX2, are summed by statisticRef's loop
+// instead of by weightSumSWAR.
+func windowStatistic(a, b []int8) float64 {
+	if !useAVX2 || len(a) < 32 {
+		return statisticRef(a, b)
+	}
+	units, shift, rest, m := windowSumAVX2(a, b)
+	s := math.Ldexp(float64(units), -shift) + rest
+	if m < len(a) {
+		s += statisticRef(a[m:], b[m:]) * float64(len(a)-m)
+	}
+	return s / float64(len(a))
+}
+
+// windowModel returns the window base windowSumAVX2 must pick for a, b —
+// the minimum of the first 32 merged cells minus 2, clamped to [−1, 49] —
+// and the number of cells it must sum: all of them, unless one of the last
+// len%32 lies outside [base, base+15].
+func windowModel(a, b []int8) (base, m int) {
+	lo := MaxCell8
+	for i := range 32 {
+		lo = min(lo, max(a[i], b[i]))
+	}
+	base = min(max(int(lo)-2, -1), 49)
+	n := len(a)
+	for i := n &^ 31; i < n; i++ {
+		if y := int(max(a[i], b[i])); y < base || y > base+15 {
+			return base, n &^ 31
+		}
+	}
+	return base, n
 }
 
 // checkStatistic fails unless every statistic path is within 1e-12 relative
@@ -79,9 +114,9 @@ func checkStatistic(t *testing.T, a, b []int8) {
 
 // TestStatisticMatchesReference checks each statistic path over every
 // kernel width, the full int8 value range (cells above 64 weigh 2⁻⁶⁴, cells
-// at or below Empty weigh 2), and every offset 0–31 of a against b. Rows of
-// one repeated value pin each clamp on its own: in a mixed row the 2⁻⁶⁴
-// cells are too light to show.
+// at or below Empty weigh 2), every offset 0–31 of a against b, and every
+// window the AVX2 kernel can pick. Rows of one repeated value pin each
+// clamp on its own: in a mixed row the 2⁻⁶⁴ cells are too light to show.
 func TestStatisticMatchesReference(t *testing.T) {
 	for _, v := range []int8{-128, Empty - 1, Empty, 0, 63, maxTrackedY, maxTrackedY + 1, MaxCell8} {
 		for _, n := range []int{1, 31, 32, 33, acdRowWidth} {
@@ -102,6 +137,8 @@ func TestStatisticMatchesReference(t *testing.T) {
 			checkStatistic(t, a, a)
 		}
 	}
+	// Offsets, on arbitrary rows and on rows whose cells all lie in [3, 16],
+	// inside the window of any base the first step can pick from them.
 	const n = 100
 	aBack, bBack := make([]int8, n+32), make([]int8, n+32)
 	for aOff := 0; aOff < 32; aOff++ {
@@ -109,6 +146,48 @@ func TestStatisticMatchesReference(t *testing.T) {
 			randAnyRow(rng, aBack)
 			randAnyRow(rng, bBack)
 			checkStatistic(t, aBack[aOff:aOff+n], bBack[bOff:bOff+n])
+			for i := range aBack {
+				aBack[i], bBack[i] = int8(3+rng.IntN(14)), int8(3+rng.IntN(14))
+			}
+			checkStatistic(t, aBack[aOff:aOff+n], bBack[bOff:bOff+n])
+		}
+	}
+	// The window kernel through every base it can pick, −1 to 49, each set
+	// by the first step's minimum (base+2), on rows of three whole steps
+	// plus every tail length 0–31. Each row has one probe cell, in a or in
+	// b, in the first step, a middle step, the part of the last 32 cells
+	// already counted, or the row's last cell: just outside the window
+	// (base−1, base+16), on its edges (base, base+15), or at a clamp
+	// (Empty, −128, 64, 65, 127). With AVX2 the base and the cells the
+	// kernel summed are checked against windowModel, so both ends of the
+	// tail ran.
+	for base := -1; base <= 49; base++ {
+		for r := 0; r < 32; r++ {
+			n := 96 + r
+			for _, v := range []int{base - 1, base, base + 15, base + 16, Empty, -128, maxTrackedY, maxTrackedY + 1, int(MaxCell8)} {
+				for _, pos := range []int{7, 40, n - 32, n - 1} {
+					a, b := make([]int8, n), make([]int8, n)
+					for i := range a {
+						a[i] = int8(base + 2 + rng.IntN(14))
+						b[i] = int8(base + 2 + rng.IntN(14))
+					}
+					a[rng.IntN(32)], b[rng.IntN(32)] = int8(base+2), int8(base+2)
+					a[pos], b[pos] = -128, -128
+					if pos%2 == 0 {
+						a[pos] = int8(v)
+					} else {
+						b[pos] = int8(v)
+					}
+					checkStatistic(t, a, b)
+					if useAVX2 {
+						wantBase, wantM := windowModel(a, b)
+						if _, shift, _, m := windowSumAVX2(a, b); shift != wantBase+15 || m != wantM {
+							t.Fatalf("base %d n %d probe %d at %d: shift %d, m %d; want %d, %d",
+								base, n, v, pos, shift, m, wantBase+15, wantM)
+						}
+					}
+				}
+			}
 		}
 	}
 }

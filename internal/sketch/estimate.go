@@ -14,9 +14,18 @@ const maxTrackedY = 64
 // law: P[Y ≤ y] = (1 − 2^−(y+1))^d.
 var logTail [maxTrackedY + 2]float64
 
+// negPow2[k] = 2^−(k−1), indexed as the estimator's histogram is (bucket k
+// holds value k−1): the weight of every value y ∈ [Empty, maxTrackedY+1]
+// that estimateFromHist and harmonicMean sum. A table read is bit for bit
+// the math.Exp2 it was filled with, and far cheaper in the Newton loop.
+var negPow2 [maxTrackedY + 3]float64
+
 func init() {
 	for y := range logTail {
 		logTail[y] = math.Log1p(-math.Exp2(-float64(y + 1)))
+	}
+	for k := range negPow2 {
+		negPow2[k] = math.Exp2(-float64(k - 1))
 	}
 }
 
@@ -35,7 +44,7 @@ func harmonicMean(d float64) float64 {
 		default:
 			f = math.Exp(arg)
 		}
-		sum += math.Exp2(-float64(y)) * (f - prev)
+		sum += negPow2[y+1] * (f - prev)
 		if f == 1 {
 			// All remaining increments vanish.
 			return sum
@@ -126,7 +135,7 @@ func (e *MaxEstimator[C]) estimateFromHist(t int) float64 {
 		if c > 0 {
 			// Index k holds value k−1; the Empty cell (value −1, weight 2)
 			// only arises in hand-built rows and pushes d̂ down.
-			sum += float64(c) * math.Exp2(-float64(k-1))
+			sum += float64(c) * negPow2[k]
 		}
 	}
 	return invertStatistic(sum / float64(t))

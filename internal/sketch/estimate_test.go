@@ -109,6 +109,20 @@ func TestMaxEstimatorSaturated(t *testing.T) {
 	}
 }
 
+// TestNegPow2Pinned pins the estimator's power table to the math.Exp2 calls
+// it replaced, for every value y ∈ [Empty, maxTrackedY+1] it serves, so
+// every estimate stays bit for bit.
+func TestNegPow2Pinned(t *testing.T) {
+	if len(negPow2) != maxTrackedY+3 {
+		t.Fatalf("negPow2 has %d entries, want %d", len(negPow2), maxTrackedY+3)
+	}
+	for y := Empty; y <= maxTrackedY+1; y++ {
+		if got, want := negPow2[y+1], math.Exp2(-float64(y)); got != want {
+			t.Errorf("negPow2[%d] = %v, want 2^−%d = %v", y+1, got, y, want)
+		}
+	}
+}
+
 // TestEstimatorsOnEmptyRow: an all-identity row means no party was seen;
 // both estimate paths must return 0.
 func TestEstimatorsOnEmptyRow(t *testing.T) {

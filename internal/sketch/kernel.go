@@ -73,18 +73,19 @@ func (MaxKernel) EncodedBits(row []int8) int { return encodedBits(row) }
 // max-kernel fold, so it is benchmarked in isolation (BenchmarkMergeMax8
 // against BenchmarkMergeMax8Generic).
 //
-// On x86-64 with AVX2 (useAVX2) 32 cells merge per VPMAXSB, with unaligned
-// loads, so any row qualifies; the last len%32 cells, and every cell
-// elsewhere and in race builds, take mergeMax8SWAR. Both paths are pinned
-// byte-equal to MergeMax8Generic.
+// On x86-64 with AVX2 (useAVX2) a row of at least 32 cells merges 32 cells
+// per VPMAXSB, with unaligned loads, so any row qualifies; its last len%32
+// cells merge in one more step over its last 32, which leaves the cells
+// merged twice unchanged as long as dst does not partially overlap src.
+// Shorter rows, and every row elsewhere and in race builds, take
+// mergeMax8SWAR. Both paths are pinned byte-equal to MergeMax8Generic.
 func MergeMax8(dst, src []int8) {
 	if len(dst) != len(src) {
 		panic("sketch: MergeMax8 length mismatch")
 	}
 	if useAVX2 && len(src) >= 32 {
 		mergeMax8AVX2(dst, src)
-		n := len(src) &^ 31
-		dst, src = dst[n:], src[n:]
+		return
 	}
 	mergeMax8SWAR(dst, src)
 }
@@ -94,15 +95,14 @@ func MergeMax8(dst, src []int8) {
 // calls — max is associative — but the single pass reads dst once instead
 // of twice and, more importantly for the collect wave's scattered neighbor
 // rows, keeps two independent source-row miss streams in flight at once. It
-// dispatches as MergeMax8 does.
+// dispatches as MergeMax8 does, and dst must not partially overlap a or b.
 func MergeMax8Pair(dst, a, b []int8) {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		panic("sketch: MergeMax8Pair length mismatch")
 	}
 	if useAVX2 && len(dst) >= 32 {
 		mergeMax8PairAVX2(dst, a, b)
-		n := len(dst) &^ 31
-		dst, a, b = dst[n:], a[n:], b[n:]
+		return
 	}
 	mergeMax8PairSWAR(dst, a, b)
 }

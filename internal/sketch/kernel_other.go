@@ -10,4 +10,7 @@ const useAVX2 = false
 
 func mergeMax8AVX2(dst, src []int8)      { panic("sketch: no AVX2 kernel on this architecture") }
 func mergeMax8PairAVX2(dst, a, b []int8) { panic("sketch: no AVX2 kernel on this architecture") }
-func weightSumAVX2(a, b []int8) float64  { panic("sketch: no AVX2 kernel on this architecture") }
+
+func windowSumAVX2(a, b []int8) (units uint64, shift int, rest float64, m int) {
+	panic("sketch: no AVX2 kernel on this architecture")
+}

@@ -2,6 +2,9 @@ package sketch
 
 import (
 	"math/rand/v2"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -187,6 +190,32 @@ func TestKernelPath(t *testing.T) {
 	t.Logf("useAVX2 = %v (race build: %v)", useAVX2, raceEnabled)
 	if raceEnabled && useAVX2 {
 		t.Fatal("a race build dispatches to the AVX2 kernels")
+	}
+}
+
+// TestAssemblyIsVEXOnly fails on any instruction of kernel_amd64.s that
+// names an X register without a VEX (V) mnemonic. A legacy SSE instruction
+// that runs while a YMM register's upper half is dirty stalls on the state
+// transition, and one rule for the whole file is simpler than tracking where
+// VZEROUPPER makes an exception safe.
+func TestAssemblyIsVEXOnly(t *testing.T) {
+	src, err := os.ReadFile("kernel_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xreg := regexp.MustCompile(`\bX([0-9]|[12][0-9]|3[01])\b`)
+	label := regexp.MustCompile(`^\w+:`)
+	for i, line := range strings.Split(string(src), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, stmt := range strings.Split(strings.TrimSuffix(strings.TrimSpace(line), "\\"), ";") {
+			stmt = strings.TrimSpace(label.ReplaceAllString(strings.TrimSpace(stmt), ""))
+			if xreg.MatchString(stmt) && !strings.HasPrefix(stmt, "V") {
+				t.Errorf("kernel_amd64.s:%d: %q names an X register without a VEX encoding", i+1, stmt)
+			}
+		}
 	}
 }
 
