@@ -444,10 +444,14 @@ func BenchmarkFingerprintMatching(b *testing.B) {
 	for i := range members {
 		members[i] = i
 	}
+	view, err := coloring.NewCliqueView(cg, coloring.New(n, h.MaxDegree()), members)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := graph.NewRand(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matching.FingerprintMatching(cg, matching.FingerprintOptions{
+		if _, err := matching.FingerprintMatching(view, matching.FingerprintOptions{
 			Phase:   "bench",
 			Members: members,
 			Trials:  80,

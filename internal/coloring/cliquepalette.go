@@ -40,23 +40,28 @@ func RebuildCliquePalette(cp *CliquePalette, cg *cluster.CG, c *Coloring, member
 	if cp == nil {
 		cp = &CliquePalette{}
 	}
-	words := int(c.MaxColor()) + 1
-	if cap(cp.used) < words {
-		cp.used = make([]int32, words)
-	} else {
-		cp.used = cp.used[:words]
-		for i := range cp.used {
-			cp.used[i] = 0
-		}
-	}
-	cp.free = cp.free[:0]
-	cp.repeats = 0
+	cp.reset(c.MaxColor())
 	for _, v := range members {
 		if col := c.Get(v); col != None {
 			cp.used[col]++
 		}
 	}
-	for col := int32(1); col <= c.MaxColor(); col++ {
+	cp.tally(c.MaxColor())
+	cg.ChargeHRounds("palette/build", 1, 2*cg.IDBits())
+	return cp
+}
+
+// reset empties cp for colors 1..maxColor, ready to count member colors
+// into used.
+func (cp *CliquePalette) reset(maxColor int32) {
+	cp.used = zeroed(cp.used, int(maxColor)+1)
+	cp.free = cp.free[:0]
+	cp.repeats = 0
+}
+
+// tally derives the free list and the repeat count from the used counts.
+func (cp *CliquePalette) tally(maxColor int32) {
+	for col := int32(1); col <= maxColor; col++ {
 		switch {
 		case cp.used[col] == 0:
 			cp.free = append(cp.free, col)
@@ -64,8 +69,6 @@ func RebuildCliquePalette(cp *CliquePalette, cg *cluster.CG, c *Coloring, member
 			cp.repeats += int(cp.used[col] - 1)
 		}
 	}
-	cg.ChargeHRounds("palette/build", 1, 2*cg.IDBits())
-	return cp
 }
 
 // FreeCount returns |L_φ(K)|.

@@ -109,38 +109,10 @@ func appendFree(dst []int32, used []uint64, maxColor int32) []int32 {
 	return dst
 }
 
-// Reset prepares the scratch as an empty used-set over colors 1..maxColor,
-// for callers that assemble φ(N(v)) by hand instead of loading it from a
-// graph — machine-granularity replays (internal/distsim) build their view of
-// a neighborhood from received messages and then query it through the same
-// bitset machinery as the vertex-level code.
-func (s *PaletteScratch) Reset(maxColor int32) { s.reset(maxColor) }
-
-// Mark records col as used by a neighbor. Out-of-range colors are ignored,
-// matching Load's treatment of None.
-func (s *PaletteScratch) Mark(col int32) {
-	if col < 1 || col > s.loadedMax {
-		return
-	}
-	s.used[col>>6] |= 1 << uint(col&63)
-}
-
-// MarkWords ORs an external used-color bitset into the scratch. words must
-// use the scratch's layout (bit c of word c/64 = color c used); extra words
-// beyond the scratch's color space are ignored.
-func (s *PaletteScratch) MarkWords(words []uint64) {
-	n := len(s.used)
-	if len(words) < n {
-		n = len(words)
-	}
-	for i := 0; i < n; i++ {
-		s.used[i] |= words[i]
-	}
-}
-
-// FreeColors returns the colors of [1, maxColor] not marked used, ascending.
-// The slice aliases the scratch and is valid until its next use — the same
-// contract (and the same order) as Palette.
+// FreeColors returns the colors of [1, maxColor] not marked used, ascending:
+// the palette of the vertex or clique member last loaded. The slice aliases
+// the scratch and is valid until its next use — the same contract (and the
+// same order) as Palette.
 func (s *PaletteScratch) FreeColors() []int32 {
 	s.out = appendFree(s.out[:0], s.used, s.loadedMax)
 	return s.out

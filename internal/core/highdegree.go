@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"clustercolor/internal/acd"
@@ -341,7 +343,7 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 		members := cabalMembers[idx]
 		task := DonateTask{
 			Members:            members,
-			PutAside:           putAside[idx],
+			PutAside:           make([]int, len(putAside[idx])),
 			Inlier:             make([]bool, len(members)),
 			Forbidden:          make([]bool, len(members)),
 			FreeColorThreshold: 4 * len(putAside[idx]),
@@ -350,6 +352,11 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 		}
 		for j, v := range members {
 			task.Inlier[j] = inlier[v]
+		}
+		for j, v := range putAside[idx] {
+			if task.PutAside[j] = slices.Index(members, v); task.PutAside[j] < 0 {
+				return fmt.Errorf("core: put-aside vertex %d outside cabal %d", v, idx)
+			}
 		}
 		if len(task.PutAside) > 0 {
 			// Forbidden-donor marking only matters where donation will run
@@ -367,8 +374,8 @@ func colorCabals(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition, p
 	}
 	dstats, writes, dropped, err := runPerClique(cg, col, "cabal/donate", len(cabals), donateSeed, tr != nil,
 		func(idx int) []int { return tasks[idx].Members },
-		func(idx int, subCG *cluster.CG, view *coloring.Coloring, scratch *coloring.PaletteScratch, crng *rand.Rand) (DonateAux, error) {
-			return DonateJob(subCG, view, tasks[idx], scratch, crng)
+		func(idx int, v *coloring.CliqueView, crng *rand.Rand) (DonateAux, error) {
+			return DonateJob(v, tasks[idx], crng)
 		})
 	if err != nil {
 		return err
@@ -474,8 +481,8 @@ func runMatchings(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition,
 	}
 	repeats, writes, dropped, err := runPerClique(cg, col, "matching", len(cliques), baseSeed, tr != nil,
 		func(idx int) []int { return tasks[idx].Members },
-		func(idx int, subCG *cluster.CG, view *coloring.Coloring, scratch *coloring.PaletteScratch, crng *rand.Rand) (int, error) {
-			return MatchingJob(subCG, view, tasks[idx], crng)
+		func(idx int, v *coloring.CliqueView, crng *rand.Rand) (int, error) {
+			return MatchingJob(v, tasks[idx], crng)
 		})
 	stats.ParallelDroppedWrites += dropped
 	if err == nil && tr != nil {
@@ -524,8 +531,8 @@ func runSCTs(cg *cluster.CG, col *coloring.Coloring, d *acd.Decomposition,
 	}
 	colored, writes, dropped, err := runPerClique(cg, col, "sct", len(cliques), baseSeed, tr != nil,
 		func(idx int) []int { return tasks[idx].Members },
-		func(idx int, subCG *cluster.CG, view *coloring.Coloring, scratch *coloring.PaletteScratch, crng *rand.Rand) (int, error) {
-			return SCTJob(subCG, view, tasks[idx], crng)
+		func(idx int, v *coloring.CliqueView, crng *rand.Rand) (int, error) {
+			return SCTJob(v, tasks[idx], crng)
 		})
 	stats.ParallelDroppedWrites += dropped
 	if err == nil && tr != nil {

@@ -11,17 +11,16 @@ import (
 )
 
 // The per-clique stage loops (colorful matchings, synchronized color trials,
-// clique-palette builds, put-aside donation) are embarrassingly parallel:
-// almost-cliques are vertex-disjoint, so each clique's engine writes only
-// its own members. runPerClique fans them across the parwork worker pool —
-// the same machinery and SetParallelism knob as the experiment runner —
-// while keeping the output coloring byte-identical at every parallelism
-// level:
+// put-aside donation) are embarrassingly parallel: almost-cliques are
+// vertex-disjoint, so each clique's job writes only its own members.
+// runPerClique fans them across the parwork worker pool — the same
+// machinery and SetParallelism knob as the experiment runner — while
+// keeping the output coloring byte-identical at every parallelism level:
 //
 //   - each clique derives its own RNG stream from one base seed and its
 //     clique index (parwork.RowSeed), never from a shared stream;
-//   - each worker runs its engine against a private snapshot view of the
-//     coloring (frozen at loop entry), so no engine observes another
+//   - each job runs on its clique's coloring.CliqueView, filled from H and
+//     the coloring frozen at loop entry, so no job observes another
 //     clique's concurrent writes;
 //   - the resulting member writes are applied to the shared coloring
 //     sequentially in clique order, and any write that conflicts with an
@@ -34,90 +33,54 @@ import (
 // snapshot color was proper when the snapshot was taken, and every applied
 // write is validated against all previously applied writes.
 
-// cliqueWorker is the reusable per-worker state: a private snapshot view of
-// the coloring and a palette scratch.
-type cliqueWorker struct {
-	view    *coloring.Coloring
-	scratch *coloring.PaletteScratch
-}
-
-// cliqueRun is one clique's outcome: the engine payload, the scratch cost
-// model, and the member writes (recolorings first, so donor swaps apply
-// before their recipients adopt the freed color).
+// cliqueRun is one clique's outcome: the job payload, the scratch cost
+// model, and the member writes (MemberWrites order).
 type cliqueRun[T any] struct {
-	val     T
-	sub     *network.CostModel
-	writesV []int32
-	writesC []int32
+	val    T
+	sub    *network.CostModel
+	writes []MemberWrite
 }
 
 // runPerClique executes job for each of n vertex-disjoint cliques in
 // parallel and applies the resulting writes in clique order. memberOf(i)
-// must return the vertex set job i writes into; job receives a subCG bound
-// to a scratch cost model (merged afterwards with AbsorbParallel under
-// phase), a private coloring view, a reusable palette scratch, and a
-// derived RNG.
+// must return the members of clique i; job receives the clique's view,
+// whose charge hook is a subCG bound to a scratch cost model (merged
+// afterwards with AbsorbParallel under phase), and a derived RNG. Each
+// worker reuses one view across its cliques.
 //
 // It returns the per-clique payloads in index order, the snapshot-relative
-// member writes per clique (what each engine decided, before cross-clique
+// member writes per clique (what each job decided, before cross-clique
 // conflict drops — the stage tracer and the distsim conformance harness
 // compare machine-level protocols against exactly these), plus the number
 // of writes dropped at apply time. Payloads are measured against the
 // clique's snapshot run, so when a cross-clique collision drops a write
 // they can overstate the applied effect; the drop count makes that skew
 // visible (callers surface it via Stats.ParallelDroppedWrites).
-// captureWrites selects whether the per-clique write lists are materialized
-// (only stage tracing needs them; untraced runs skip the extra pass).
+// captureWrites selects whether the per-clique write lists are returned
+// (only stage tracing needs them).
 func runPerClique[T any](cg *cluster.CG, col *coloring.Coloring, phase string,
 	n int, baseSeed uint64, captureWrites bool, memberOf func(i int) []int,
-	job func(i int, subCG *cluster.CG, view *coloring.Coloring, scratch *coloring.PaletteScratch, rng *rand.Rand) (T, error),
+	job func(i int, v *coloring.CliqueView, rng *rand.Rand) (T, error),
 ) ([]T, [][]MemberWrite, int, error) {
 	if n == 0 {
 		return nil, nil, 0, nil
 	}
-	pool := sync.Pool{New: func() any {
-		return &cliqueWorker{view: col.Clone(), scratch: coloring.NewPaletteScratch()}
-	}}
+	views := sync.Pool{New: func() any { return &coloring.CliqueView{} }}
 	runs, err := parwork.ForEach(n, func(i int) (cliqueRun[T], error) {
-		// The worker is returned to the pool only after its view has been
-		// reverted to the shared snapshot; on an error path it is discarded
-		// instead, so no later clique can run against a dirtied view.
-		w := pool.Get().(*cliqueWorker)
-		rng := parwork.StreamRNG(parwork.RowSeed(baseSeed, i))
 		sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 		if err != nil {
 			return cliqueRun[T]{}, err
 		}
-		val, err := job(i, cg.WithCost(sub), w.view, w.scratch, rng)
+		v := views.Get().(*coloring.CliqueView)
+		defer views.Put(v)
+		if err := v.Fill(cg.WithCost(sub), col, memberOf(i)); err != nil {
+			return cliqueRun[T]{}, err
+		}
+		val, err := job(i, v, parwork.StreamRNG(parwork.RowSeed(baseSeed, i)))
 		if err != nil {
 			return cliqueRun[T]{}, err
 		}
-		run := cliqueRun[T]{val: val, sub: sub}
-		for pass := 0; pass < 2; pass++ {
-			for _, m := range memberOf(i) {
-				nc, oc := w.view.Get(m), col.Get(m)
-				if nc == oc {
-					continue
-				}
-				if recolor := oc != coloring.None; (pass == 0) != recolor {
-					continue
-				}
-				run.writesV = append(run.writesV, int32(m))
-				run.writesC = append(run.writesC, nc)
-			}
-		}
-		// Revert the view to the shared snapshot for this worker's next
-		// clique: engines write only their own members, so undoing those is
-		// O(|K|), not an O(n) copy (col is frozen for the whole fan-out).
-		for _, m := range memberOf(i) {
-			if c := col.Get(m); c == coloring.None {
-				w.view.Unset(m)
-			} else if err := w.view.Set(m, c); err != nil {
-				return cliqueRun[T]{}, err
-			}
-		}
-		pool.Put(w)
-		return run, nil
+		return cliqueRun[T]{val: val, sub: sub, writes: MemberWrites(col, v.Members, v.Colors)}, nil
 	})
 	if err != nil {
 		return nil, nil, 0, err
@@ -130,39 +93,39 @@ func runPerClique[T any](cg *cluster.CG, col *coloring.Coloring, phase string,
 	subs := make([]*network.CostModel, n)
 	// The apply loop must stay sequential (clique order is the conflict
 	// tie-break), but its O(deg) neighbor scan per write only needs the
-	// neighbors that were themselves written this stage: every engine keeps
-	// its snapshot view proper against the full neighborhood, so for any
-	// write v→c and unwritten neighbor u, c differs from u's snapshot color —
-	// which is exactly u's color for the whole apply pass. (Neighbors whose
-	// write is a net-uncolor still count as written: their write drops and
-	// they keep a snapshot color the engine no longer vouches against.) So at
-	// parallelism > 1 the edge scans — the serial fraction that capped Amdahl
-	// scaling of the per-clique stages — precompute candidate lists across
-	// the pool, and the sequential decision loop touches candidates only.
-	// Checking the same col.Get values in the same order, it makes decisions
-	// byte-identical to the full scan.
+	// neighbors that were themselves written this stage: every job keeps
+	// its view proper against the full neighborhood, so for any write v→c
+	// and unwritten neighbor u, c differs from u's snapshot color — which
+	// is exactly u's color for the whole apply pass. (Neighbors whose write
+	// is a net-uncolor still count as written: their write drops and they
+	// keep a snapshot color the job no longer vouches against.) So at
+	// parallelism > 1 the edge scans — the serial fraction that capped
+	// Amdahl scaling of the per-clique stages — precompute candidate lists
+	// across the pool, and the sequential decision loop touches candidates
+	// only. Checking the same col.Get values in the same order, it makes
+	// decisions byte-identical to the full scan.
 	var cands [][][]int32
 	totalWrites := 0
 	for i := range runs {
-		totalWrites += len(runs[i].writesV)
+		totalWrites += len(runs[i].writes)
 	}
 	if totalWrites >= parallelApplyMinWrites && parwork.Parallelism() > 1 {
 		written := make([]bool, col.N())
 		for i := range runs {
-			for _, vv := range runs[i].writesV {
-				written[vv] = true
+			for _, w := range runs[i].writes {
+				written[w.V] = true
 			}
 		}
 		cands = make([][][]int32, n)
 		if _, err := parwork.ForEach(n, func(i int) (struct{}, error) {
-			wv := runs[i].writesV
-			if len(wv) == 0 {
+			ws := runs[i].writes
+			if len(ws) == 0 {
 				return struct{}{}, nil
 			}
-			lists := make([][]int32, len(wv))
-			for j, vv := range wv {
+			lists := make([][]int32, len(ws))
+			for j, w := range ws {
 				var cl []int32
-				for _, u := range cg.H.Neighbors(int(vv)) {
+				for _, u := range cg.H.Neighbors(w.V) {
 					if written[u] {
 						cl = append(cl, int32(u))
 					}
@@ -179,13 +142,13 @@ func runPerClique[T any](cg *cluster.CG, col *coloring.Coloring, phase string,
 	for i, run := range runs {
 		vals[i] = run.val
 		subs[i] = run.sub
-		for j, vv := range run.writesV {
-			v, c := int(vv), run.writesC[j]
-			if captureWrites {
-				writes[i] = append(writes[i], MemberWrite{V: v, C: c})
-			}
+		if captureWrites {
+			writes[i] = run.writes
+		}
+		for j, w := range run.writes {
+			v, c := w.V, w.C
 			if c == coloring.None {
-				// Engines never net-uncolor a member; if one ever does, keep
+				// Jobs never net-uncolor a member; if one ever does, keep
 				// the snapshot color — dropping information is always proper.
 				dropped++
 				continue

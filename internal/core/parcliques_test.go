@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/graph"
 	"clustercolor/internal/parwork"
@@ -110,9 +109,10 @@ func TestRunPerCliqueDropsCrossCliqueConflicts(t *testing.T) {
 	members := [][]int{{0}, {1}}
 	_, _, dropped, err := runPerClique(cg, col, "test", 2, 9, true,
 		func(i int) []int { return members[i] },
-		func(i int, subCG *cluster.CG, view *coloring.Coloring, scratch *coloring.PaletteScratch, rng *rand.Rand) (int, error) {
+		func(i int, v *coloring.CliqueView, rng *rand.Rand) (int, error) {
 			// Both cliques pick color 1 against the shared snapshot.
-			return 0, view.Set(members[i][0], 1)
+			v.Colors[0] = 1
+			return 0, nil
 		})
 	if err != nil {
 		t.Fatal(err)

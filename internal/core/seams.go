@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
 
-	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/matching"
 	"clustercolor/internal/putaside"
@@ -14,12 +12,14 @@ import (
 // This file exports the per-clique stage seams of the high-degree pipeline:
 // the exact job bodies the parallel stage loops run for one almost-clique
 // (MatchingJob, SCTJob, DonateJob), the task structs pinning their inputs,
-// and a StageTracer hook that surfaces every stage's inputs and outcomes to
-// an observer. The distsim conformance harness drives each primitive in
-// isolation through these seams — same task, same derived RNG stream, same
-// snapshot view — and byte-compares a machine-granularity execution against
-// the vertex-level result. Nothing here changes pipeline behaviour: Color
-// calls ColorTraced with a nil tracer.
+// the snapshot-writes diff (MemberWrites), and a StageTracer hook that
+// surfaces every stage's inputs and outcomes to an observer. Each job reads
+// and writes only its clique's coloring.CliqueView. The pipeline fills the
+// view from H and the stage snapshot; a distsim member leader fills it from
+// its gossiped records, with no charge hook, and calls the same job — one
+// implementation per primitive, byte-compared across the two layers by the
+// conformance harness. Nothing here changes pipeline behaviour: Color calls
+// ColorTraced with a nil tracer.
 
 // MatchingTask pins one clique's colorful-matching inputs (Algorithm 4/5
 // Step 1): the members, the reserved prefix the matching must avoid, the
@@ -35,13 +35,12 @@ type MatchingTask struct {
 	FingerprintTrials int
 }
 
-// MatchingJob runs one clique's colorful matching against a coloring view,
-// exactly as the parallel stage loop does. It returns M_K, the number of
+// MatchingJob runs one clique's colorful matching on its view, exactly as
+// the parallel stage loop does. It returns M_K, the number of
 // repeated-color units created.
-func MatchingJob(subCG *cluster.CG, view *coloring.Coloring, task MatchingTask, rng *rand.Rand) (int, error) {
-	m, err := matching.Sampling(subCG, view, matching.SamplingOptions{
+func MatchingJob(v *coloring.CliqueView, task MatchingTask, rng *rand.Rand) (int, error) {
+	m, err := matching.Sampling(v, matching.SamplingOptions{
 		Phase:         "matching/sampling",
-		Members:       task.Members,
 		ReservedMax:   task.ReservedMax,
 		Rounds:        task.Rounds,
 		TargetRepeats: task.TargetRepeats,
@@ -49,17 +48,17 @@ func MatchingJob(subCG *cluster.CG, view *coloring.Coloring, task MatchingTask, 
 	if err != nil {
 		return 0, err
 	}
-	if task.WithFingerprint && m < task.TargetRepeats && len(task.Members) >= 8 {
+	if task.WithFingerprint && m < task.TargetRepeats && len(v.Members) >= 8 {
 		// Proposition 4.15 backup: find anti-edges among uncolored members
 		// by fingerprinting, then color the pairs.
 		var uncolored []int
-		for _, v := range task.Members {
-			if !view.IsColored(v) {
-				uncolored = append(uncolored, v)
+		for i, c := range v.Colors {
+			if c == coloring.None {
+				uncolored = append(uncolored, i)
 			}
 		}
 		if len(uncolored) >= 4 {
-			pairs, err := matching.FingerprintMatching(subCG, matching.FingerprintOptions{
+			pairs, err := matching.FingerprintMatching(v, matching.FingerprintOptions{
 				Phase:       "matching/fingerprint",
 				Members:     uncolored,
 				Trials:      task.FingerprintTrials,
@@ -68,7 +67,7 @@ func MatchingJob(subCG *cluster.CG, view *coloring.Coloring, task MatchingTask, 
 			if err != nil {
 				return 0, err
 			}
-			colored, err := matching.ColorPairs(subCG, view, pairs, task.ReservedMax, "matching/colorpairs", rng)
+			colored, err := matching.ColorPairs(v, pairs, task.ReservedMax, "matching/colorpairs", rng)
 			if err != nil {
 				return 0, err
 			}
@@ -88,39 +87,38 @@ type SCTTask struct {
 	Exclude     []bool
 }
 
-// SCTJob runs one clique's synchronized color trial against a coloring view,
-// exactly as the parallel stage loop does: participants are the uncolored
-// non-excluded inliers, capped by the clique palette's non-reserved capacity
-// (Lemma 4.13's precondition). It returns the number of vertices colored.
-func SCTJob(subCG *cluster.CG, view *coloring.Coloring, task SCTTask, rng *rand.Rand) (int, error) {
-	cp := coloring.BuildCliquePalette(subCG, view, task.Members)
+// SCTJob runs one clique's synchronized color trial on its view, exactly
+// as the parallel stage loop does: participants are the uncolored
+// non-excluded inliers, capped by the clique palette's non-reserved
+// capacity (Lemma 4.13's precondition). It returns the number of vertices
+// colored.
+func SCTJob(v *coloring.CliqueView, task SCTTask, rng *rand.Rand) (int, error) {
 	capacity := 0
-	for _, c := range cp.FreeView() {
+	for _, c := range v.Palette().FreeView() {
 		if c > task.ReservedMax {
 			capacity++
 		}
 	}
 	var participants []int
-	for j, v := range task.Members {
-		if view.IsColored(v) || !task.Inlier[j] || task.Exclude[j] {
+	for i, c := range v.Colors {
+		if c != coloring.None || !task.Inlier[i] || task.Exclude[i] {
 			continue
 		}
 		if len(participants) == capacity {
 			break
 		}
-		participants = append(participants, v)
+		participants = append(participants, i)
 	}
 	if len(participants) == 0 {
 		// Even learning that no one participates costs the enumeration
 		// rounds (Lemma 3.3 prefix sums count the participants); charging
 		// them keeps the model no cheaper than the machine-level protocol
 		// the distsim conformance harness executes.
-		subCG.ChargeHRounds("sct/enumerate", 2, 2*subCG.IDBits())
+		v.Charge("sct", "/enumerate", 2, 2*v.IDBits())
 		return 0, nil
 	}
-	res, err := sct.Run(subCG, view, sct.Options{
+	res, err := sct.Run(v, sct.Options{
 		Phase:        "sct",
-		Members:      task.Members,
 		Participants: participants,
 		ReservedMax:  task.ReservedMax,
 	}, rng)
@@ -131,8 +129,9 @@ func SCTJob(subCG *cluster.CG, view *coloring.Coloring, task SCTTask, rng *rand.
 }
 
 // DonateTask pins one cabal's put-aside donation inputs (Algorithm 8): the
-// members, the put-aside set, the per-member inlier and forbidden-donor
-// flags (aligned with Members), and the scaled thresholds.
+// members, the put-aside set as indices into Members, the per-member
+// inlier and forbidden-donor flags (aligned with Members), and the scaled
+// thresholds.
 type DonateTask struct {
 	Members            []int
 	PutAside           []int
@@ -150,38 +149,21 @@ type DonateAux struct {
 	Fallback int
 }
 
-// DonateJob runs one cabal's put-aside donation against a coloring view,
-// exactly as the parallel stage loop does. A task with an empty put-aside
-// set is a no-op.
-func DonateJob(subCG *cluster.CG, view *coloring.Coloring, task DonateTask,
-	scratch *coloring.PaletteScratch, rng *rand.Rand) (DonateAux, error) {
+// DonateJob runs one cabal's put-aside donation on its view, exactly as
+// the parallel stage loop does. A task with an empty put-aside set is a
+// no-op.
+func DonateJob(v *coloring.CliqueView, task DonateTask, rng *rand.Rand) (DonateAux, error) {
 	if len(task.PutAside) == 0 {
 		return DonateAux{}, nil
 	}
-	idxOf := make(map[int]int, len(task.Members))
-	for j, v := range task.Members {
-		idxOf[v] = j
-	}
-	// The task carries flags for members only; putaside queries them only
-	// on cabal members today. A silent map-miss would read member 0's flag,
-	// so fail loudly if that contract ever changes.
-	memberIdx := func(v int) int {
-		j, ok := idxOf[v]
-		if !ok {
-			panic(fmt.Sprintf("core: donate flag query for non-member vertex %d", v))
-		}
-		return j
-	}
-	res, err := putaside.ColorPutAside(subCG, view, putaside.DonateOptions{
+	res, err := putaside.ColorPutAside(v, putaside.DonateOptions{
 		Phase:              "cabal/donate",
-		Cabal:              task.Members,
 		PutAside:           task.PutAside,
-		Inlier:             func(v int) bool { return task.Inlier[memberIdx(v)] },
-		ForbiddenDonors:    func(v int) bool { return task.Forbidden[memberIdx(v)] },
+		Inlier:             task.Inlier,
+		ForbiddenDonors:    task.Forbidden,
 		FreeColorThreshold: task.FreeColorThreshold,
 		BlockSize:          task.BlockSize,
 		SampleTries:        task.SampleTries,
-		Scratch:            scratch,
 	}, rng)
 	if err != nil {
 		return DonateAux{}, err
@@ -194,6 +176,27 @@ func DonateJob(subCG *cluster.CG, view *coloring.Coloring, task DonateTask,
 type MemberWrite struct {
 	V int
 	C int32
+}
+
+// MemberWrites lists the writes that take a clique's members from their
+// colors in snap to colors (aligned with members): recolorings first, then
+// newly colored, so a donor's swap applies before its recipient adopts the
+// freed color.
+func MemberWrites(snap *coloring.Coloring, members []int, colors []int32) []MemberWrite {
+	var out []MemberWrite
+	for pass := 0; pass < 2; pass++ {
+		for i, v := range members {
+			nc, oc := colors[i], snap.Get(v)
+			if nc == oc {
+				continue
+			}
+			if recolor := oc != coloring.None; (pass == 0) != recolor {
+				continue
+			}
+			out = append(out, MemberWrite{V: v, C: nc})
+		}
+	}
+	return out
 }
 
 // StageTrace reports one parallel per-clique stage of the high-degree

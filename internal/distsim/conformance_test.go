@@ -162,44 +162,36 @@ func TestStageSeamsReproducible(t *testing.T) {
 	traces, cg := buildTracedCG(t, h, sc, 3)
 	for _, tr := range traces {
 		for i := range tr.Writes {
-			view := tr.Snapshot.Clone()
 			rng := parwork.StreamRNG(parwork.RowSeed(tr.BaseSeed, i))
 			sub, err := network.NewCostModel(cg.Cost().Bandwidth())
 			if err != nil {
 				t.Fatal(err)
 			}
-			subCG := cg.WithCost(sub)
 			var members []int
 			switch {
 			case tr.Matching != nil:
 				members = tr.Matching[i].Members
-				if _, err := core.MatchingJob(subCG, view, tr.Matching[i], rng); err != nil {
-					t.Fatal(err)
-				}
 			case tr.SCT != nil:
 				members = tr.SCT[i].Members
-				if _, err := core.SCTJob(subCG, view, tr.SCT[i], rng); err != nil {
-					t.Fatal(err)
-				}
 			case tr.Donate != nil:
 				members = tr.Donate[i].Members
-				if _, err := core.DonateJob(subCG, view, tr.Donate[i], coloring.NewPaletteScratch(), rng); err != nil {
-					t.Fatal(err)
-				}
 			}
-			var writes []core.MemberWrite
-			for pass := 0; pass < 2; pass++ {
-				for _, v := range members {
-					nc, oc := view.Get(v), tr.Snapshot.Get(v)
-					if nc == oc {
-						continue
-					}
-					if recolor := oc != coloring.None; (pass == 0) != recolor {
-						continue
-					}
-					writes = append(writes, core.MemberWrite{V: v, C: nc})
-				}
+			view, err := coloring.NewCliqueView(cg.WithCost(sub), tr.Snapshot, members)
+			if err != nil {
+				t.Fatal(err)
 			}
+			switch {
+			case tr.Matching != nil:
+				_, err = core.MatchingJob(view, tr.Matching[i], rng)
+			case tr.SCT != nil:
+				_, err = core.SCTJob(view, tr.SCT[i], rng)
+			case tr.Donate != nil:
+				_, err = core.DonateJob(view, tr.Donate[i], rng)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes := core.MemberWrites(tr.Snapshot, members, view.Colors)
 			if !reflect.DeepEqual(writes, tr.Writes[i]) {
 				t.Fatalf("stage %s clique %d: isolated job writes %v, traced %v",
 					tr.Stage, i, writes, tr.Writes[i])

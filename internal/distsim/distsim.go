@@ -21,7 +21,8 @@
 //     (leaderround.go), the machine counterpart of cluster.CG.LeaderRound;
 //   - the per-clique stage primitives — colorful matching, synchronized
 //     color trial, put-aside donation — as an announce+gossip protocol
-//     with leader-side replay (stage.go, replay.go).
+//     after which each member leader runs the pipeline's own core job on a
+//     coloring.CliqueView built from its records (stage.go).
 //
 // Conformance (conformance.go) is the differential harness tying them
 // together: it traces the pipeline's stages via core.ColorTraced, re-runs

@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"sync"
 
@@ -37,10 +36,13 @@ import (
 //	                       for ε < 1/2), so two gossip rounds give every
 //	                       member leader the full record set.
 //
-// Each member leader then replays the primitive's decision procedure from
-// its records and the shared seed (replay.go mirrors the vertex-level code
-// exactly, answering availability queries through the same PaletteScratch
-// bitset machinery) and adopts its own vertex's outcome. Record-set unions
+// Each member leader then assembles a coloring.CliqueView from its records
+// (the view's Reset/SetMember filler, with no charge hook) and runs the
+// same core job the vertex-level stage loop runs on the view it fills from
+// H (core.MatchingJob, SCTJob, DonateJob), seeded from the gossiped seed,
+// and adopts its own vertex's outcome. RunStage first checks every leader's
+// view against the one the H filler builds from the snapshot, so a wrong
+// record fails by name even where no decision reads it. Record-set unions
 // are idempotent, so redundant inter-cluster links (the Section 1.1 hazard)
 // cannot corrupt the result. Three H-rounds never exceed what the cost
 // model charges for any of the three primitives (each charges at least
@@ -114,17 +116,13 @@ func (s *StageSpec) members(i int) []int {
 // shape the vertex-level stage reports through core.StageTrace.
 type StageOutcome struct {
 	// Writes lists each clique's snapshot-relative member writes
-	// (recolorings first, then newly colored — runPerClique's order).
+	// (core.MemberWrites order).
 	Writes [][]core.MemberWrite
 	// Repeats (matching), Colored (SCT) and DonateAux (donate) are the
 	// per-clique auxiliary outcomes; only the stage's own slice is non-nil.
 	Repeats   []int
 	Colored   []int
 	DonateAux []core.DonateAux
-	// RecordHashes fingerprints each clique's gossiped record set (every
-	// member leader of a clique derived the identical set; RunStage fails
-	// otherwise).
-	RecordHashes []uint64
 	// Stats is the engine's bandwidth/round accounting for the run.
 	Stats network.LinkStats
 }
@@ -158,7 +156,8 @@ type stageRuntime struct {
 	cliqueOf   []int32 // H-vertex -> task index, -1 outside every clique
 	memberIdx  []int32 // H-vertex -> index in its task's Members
 	seeds      []uint64
-	n          int // H vertices
+	refs       []*coloring.CliqueView // per task: the view the H filler builds
+	n          int                    // H vertices
 	delta      int
 	colorBits  int
 	idxBits    []int // per task
@@ -204,7 +203,6 @@ type stageMachine struct {
 	ownColor int32
 	auxInt   int
 	auxDon   core.DonateAux
-	recHash  uint64
 	err      error
 }
 
@@ -383,43 +381,53 @@ func (m *stageMachine) recsBits(k int32, recs []memberRecord) int {
 	return b
 }
 
-// finish verifies the record set is complete, replays the primitive, and
-// extracts this leader's own outcome.
+// finish verifies the record set is complete, builds the leader's view
+// of its clique from it, checks that view against the H filler's, runs the
+// stage's job on it, and extracts this leader's own outcome.
 func (m *stageMachine) finish(k int32) {
+	m.done = true
 	rt := m.rt
+	own := int(rt.memberIdx[rt.topo.cluster[m.id]])
 	for i := range m.records {
 		if m.records[i].idx < 0 {
 			m.err = fmt.Errorf("distsim: clique %d member %d never heard member %d after %d gossip rounds (K-diameter > %d?)",
-				k, rt.memberIdx[rt.topo.cluster[m.id]], i, gossipRounds, gossipRounds)
-			m.done = true
+				k, own, i, gossipRounds, gossipRounds)
 			return
 		}
 	}
-	if !m.records[0].hasSeed {
-		m.err = fmt.Errorf("distsim: clique %d lost the coordinator seed", k)
-		m.done = true
+	if !m.records[0].hasSeed || m.records[0].seed != rt.seeds[k] {
+		m.err = fmt.Errorf("distsim: clique %d member %d lost the coordinator seed", k, own)
 		return
 	}
-	m.recHash = hashRecords(m.records)
-	st := newCliqueState(rt, int(k), m.records)
+	var v coloring.CliqueView
+	v.Reset(rt.n, int32(rt.delta+1), rt.spec.members(int(k)))
+	for i, r := range m.records {
+		if err := v.SetMember(i, r.color, r.adj, r.ext); err != nil {
+			m.err = err
+			return
+		}
+	}
+	if err := v.Diff(rt.refs[k]); err != nil {
+		m.err = fmt.Errorf("records disagree with the snapshot view: %w", err)
+		return
+	}
+	rng := parwork.StreamRNG(m.records[0].seed)
 	var err error
 	switch rt.spec.Kind {
 	case StageMatching:
-		m.auxInt, err = st.replayMatching(rt.spec.Matching[k], m.records[0].seed)
+		m.auxInt, err = core.MatchingJob(&v, rt.spec.Matching[k], rng)
 	case StageSCT:
-		m.auxInt, err = st.replaySCT(rt.spec.SCT[k], m.records[0].seed)
+		m.auxInt, err = core.SCTJob(&v, rt.spec.SCT[k], rng)
 	case StageDonate:
-		m.auxDon, err = st.replayDonate(rt.spec.Donate[k], m.records[0].seed)
+		m.auxDon, err = core.DonateJob(&v, rt.spec.Donate[k], rng)
 	default:
 		err = fmt.Errorf("distsim: unknown stage kind %v", rt.spec.Kind)
 	}
 	if err != nil {
 		m.err = err
-		m.done = true
 		return
 	}
-	m.ownColor = st.color[rt.memberIdx[rt.topo.cluster[m.id]]]
-	m.done = true
+	m.ownColor = v.Colors[own]
 }
 
 // memberRecord is the per-member information gossiped through a clique: the
@@ -463,31 +471,6 @@ func presentRecords(records []memberRecord) []memberRecord {
 	return out
 }
 
-func hashRecords(records []memberRecord) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	put := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	for _, r := range records {
-		put(uint64(uint32(r.idx)))
-		put(uint64(uint32(r.color)))
-		for _, w := range r.adj {
-			put(w)
-		}
-		for _, w := range r.ext {
-			put(w)
-		}
-		if r.hasSeed {
-			put(r.seed)
-		}
-	}
-	return h.Sum64()
-}
-
 // StageRoundBudget is the engine-step budget of a stage run: three H-rounds
 // (announce plus two gossip rounds), each at most 2·dilation+1 deliveries,
 // plus the initial compose step.
@@ -514,6 +497,7 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 		cliqueOf:   make([]int32, cg.H.N()),
 		memberIdx:  make([]int32, cg.H.N()),
 		seeds:      make([]uint64, nTasks),
+		refs:       make([]*coloring.CliqueView, nTasks),
 		n:          cg.H.N(),
 		delta:      spec.Delta,
 		colorBits:  bits.Len(uint(spec.Delta+1)) + 1,
@@ -537,6 +521,11 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 			rt.cliqueOf[v] = int32(i)
 			rt.memberIdx[v] = int32(j)
 		}
+		ref, err := coloring.NewCliqueView(cg, snap, members)
+		if err != nil {
+			return nil, fmt.Errorf("distsim: clique %d: %w", i, err)
+		}
+		rt.refs[i] = ref
 	}
 	machines := make([]network.Machine, cg.G.N())
 	ms := make([]*stageMachine, cg.G.N())
@@ -586,9 +575,8 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 		return nil, err
 	}
 	out := &StageOutcome{
-		Writes:       make([][]core.MemberWrite, nTasks),
-		RecordHashes: make([]uint64, nTasks),
-		Stats:        eng.Stats(),
+		Writes: make([][]core.MemberWrite, nTasks),
+		Stats:  eng.Stats(),
 	}
 	switch spec.Kind {
 	case StageMatching:
@@ -599,22 +587,20 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 		out.DonateAux = make([]core.DonateAux, nTasks)
 	}
 	// Collect each leader's own outcome; all leaders of a clique must have
-	// gossiped identical record sets and derived identical aux results.
+	// derived identical aux results.
 	for i := 0; i < nTasks; i++ {
 		members := spec.members(i)
 		newColors := make([]int32, len(members))
-		first := true
 		for j, v := range members {
 			sm := ms[rt.topo.leaderOf[v]]
 			sm.mu.Lock()
-			err, hash, ownColor := sm.err, sm.recHash, sm.ownColor
+			err, ownColor := sm.err, sm.ownColor
 			auxInt, auxDon := sm.auxInt, sm.auxDon
 			sm.mu.Unlock()
 			if err != nil {
 				return nil, fmt.Errorf("distsim: clique %d member %d: %w", i, j, err)
 			}
-			if first {
-				out.RecordHashes[i] = hash
+			if j == 0 {
 				switch spec.Kind {
 				case StageMatching:
 					out.Repeats[i] = auxInt
@@ -623,11 +609,7 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 				case StageDonate:
 					out.DonateAux[i] = auxDon
 				}
-				first = false
 			} else {
-				if hash != out.RecordHashes[i] {
-					return nil, fmt.Errorf("distsim: clique %d member %d gossiped a diverging record set", i, j)
-				}
 				diverged := false
 				switch spec.Kind {
 				case StageMatching:
@@ -638,25 +620,12 @@ func RunStage(cg *cluster.CG, snap *coloring.Coloring, spec StageSpec, bandwidth
 					diverged = auxDon != out.DonateAux[i]
 				}
 				if diverged {
-					return nil, fmt.Errorf("distsim: clique %d member %d replayed a diverging outcome", i, j)
+					return nil, fmt.Errorf("distsim: clique %d member %d derived a diverging outcome", i, j)
 				}
 			}
 			newColors[j] = ownColor
 		}
-		// Snapshot-relative writes in runPerClique's order: recolorings
-		// first, then newly colored.
-		for pass := 0; pass < 2; pass++ {
-			for j, v := range members {
-				nc, oc := newColors[j], rt.snapColors[v]
-				if nc == oc {
-					continue
-				}
-				if recolor := oc != coloring.None; (pass == 0) != recolor {
-					continue
-				}
-				out.Writes[i] = append(out.Writes[i], core.MemberWrite{V: v, C: nc})
-			}
-		}
+		out.Writes[i] = core.MemberWrites(snap, members, newColors)
 	}
 	return out, nil
 }

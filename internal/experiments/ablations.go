@@ -92,24 +92,26 @@ func A2CabalMatching(n, plantedPairs int, seeds int, seed uint64) (*Table, error
 			if err != nil {
 				return nil, err
 			}
-			col := coloring.New(h.N(), h.MaxDegree())
+			view, err := coloring.NewCliqueView(cg, coloring.New(h.N(), h.MaxDegree()), members)
+			if err != nil {
+				return nil, err
+			}
 			rng := graph.NewRand(seed + 100 + uint64(s))
-			m, err := matching.Sampling(cg, col, matching.SamplingOptions{
-				Phase:   "a2",
-				Members: members,
-				Rounds:  8,
+			m, err := matching.Sampling(view, matching.SamplingOptions{
+				Phase:  "a2",
+				Rounds: 8,
 			}, rng)
 			if err != nil {
 				return nil, err
 			}
 			if withBackup && m < plantedPairs {
 				var uncolored []int
-				for _, v := range members {
-					if !col.IsColored(v) {
-						uncolored = append(uncolored, v)
+				for i, c := range view.Colors {
+					if c == coloring.None {
+						uncolored = append(uncolored, i)
 					}
 				}
-				pairs, err := matching.FingerprintMatching(cg, matching.FingerprintOptions{
+				pairs, err := matching.FingerprintMatching(view, matching.FingerprintOptions{
 					Phase:   "a2fp",
 					Members: uncolored,
 					Trials:  10 * bits.Len(uint(n)),
@@ -117,7 +119,7 @@ func A2CabalMatching(n, plantedPairs int, seeds int, seed uint64) (*Table, error
 				if err != nil {
 					return nil, err
 				}
-				colored, err := matching.ColorPairs(cg, col, pairs, 0, "a2cp", rng)
+				colored, err := matching.ColorPairs(view, pairs, 0, "a2cp", rng)
 				if err != nil {
 					return nil, err
 				}
@@ -195,20 +197,29 @@ func A3PutAside(cliqueSize, r, bandwidth int, seed uint64) (*Table, error) {
 			if !donationOn {
 				sampleTries = 1 // cripple donation: one try, then fallback
 			}
+			view, putAside, err := cabalView(cg, col, members, ps[i])
+			if err != nil {
+				return nil, err
+			}
 			opts := putaside.DonateOptions{
 				Phase:              "a3/donate",
-				Cabal:              members,
-				PutAside:           ps[i],
+				PutAside:           putAside,
 				FreeColorThreshold: 1 << 20, // never take the free-color shortcut
 				BlockSize:          8,
 				SampleTries:        sampleTries,
 			}
 			if !donationOn {
 				// Forbid every donor: the scheme finds none and falls back.
-				opts.ForbiddenDonors = func(v int) bool { return true }
+				opts.ForbiddenDonors = make([]bool, len(members))
+				for j := range opts.ForbiddenDonors {
+					opts.ForbiddenDonors[j] = true
+				}
 			}
-			res, err := putaside.ColorPutAside(cg, col, opts, rng)
+			res, err := putaside.ColorPutAside(view, opts, rng)
 			if err != nil {
+				return nil, err
+			}
+			if err := view.Store(col); err != nil {
 				return nil, err
 			}
 			don += res.ViaDonation

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"clustercolor/internal/baseline"
 	"clustercolor/internal/cluster"
@@ -85,7 +86,11 @@ func E7CabalMatching(n int, plantedPairs []int, seed uint64) (*Table, error) {
 		for i := range members {
 			members[i] = i
 		}
-		pairs, err := matching.FingerprintMatching(cg, matching.FingerprintOptions{
+		view, err := coloring.NewCliqueView(cg, coloring.New(n, h.MaxDegree()), members)
+		if err != nil {
+			return nil, err
+		}
+		pairs, err := matching.FingerprintMatching(view, matching.FingerprintOptions{
 			Phase:   "e7",
 			Members: members,
 			Trials:  k,
@@ -157,15 +162,21 @@ func E8PutAside(cliqueSizes []int, r int, seed uint64) (*Table, error) {
 		agg := putaside.DonateResult{}
 		lg := bits.Len(uint(h.N()))
 		for i, members := range cabals {
-			res, err := putaside.ColorPutAside(cg, col, putaside.DonateOptions{
+			view, putAside, err := cabalView(cg, col, members, ps[i])
+			if err != nil {
+				return nil, err
+			}
+			res, err := putaside.ColorPutAside(view, putaside.DonateOptions{
 				Phase:              "e8/donate",
-				Cabal:              members,
-				PutAside:           ps[i],
+				PutAside:           putAside,
 				FreeColorThreshold: 4 * r,
 				BlockSize:          8,
 				SampleTries:        4 * lg,
 			}, rng)
 			if err != nil {
+				return nil, err
+			}
+			if err := view.Store(col); err != nil {
 				return nil, err
 			}
 			agg.ViaFreeColors += res.ViaFreeColors
@@ -183,6 +194,22 @@ func E8PutAside(cliqueSizes []int, r int, seed uint64) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// cabalView fills the view of one cabal from col and translates its
+// put-aside vertices into member indices.
+func cabalView(cg *cluster.CG, col *coloring.Coloring, members, putAside []int) (*coloring.CliqueView, []int, error) {
+	view, err := coloring.NewCliqueView(cg, col, members)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := make([]int, len(putAside))
+	for j, v := range putAside {
+		if idx[j] = slices.Index(members, v); idx[j] < 0 {
+			return nil, nil, fmt.Errorf("experiments: put-aside vertex %d outside its cabal", v)
+		}
+	}
+	return view, idx, nil
 }
 
 // E9SCT measures Lemma 4.13: leftovers after a synchronized color trial vs
@@ -211,7 +238,15 @@ func E9SCT(cliqueSize int, externals []int, seed uint64) (*Table, error) {
 				members = append(members, v)
 			}
 		}
-		res, err := sct.Run(cg, col, sct.Options{Phase: "e9", Members: members, Participants: members}, graph.NewRand(seed+2))
+		view, err := coloring.NewCliqueView(cg, col, members)
+		if err != nil {
+			return nil, err
+		}
+		participants := make([]int, len(members))
+		for i := range participants {
+			participants[i] = i
+		}
+		res, err := sct.Run(view, sct.Options{Phase: "e9", Participants: participants}, graph.NewRand(seed+2))
 		if err != nil {
 			return nil, err
 		}

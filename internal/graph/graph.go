@@ -277,52 +277,17 @@ func (g *Graph) BFSDepths(src int, allowed func(int) bool) (depth, parent []int)
 	return depth, parent
 }
 
-// SubgraphScratch is the reusable membership index of InducedSubgraphWith:
-// flat epoch-stamped arrays replace the per-call map (the same trick as the
-// Power BFS and acd.Validate), so repeated extraction costs one stamp per
-// member and no hashing. A scratch belongs to one caller at a time; the zero
-// value is ready to use.
-type SubgraphScratch struct {
-	index []int32 // new index of v, valid iff epoch[v] == cur
-	epoch []int32
-	cur   int32
-}
-
 // InducedSubgraph returns the subgraph induced by vertices (in the given
 // order) together with the mapping from new index to original vertex.
 func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int) {
-	return g.InducedSubgraphWith(vertices, &SubgraphScratch{})
-}
-
-// InducedSubgraphWith is InducedSubgraph with caller-owned scratch, for
-// replay and virtual-graph paths that extract subgraphs repeatedly.
-func (g *Graph) InducedSubgraphWith(vertices []int, sc *SubgraphScratch) (*Graph, []int) {
-	n := g.N()
-	if cap(sc.index) < n {
-		sc.index = make([]int32, n)
-		sc.epoch = make([]int32, n)
-		sc.cur = 0
-	}
-	sc.index = sc.index[:n]
-	sc.epoch = sc.epoch[:n]
-	sc.cur++
-	if sc.cur <= 0 { // int32 wraparound after ~2³¹ extractions: restamp
-		for i := range sc.epoch {
-			sc.epoch[i] = 0
-		}
-		sc.cur = 1
-	}
+	index := make([]int32, g.N()) // new index of v plus one; 0 outside vertices
 	for i, v := range vertices {
-		sc.index[v] = int32(i)
-		sc.epoch[v] = sc.cur
+		index[v] = int32(i) + 1
 	}
 	b := NewBuilder(len(vertices))
 	for i, v := range vertices {
 		for _, w := range g.Neighbors(v) {
-			if sc.epoch[w] != sc.cur {
-				continue
-			}
-			if j := int(sc.index[w]); i < j {
+			if j := int(index[w]) - 1; i < j {
 				// Insertion between in-range distinct indices cannot fail.
 				_ = b.AddEdge(i, j)
 			}
@@ -383,16 +348,4 @@ func (g *Graph) Power(k int) (*Graph, error) {
 		}
 	}
 	return b.Build(), nil
-}
-
-// Complement anti-edges: AntiDegreeWithin returns |K \ N(v)| - 1 for v in the
-// vertex set K, i.e. the number of non-neighbors of v inside K.
-func (g *Graph) AntiDegreeWithin(v int, members []int32) int {
-	a := 0
-	for _, u := range members {
-		if int(u) != v && !g.HasEdge(v, int(u)) {
-			a++
-		}
-	}
-	return a
 }

@@ -356,20 +356,6 @@ func TestPlantedACDRejectsBadSpec(t *testing.T) {
 	}
 }
 
-func TestAntiDegreeWithin(t *testing.T) {
-	b := NewBuilder(4)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(0, 2)
-	g := b.Build()
-	members := []int32{0, 1, 2, 3}
-	if got := g.AntiDegreeWithin(0, members); got != 1 { // only 3 is a non-neighbor
-		t.Fatalf("AntiDegreeWithin(0) = %d, want 1", got)
-	}
-	if got := g.AntiDegreeWithin(3, members); got != 3 {
-		t.Fatalf("AntiDegreeWithin(3) = %d, want 3", got)
-	}
-}
-
 // Property: HasEdge is symmetric and consistent with Neighbors.
 func TestHasEdgeSymmetryProperty(t *testing.T) {
 	rng := NewRand(21)

@@ -14,25 +14,28 @@
 //     vertices are anti-neighbors of the maximum holder. A min-wise hash
 //     samples one anti-neighbor per trial, and the discovered anti-edges
 //     form a matching that is then colored with MultiColorTrial semantics.
+//
+// Both run on one almost-clique's coloring.CliqueView: they address members
+// by index, read member colors, member adjacency and the colors held by
+// non-member neighbours through the view, and write only the view's
+// colors. The vertex-level pipeline and internal/distsim's member leaders
+// fill the view differently and call the same code.
 package matching
 
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
-	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/fingerprint"
 	"clustercolor/internal/prng"
 	"clustercolor/internal/sketch"
-	"clustercolor/internal/trials"
 )
 
 // SamplingOptions configures the Lemma 4.9 algorithm.
 type SamplingOptions struct {
 	Phase string
-	// Members is the almost-clique K.
-	Members []int
 	// ReservedMax: matched pairs never use colors 1..ReservedMax.
 	ReservedMax int32
 	// Rounds is the number of sampling rounds (paper: O(1/ε); default 8).
@@ -42,19 +45,30 @@ type SamplingOptions struct {
 	TargetRepeats int
 }
 
-// Sampling runs the random-trial colorful matching. It returns M_K, the
-// number of repeated-color units created (each unit is one extra vertex on
-// an already-used matching color). Only vertices that provide reuse slack
-// are colored (Lemma 4.9's guarantee).
-func Sampling(cg *cluster.CG, col *coloring.Coloring, opts SamplingOptions, rng *rand.Rand) (int, error) {
-	if len(opts.Members) == 0 {
+// Sampling runs the random-trial colorful matching on the clique of v. It
+// returns M_K, the number of repeated-color units created (each unit is one
+// extra vertex on an already-used matching color). Only vertices that
+// provide reuse slack are colored (Lemma 4.9's guarantee).
+//
+// In each round every uncolored member draws one non-reserved color, and
+// each color class — the members that drew it — is resolved on its own:
+// its members that may take the color form a greedy independent group in
+// member order, and a group of two or more adopts it. A counting sort lays
+// the classes out in one bucket array, walked in ascending color order, so
+// a round allocates nothing. The order cannot change the outcome: a member
+// draws exactly one color per round, and a class's outcome depends only on
+// the members holding its own color, which no other class of the round
+// writes.
+func Sampling(v *coloring.CliqueView, opts SamplingOptions, rng *rand.Rand) (int, error) {
+	k := len(v.Members)
+	if k == 0 {
 		return 0, fmt.Errorf("matching: empty clique")
 	}
 	rounds := opts.Rounds
 	if rounds <= 0 {
 		rounds = 8
 	}
-	if opts.ReservedMax >= col.MaxColor() {
+	if opts.ReservedMax >= v.MaxColor {
 		return 0, fmt.Errorf("matching: reserved prefix %d leaves no colors", opts.ReservedMax)
 	}
 	// One O(log n)-bit gather round before the trials: resolving a round's
@@ -63,7 +77,16 @@ func Sampling(cg *cluster.CG, col *coloring.Coloring, opts SamplingOptions, rng 
 	// The distsim conformance harness measured the machine-level protocol at
 	// one H-round more than announce+respond alone; this charge keeps the
 	// cost model honest about it.
-	cg.ChargeHRounds(opts.Phase+"/gather", 1, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/gather", 1, 2*v.IDBits())
+	span := int(v.MaxColor - opts.ReservedMax)
+	// Class d holds the members that drew color ReservedMax+1+d. A round
+	// counts class d in next[d+1]; the prefix sum makes next[d] the class's
+	// first slot in order, and placing the class's members advances it.
+	// drew[i] is member i's draw this round (None when it was colored).
+	next := make([]int32, span+1)
+	drew := make([]int32, k)
+	order := make([]int32, k)
+	group := make([]int, 0, k)
 	repeats := 0
 	for r := 0; r < rounds; r++ {
 		if opts.TargetRepeats > 0 && repeats >= opts.TargetRepeats {
@@ -71,46 +94,60 @@ func Sampling(cg *cluster.CG, col *coloring.Coloring, opts SamplingOptions, rng 
 		}
 		// Each uncolored member samples one non-reserved color: one
 		// O(log Δ)-bit announce round plus one response round.
-		cg.ChargeHRounds(opts.Phase+"/announce", 1, 2*cg.IDBits())
-		cg.ChargeHRounds(opts.Phase+"/respond", 1, 2*cg.IDBits())
-		byColor := make(map[int32][]int)
-		for _, v := range opts.Members {
-			if col.IsColored(v) {
+		v.Charge(opts.Phase, "/announce", 1, 2*v.IDBits())
+		v.Charge(opts.Phase, "/respond", 1, 2*v.IDBits())
+		clear(next)
+		drawn := 0
+		for i, c := range v.Colors {
+			drew[i] = coloring.None
+			if c != coloring.None {
 				continue
 			}
-			c := opts.ReservedMax + 1 + int32(rng.IntN(int(col.MaxColor()-opts.ReservedMax)))
-			byColor[c] = append(byColor[c], v)
+			d := rng.IntN(span)
+			drew[i] = opts.ReservedMax + 1 + int32(d)
+			next[d+1]++
+			drawn++
 		}
-		for c, cands := range byColor {
-			// Keep candidates whose neighbors don't already use c.
-			var ok []int
-			for _, v := range cands {
-				if coloring.Available(cg.H, col, v, c) {
-					ok = append(ok, v)
-				}
+		for d := 1; d < span; d++ {
+			next[d] += next[d-1]
+		}
+		for i, c := range drew {
+			if c != coloring.None {
+				d := c - opts.ReservedMax - 1
+				order[next[d]] = int32(i)
+				next[d]++
 			}
-			// Greedy independent subset among the candidates (anti-edge
-			// groups): same-colored members must be pairwise non-adjacent.
-			var group []int
-			for _, v := range ok {
+		}
+		for lo := 0; lo < drawn; {
+			c := drew[order[lo]]
+			hi := lo + 1
+			for hi < drawn && drew[order[hi]] == c {
+				hi++
+			}
+			// The class's members that may take c, greedily kept pairwise
+			// non-adjacent: same-colored members must be an anti-clique.
+			group = group[:0]
+			for _, i := range order[lo:hi] {
+				if !v.Available(int(i), c) {
+					continue
+				}
 				indep := true
-				for _, u := range group {
-					if cg.H.HasEdge(v, u) {
+				for _, j := range group {
+					if v.HasEdge(int(i), j) {
 						indep = false
 						break
 					}
 				}
 				if indep {
-					group = append(group, v)
+					group = append(group, int(i))
 				}
 			}
+			lo = hi
 			if len(group) < 2 {
 				continue // coloring a lone vertex provides no reuse slack
 			}
-			for _, v := range group {
-				if err := col.Set(v, c); err != nil {
-					return repeats, fmt.Errorf("matching: sampling adopt: %w", err)
-				}
+			for _, i := range group {
+				v.Colors[i] = c
 			}
 			repeats += len(group) - 1
 		}
@@ -121,7 +158,8 @@ func Sampling(cg *cluster.CG, col *coloring.Coloring, opts SamplingOptions, rng 
 // FingerprintOptions configures Algorithm 7.
 type FingerprintOptions struct {
 	Phase string
-	// Members is the cabal K.
+	// Members is the cabal K as indices into the view's members (for
+	// example its uncolored ones).
 	Members []int
 	// Trials is k (paper: Θ(log n / (ετ)); default 6·log₂ n scaled by the
 	// caller).
@@ -132,67 +170,76 @@ type FingerprintOptions struct {
 }
 
 // FingerprintMatching runs Algorithm 7 and returns the matched anti-edges
-// (u_i, w_i): vertex-disjoint non-adjacent pairs inside K.
-func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand) ([][2]int, error) {
+// (u_i, w_i) as member indices of v: disjoint non-adjacent pairs inside K.
+func FingerprintMatching(v *coloring.CliqueView, opts FingerprintOptions, rng *rand.Rand) ([][2]int, error) {
 	k := opts.Trials
 	if k <= 0 {
 		return nil, fmt.Errorf("matching: trial count %d must be positive", k)
 	}
-	members := opts.Members
-	if len(members) < 2 {
-		return nil, fmt.Errorf("matching: cabal of size %d too small", len(members))
+	in := opts.Members
+	if len(in) < 2 {
+		return nil, fmt.Errorf("matching: cabal of size %d too small", len(in))
 	}
-	// pos maps each member to its position, which indexes its rows.
-	pos := make(map[int]int, len(members))
-	for i, v := range members {
-		if _, dup := pos[v]; dup {
-			return nil, fmt.Errorf("matching: vertex %d listed twice in the cabal", v)
+	// pos maps each member to its position in the cabal, which indexes its
+	// rows (-1 outside the cabal).
+	pos := make([]int32, len(v.Members))
+	for i := range pos {
+		pos[i] = -1
+	}
+	for a, i := range in {
+		if i < 0 || i >= len(pos) {
+			return nil, fmt.Errorf("matching: member %d outside the clique of %d", i, len(pos))
 		}
-		pos[v] = i
+		if pos[i] >= 0 {
+			return nil, fmt.Errorf("matching: member %d listed twice in the cabal", i)
+		}
+		pos[i] = int32(a)
 	}
 	// Step 2: fingerprints of N(v) ∩ K and of K. One aggregation wave;
 	// deviation-encoded payloads (Lemma 5.6) charged below.
 	var samples, yV sketch.Arena[int8]
-	samples.Reset(len(members), k)
-	for i := range members {
-		fingerprint.Draw(samples.Row(i), rng)
+	samples.Reset(len(in), k)
+	for a := range in {
+		fingerprint.Draw(samples.Row(a), rng)
 	}
 	yK := emptyRow(make([]int8, k))
-	for i := range members {
-		sketch.MergeMax8(yK, samples.Row(i))
+	for a := range in {
+		sketch.MergeMax8(yK, samples.Row(a))
 	}
 	var sc sketch.Scratch[int8]
 	maxBits := sc.EncodedBits(yK)
-	yV.Reset(len(members), k)
-	for i, v := range members {
-		s := emptyRow(yV.Row(i))
-		for _, u := range cg.H.Neighbors(v) {
-			if j, ok := pos[int(u)]; ok {
-				sketch.MergeMax8(s, samples.Row(j))
+	yV.Reset(len(in), k)
+	var nbrs []int
+	for a, i := range in {
+		s := emptyRow(yV.Row(a))
+		nbrs = v.AppendNeighbors(nbrs[:0], i)
+		for _, j := range nbrs {
+			if b := pos[j]; b >= 0 {
+				sketch.MergeMax8(s, samples.Row(int(b)))
 			}
 		}
 		if b := sc.EncodedBits(s); b > maxBits {
 			maxBits = b
 		}
 	}
-	cg.ChargeHRounds(opts.Phase+"/fingerprints", 1, maxBits)
+	v.Charge(opts.Phase, "/fingerprints", 1, maxBits)
 	// Step 3: local identifiers via BFS enumeration — O(1) rounds.
-	cg.ChargeHRounds(opts.Phase+"/enumerate", 2, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/enumerate", 2, 2*v.IDBits())
 	// Step 4: per-trial screening by O(k)-bit aggregated bitmaps.
-	cg.ChargeHRounds(opts.Phase+"/screen", 1, k+8)
-	uniqueMaxCount := make(map[int]int)
+	v.Charge(opts.Phase, "/screen", 1, k+8)
+	uniqueMaxCount := make([]int, len(in))
 	type trial struct {
 		u    int   // unique maximum holder
 		anti []int // A_i: detected anti-neighbors of u
 	}
 	var kept []trial
-	for i := 0; i < k; i++ {
+	for t := 0; t < k; t++ {
 		// Unique maximum?
-		maxVal := yK[i]
+		maxVal := yK[t]
 		var holder, count int
-		for j, v := range members {
-			if samples.Row(j)[i] == maxVal {
-				holder = v
+		for a := range in {
+			if samples.Row(a)[t] == maxVal {
+				holder = a
 				count++
 				if count > 1 {
 					break
@@ -208,47 +255,47 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 		}
 		// Anti-neighbors: Y_v_i ≠ Y_K_i (excluding the holder itself).
 		var anti []int
-		for j, v := range members {
-			if v != holder && yV.Row(j)[i] != maxVal {
-				anti = append(anti, v)
+		for a, i := range in {
+			if a != holder && yV.Row(a)[t] != maxVal {
+				anti = append(anti, i)
 			}
 		}
 		if len(anti) == 0 {
 			continue // second condition: some non-edge must be visible
 		}
-		kept = append(kept, trial{u: holder, anti: anti})
+		kept = append(kept, trial{u: in[holder], anti: anti})
 	}
 	// Steps 5–9: random groups relay; each trial samples one anti-neighbor
-	// with a min-wise hash. Group communication is O(1) rounds with
-	// O(log n)-bit hash seeds.
-	cg.ChargeHRounds(opts.Phase+"/minwise", 3, 2*cg.IDBits())
+	// with a min-wise hash over vertex ids. Group communication is O(1)
+	// rounds with O(log n)-bit hash seeds.
+	v.Charge(opts.Phase, "/minwise", 3, 2*v.IDBits())
 	type pick struct{ u, w int }
 	var picks []pick
+	ids := make([]int, 0, len(in))
 	for _, tr := range kept {
-		h, err := prng.NewMinWiseHash(cg.H.N(), 0.5, rng)
+		h, err := prng.NewMinWiseHash(v.N, 0.5, rng)
 		if err != nil {
 			return nil, err
 		}
-		w := h.ArgMin(tr.anti)
-		if w < 0 {
-			continue
+		ids = ids[:0]
+		for _, i := range tr.anti {
+			ids = append(ids, v.Members[i])
 		}
-		picks = append(picks, pick{u: tr.u, w: w})
+		if w := h.ArgMin(ids); w >= 0 {
+			picks = append(picks, pick{u: tr.u, w: tr.anti[slices.Index(ids, w)]})
+		}
 	}
 	// Step 10: discard trials whose unique maximum was sampled as an
 	// anti-neighbor elsewhere.
-	sampledAsW := make(map[int]bool)
+	sampledAsW := make([]bool, len(v.Members))
 	for _, p := range picks {
 		sampledAsW[p.w] = true
 	}
 	// Step 11: each w keeps one trial.
-	usedW := make(map[int]bool)
+	usedW := make([]bool, len(v.Members))
 	var pairs [][2]int
 	for _, p := range picks {
-		if sampledAsW[p.u] {
-			continue
-		}
-		if usedW[p.w] {
+		if sampledAsW[p.u] || usedW[p.w] {
 			continue
 		}
 		usedW[p.w] = true
@@ -257,14 +304,14 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 			break
 		}
 	}
-	// Structural invariant check: pairs are anti-edges and vertex-disjoint.
-	seen := make(map[int]bool)
+	// Structural invariant check: pairs are anti-edges and member-disjoint.
+	seen := make([]bool, len(v.Members))
 	for _, p := range pairs {
-		if cg.H.HasEdge(p[0], p[1]) {
-			return nil, fmt.Errorf("matching: pair {%d,%d} is an edge, not an anti-edge", p[0], p[1])
+		if v.HasEdge(p[0], p[1]) {
+			return nil, fmt.Errorf("matching: pair {%d,%d} is an edge, not an anti-edge", v.Members[p[0]], v.Members[p[1]])
 		}
 		if seen[p[0]] || seen[p[1]] {
-			return nil, fmt.Errorf("matching: pair {%d,%d} reuses a matched vertex", p[0], p[1])
+			return nil, fmt.Errorf("matching: pair {%d,%d} reuses a matched vertex", v.Members[p[0]], v.Members[p[1]])
 		}
 		seen[p[0]] = true
 		seen[p[1]] = true
@@ -272,47 +319,44 @@ func FingerprintMatching(cg *cluster.CG, opts FingerprintOptions, rng *rand.Rand
 	return pairs, nil
 }
 
-// ColorPairs colors each matched anti-edge with a shared non-reserved color
-// (Algorithm 6 Steps 2–3): the pair behaves as one MultiColorTrial vertex
-// whose palette is the intersection of its endpoints' palettes. Returns the
-// number of pairs colored.
-func ColorPairs(cg *cluster.CG, col *coloring.Coloring, pairs [][2]int, reservedMax int32, phase string, rng *rand.Rand) (int, error) {
-	if reservedMax >= col.MaxColor() {
+// ColorPairs colors each matched anti-edge (a pair of member indices of v)
+// with a shared non-reserved color (Algorithm 6 Steps 2–3): the pair
+// behaves as one MultiColorTrial vertex whose palette is the intersection
+// of its endpoints' palettes. Returns the number of pairs colored.
+func ColorPairs(v *coloring.CliqueView, pairs [][2]int, reservedMax int32, phase string, rng *rand.Rand) (int, error) {
+	if reservedMax >= v.MaxColor {
 		return 0, fmt.Errorf("matching: reserved prefix %d leaves no colors", reservedMax)
 	}
-	space := trials.RangeSpace(reservedMax+1, col.MaxColor())
+	span := int(v.MaxColor - reservedMax)
 	colored := 0
 	// Pairs behave like super-vertices; O(1) TryColor rounds followed by
 	// exhaustive fallback keep this at O(log* n) shape while guaranteeing
 	// termination at laptop scale.
 	const maxRounds = 40
 	done := make([]bool, len(pairs))
+	tried := make([]int32, len(pairs)) // None: not trying this round
 	for r := 0; r < maxRounds && colored < len(pairs); r++ {
-		cg.ChargeHRounds(phase+"/try", 2, 2*cg.IDBits())
-		tried := make(map[int]int32, len(pairs)) // pair index → color
+		v.Charge(phase, "/try", 2, 2*v.IDBits())
 		for i, p := range pairs {
+			tried[i] = coloring.None
 			if done[i] {
 				continue
 			}
-			c := space[rng.IntN(len(space))]
-			if coloring.Available(cg.H, col, p[0], c) && coloring.Available(cg.H, col, p[1], c) {
+			c := reservedMax + 1 + int32(rng.IntN(span))
+			if v.Available(p[0], c) && v.Available(p[1], c) {
 				tried[i] = c
 			}
 		}
 		for i, p := range pairs {
-			c, ok := tried[i]
-			if !ok {
+			c := tried[i]
+			if c == coloring.None {
 				continue
 			}
 			conflict := false
-			for j, q := range pairs {
-				cj, trying := tried[j]
-				if !trying || j >= i || cj != c {
-					continue
-				}
+			for j, q := range pairs[:i] {
 				// An earlier pair trying the same color blocks i if they
 				// touch or are adjacent.
-				if adjacentPairs(cg, p, q) {
+				if tried[j] == c && adjacentPairs(v, p, q) {
 					conflict = true
 					break
 				}
@@ -320,12 +364,8 @@ func ColorPairs(cg *cluster.CG, col *coloring.Coloring, pairs [][2]int, reserved
 			if conflict {
 				continue
 			}
-			if err := col.Set(p[0], c); err != nil {
-				return colored, err
-			}
-			if err := col.Set(p[1], c); err != nil {
-				return colored, err
-			}
+			v.Colors[p[0]] = c
+			v.Colors[p[1]] = c
 			done[i] = true
 			colored++
 		}
@@ -341,10 +381,10 @@ func emptyRow(row []int8) []int8 {
 	return row
 }
 
-func adjacentPairs(cg *cluster.CG, p, q [2]int) bool {
+func adjacentPairs(v *coloring.CliqueView, p, q [2]int) bool {
 	for _, a := range p {
 		for _, b := range q {
-			if a == b || cg.H.HasEdge(a, b) {
+			if a == b || v.HasEdge(a, b) {
 				return true
 			}
 		}

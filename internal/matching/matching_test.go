@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"clustercolor/internal/cluster"
@@ -52,6 +53,16 @@ func denseWithAntiEdges(t *testing.T, n, plantedPairs int) *graph.Graph {
 	return b.Build()
 }
 
+// viewOf fills the clique view of members from cg and col.
+func viewOf(t *testing.T, cg *cluster.CG, col *coloring.Coloring, members []int) *coloring.CliqueView {
+	t.Helper()
+	v, err := coloring.NewCliqueView(cg, col, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func irange(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -66,12 +77,15 @@ func TestSamplingCreatesRepeats(t *testing.T) {
 	g := denseWithAntiEdges(t, 60, 20)
 	cg := testCG(t, g)
 	col := coloring.New(g.N(), g.MaxDegree())
-	m, err := Sampling(cg, col, SamplingOptions{
-		Phase:   "cm",
-		Members: irange(0, 60),
-		Rounds:  20,
+	v := viewOf(t, cg, col, irange(0, 60))
+	m, err := Sampling(v, SamplingOptions{
+		Phase:  "cm",
+		Rounds: 20,
 	}, graph.NewRand(3))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Store(col); err != nil {
 		t.Fatal(err)
 	}
 	if m == 0 {
@@ -104,12 +118,15 @@ func TestSamplingAvoidsReservedColors(t *testing.T) {
 	g := denseWithAntiEdges(t, 40, 15)
 	cg := testCG(t, g)
 	col := coloring.New(g.N(), g.MaxDegree())
-	if _, err := Sampling(cg, col, SamplingOptions{
+	v := viewOf(t, cg, col, irange(0, 40))
+	if _, err := Sampling(v, SamplingOptions{
 		Phase:       "cm",
-		Members:     irange(0, 40),
 		ReservedMax: 10,
 		Rounds:      15,
 	}, graph.NewRand(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Store(col); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 40; v++ {
@@ -123,10 +140,10 @@ func TestSamplingValidation(t *testing.T) {
 	g := graph.Clique(4)
 	cg := testCG(t, g)
 	col := coloring.New(4, 3)
-	if _, err := Sampling(cg, col, SamplingOptions{Phase: "x"}, graph.NewRand(1)); err == nil {
+	if _, err := Sampling(viewOf(t, cg, col, nil), SamplingOptions{Phase: "x"}, graph.NewRand(1)); err == nil {
 		t.Fatal("empty clique accepted")
 	}
-	if _, err := Sampling(cg, col, SamplingOptions{Phase: "x", Members: irange(0, 4), ReservedMax: 4}, graph.NewRand(1)); err == nil {
+	if _, err := Sampling(viewOf(t, cg, col, irange(0, 4)), SamplingOptions{Phase: "x", ReservedMax: 4}, graph.NewRand(1)); err == nil {
 		t.Fatal("reserved covering space accepted")
 	}
 }
@@ -135,9 +152,8 @@ func TestSamplingTargetStopsEarly(t *testing.T) {
 	g := denseWithAntiEdges(t, 60, 25)
 	cg := testCG(t, g)
 	col := coloring.New(g.N(), g.MaxDegree())
-	m, err := Sampling(cg, col, SamplingOptions{
+	m, err := Sampling(viewOf(t, cg, col, irange(0, 60)), SamplingOptions{
 		Phase:         "cm",
-		Members:       irange(0, 60),
 		Rounds:        100,
 		TargetRepeats: 3,
 	}, graph.NewRand(7))
@@ -156,7 +172,7 @@ func TestFingerprintMatchingFindsPlantedAntiEdges(t *testing.T) {
 	g := denseWithAntiEdges(t, n, planted)
 	cg := testCG(t, g)
 	k := 12 * bits.Len(uint(n)) // Θ(log n) trials with generous constant
-	pairs, err := FingerprintMatching(cg, FingerprintOptions{
+	pairs, err := FingerprintMatching(viewOf(t, cg, coloring.New(n, g.MaxDegree()), irange(0, n)), FingerprintOptions{
 		Phase:   "fm",
 		Members: irange(0, n),
 		Trials:  k,
@@ -193,7 +209,7 @@ func TestFingerprintMatchingSizeTracksAntiDegree(t *testing.T) {
 		for _, planted := range []int{2, 12} {
 			g := denseWithAntiEdges(t, n, planted)
 			cg := testCG(t, g)
-			pairs, err := FingerprintMatching(cg, FingerprintOptions{
+			pairs, err := FingerprintMatching(viewOf(t, cg, coloring.New(n, g.MaxDegree()), irange(0, n)), FingerprintOptions{
 				Phase:   "fm",
 				Members: irange(0, n),
 				Trials:  k,
@@ -216,21 +232,26 @@ func TestFingerprintMatchingSizeTracksAntiDegree(t *testing.T) {
 func TestFingerprintMatchingValidation(t *testing.T) {
 	g := graph.Clique(4)
 	cg := testCG(t, g)
-	if _, err := FingerprintMatching(cg, FingerprintOptions{Phase: "x", Members: irange(0, 4)}, graph.NewRand(1)); err == nil {
+	col := coloring.New(4, 3)
+	v := viewOf(t, cg, col, irange(0, 4))
+	if _, err := FingerprintMatching(v, FingerprintOptions{Phase: "x", Members: irange(0, 4)}, graph.NewRand(1)); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if _, err := FingerprintMatching(cg, FingerprintOptions{Phase: "x", Members: []int{0}, Trials: 8}, graph.NewRand(1)); err == nil {
+	if _, err := FingerprintMatching(v, FingerprintOptions{Phase: "x", Members: []int{0}, Trials: 8}, graph.NewRand(1)); err == nil {
 		t.Fatal("single-vertex cabal accepted")
 	}
-	if _, err := FingerprintMatching(cg, FingerprintOptions{Phase: "x", Members: []int{0, 1, 1, 2}, Trials: 8}, graph.NewRand(1)); err == nil {
-		t.Fatal("cabal listing a vertex twice accepted")
+	if _, err := FingerprintMatching(v, FingerprintOptions{Phase: "x", Members: []int{0, 1, 1, 2}, Trials: 8}, graph.NewRand(1)); err == nil {
+		t.Fatal("cabal listing a member twice accepted")
+	}
+	if _, err := coloring.NewCliqueView(cg, col, []int{0, 1, 1, 2}); err == nil {
+		t.Fatal("clique listing a vertex twice accepted")
 	}
 }
 
 func TestFingerprintMatchingOnTrueCliqueFindsNothing(t *testing.T) {
 	g := graph.Clique(50)
 	cg := testCG(t, g)
-	pairs, err := FingerprintMatching(cg, FingerprintOptions{
+	pairs, err := FingerprintMatching(viewOf(t, cg, coloring.New(50, g.MaxDegree()), irange(0, 50)), FingerprintOptions{
 		Phase:   "fm",
 		Members: irange(0, 50),
 		Trials:  64,
@@ -248,7 +269,8 @@ func TestColorPairsProducesProperSameColoredPairs(t *testing.T) {
 	g := denseWithAntiEdges(t, n, 8)
 	cg := testCG(t, g)
 	col := coloring.New(g.N(), g.MaxDegree())
-	pairs, err := FingerprintMatching(cg, FingerprintOptions{
+	v := viewOf(t, cg, col, irange(0, n))
+	pairs, err := FingerprintMatching(v, FingerprintOptions{
 		Phase:   "fm",
 		Members: irange(0, n),
 		Trials:  80,
@@ -259,8 +281,11 @@ func TestColorPairsProducesProperSameColoredPairs(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Skip("no pairs found at this seed")
 	}
-	colored, err := ColorPairs(cg, col, pairs, 5, "color", graph.NewRand(15))
+	colored, err := ColorPairs(v, pairs, 5, "color", graph.NewRand(15))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Store(col); err != nil {
 		t.Fatal(err)
 	}
 	if colored != len(pairs) {
@@ -284,7 +309,32 @@ func TestColorPairsValidation(t *testing.T) {
 	g := graph.Clique(4)
 	cg := testCG(t, g)
 	col := coloring.New(4, 3)
-	if _, err := ColorPairs(cg, col, nil, 4, "x", graph.NewRand(1)); err == nil {
+	if _, err := ColorPairs(viewOf(t, cg, col, irange(0, 4)), nil, 4, "x", graph.NewRand(1)); err == nil {
 		t.Fatal("reserved covering space accepted")
 	}
+}
+
+// TestSamplingAllocsFlatInRounds pins that a Sampling round allocates
+// nothing: on one prebuilt view with no charge hook, eight rounds allocate
+// exactly what one round does (the class buckets and the group buffer are
+// allocated once per call).
+func TestSamplingAllocsFlatInRounds(t *testing.T) {
+	g := denseWithAntiEdges(t, 60, 20)
+	v := viewOf(t, testCG(t, g), coloring.New(g.N(), g.MaxDegree()), irange(0, 60))
+	v.CG = nil
+	snap := slices.Clone(v.Colors)
+	rng := graph.NewRand(3)
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			copy(v.Colors, snap)
+			if _, err := Sampling(v, SamplingOptions{Phase: "a", Rounds: rounds}, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(1), allocs(8)
+	if eight != one {
+		t.Fatalf("Rounds 8 allocates %v per call, Rounds 1 %v: a round allocates", eight, one)
+	}
+	t.Logf("%v allocations per call at Rounds 1 and 8", one)
 }

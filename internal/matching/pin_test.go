@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"clustercolor/internal/coloring"
 	"clustercolor/internal/graph"
 )
 
@@ -14,9 +15,10 @@ import (
 // refactors: an FNV-64a hash over the returned pairs and the cost model's
 // rounds, total bits and peak payload, on planted cabals across seeds,
 // member orders, a cabal that is a strict subset of H, and a scan cut short
-// by TargetPairs. The hashes were recorded on the int16 fingerprint
-// implementation; any change to the draws, the tie handling, the min-wise
-// picks or the charged payload moves them.
+// by TargetPairs. The returned member-index pairs are hashed as vertex
+// ids. The hashes were recorded on the int16 fingerprint implementation;
+// any change to the draws, the tie handling, the min-wise picks or the
+// charged payload moves them.
 func TestFingerprintMatchingPinned(t *testing.T) {
 	planted := func(n, pairs int) func(t *testing.T) (*graph.Graph, []int) {
 		return func(t *testing.T) (*graph.Graph, []int) {
@@ -66,9 +68,10 @@ func TestFingerprintMatchingPinned(t *testing.T) {
 			g, members := tc.build(t)
 			for _, seed := range tc.seeds {
 				cg := testCG(t, g)
-				pairs, err := FingerprintMatching(cg, FingerprintOptions{
+				v := viewOf(t, cg, coloring.New(g.N(), g.MaxDegree()), members)
+				pairs, err := FingerprintMatching(v, FingerprintOptions{
 					Phase:       "pin",
-					Members:     members,
+					Members:     irange(0, len(members)),
 					Trials:      tc.trials,
 					TargetPairs: tc.target,
 				}, graph.NewRand(seed))
@@ -80,8 +83,8 @@ func TestFingerprintMatchingPinned(t *testing.T) {
 				}
 				put(int64(len(pairs)))
 				for _, p := range pairs {
-					put(int64(p[0]))
-					put(int64(p[1]))
+					put(int64(members[p[0]]))
+					put(int64(members[p[1]]))
 				}
 				put(cg.Cost().Rounds())
 				put(cg.Cost().TotalBits())

@@ -204,7 +204,7 @@ func ForRange(n int, f func(lo, hi int) error) error {
 
 // StreamRNG returns the canonical PRNG stream for a derived seed. Every
 // consumer of a RowSeed-derived stream — the per-clique stage loops, the
-// distsim machine-level replays, and the pipeline itself — must construct
+// distsim member leaders, and the pipeline itself — must construct
 // its generator through this one helper: byte-identical replay depends on
 // all of them using the same derivation.
 func StreamRNG(seed uint64) *rand.Rand {

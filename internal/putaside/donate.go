@@ -5,24 +5,22 @@ import (
 	"math/rand/v2"
 	"sort"
 
-	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 )
 
 // DonateOptions configures ColorPutAside for one cabal.
 type DonateOptions struct {
 	Phase string
-	// Cabal is the member list of K.
-	Cabal []int
-	// PutAside is P_K, the uncolored vertices to color.
+	// PutAside is P_K as member indices of the view: the uncolored members
+	// to color.
 	PutAside []int
-	// Inlier reports whether a vertex is an inlier of K (candidate donors
-	// must be inliers). Nil admits every member.
-	Inlier func(v int) bool
-	// ForbiddenDonors marks vertices that may not donate (members adjacent
-	// to foreign put-aside or candidate sets — Lemma 7.2 Property 2). Nil
-	// forbids nothing.
-	ForbiddenDonors func(v int) bool
+	// Inlier marks the inliers of K, aligned with the view's members
+	// (candidate donors must be inliers). Nil admits every member.
+	Inlier []bool
+	// ForbiddenDonors marks the members that may not donate (members
+	// adjacent to foreign put-aside or candidate sets — Lemma 7.2 Property
+	// 2), aligned with the view's members. Nil forbids nothing.
+	ForbiddenDonors []bool
 	// FreeColorThreshold is the scaled ℓ_s: with at least this many free
 	// colors in the clique palette, TryFreeColors handles everything.
 	FreeColorThreshold int
@@ -32,10 +30,6 @@ type DonateOptions struct {
 	// SampleTries is k = Θ(log n / log log n), the donations each
 	// recipient may test.
 	SampleTries int
-	// Scratch is the caller-owned palette scratch used for availability
-	// tests and exact palette materialization (nil allocates a private
-	// one). Parallel per-cabal callers pass their worker's scratch.
-	Scratch *coloring.PaletteScratch
 }
 
 // DonateResult reports how the put-aside vertices got colored.
@@ -55,67 +49,52 @@ type DonateResult struct {
 	Recolored int
 }
 
-// ColorPutAside implements Algorithm 8 for one cabal. The caller runs it per
-// cabal; cross-cabal safety comes from ComputePutAside's Property 2 and from
-// donors never being adjacent to foreign put-aside/donor sets.
-func ColorPutAside(cg *cluster.CG, col *coloring.Coloring, opts DonateOptions, rng *rand.Rand) (*DonateResult, error) {
+// ColorPutAside implements Algorithm 8 for the cabal of v. The caller runs
+// it per cabal; cross-cabal safety comes from ComputePutAside's Property 2
+// and from donors never being adjacent to foreign put-aside/donor sets.
+func ColorPutAside(v *coloring.CliqueView, opts DonateOptions, rng *rand.Rand) (*DonateResult, error) {
 	if opts.BlockSize <= 0 {
 		return nil, fmt.Errorf("putaside: block size %d must be positive", opts.BlockSize)
 	}
 	if opts.SampleTries <= 0 {
 		return nil, fmt.Errorf("putaside: sample tries %d must be positive", opts.SampleTries)
 	}
-	if opts.Scratch == nil {
-		opts.Scratch = coloring.NewPaletteScratch()
-	}
 	res := &DonateResult{}
 	uncolored := make([]int, 0, len(opts.PutAside))
-	for _, v := range opts.PutAside {
-		if col.IsColored(v) {
-			return nil, fmt.Errorf("putaside: put-aside vertex %d already colored", v)
+	for _, i := range opts.PutAside {
+		if v.Colors[i] != coloring.None {
+			return nil, fmt.Errorf("putaside: put-aside vertex %d already colored", v.Members[i])
 		}
-		uncolored = append(uncolored, v)
+		uncolored = append(uncolored, i)
 	}
 	if len(uncolored) == 0 {
 		return res, nil
 	}
-	cp := coloring.BuildCliquePalette(cg, col, opts.Cabal)
+	cp := v.Palette()
 	if cp.FreeCount() >= opts.FreeColorThreshold {
-		n, err := tryFreeColors(cg, col, cp, uncolored, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		res.ViaFreeColors = n
-		uncolored = stillUncolored(col, uncolored)
+		res.ViaFreeColors = tryFreeColors(v, cp, uncolored, opts, rng)
+		uncolored = stillUncolored(v, uncolored)
 	}
 	if len(uncolored) > 0 {
-		don, rec, err := donate(cg, col, cp, uncolored, opts, rng)
-		if err != nil {
-			return nil, err
-		}
-		res.ViaDonation = don
-		res.Recolored = rec
-		uncolored = stillUncolored(col, uncolored)
+		res.ViaDonation = donate(v, cp, uncolored, opts, rng)
+		res.Recolored = res.ViaDonation
+		uncolored = stillUncolored(v, uncolored)
 	}
 	if len(uncolored) > 0 {
 		// Counted fallback: exact palette lookup, charged as the expensive
 		// Ω(Δ/log n)-round primitive it is (Figure 2's lower bound).
-		n, err := fallbackExact(cg, col, uncolored, opts.Phase, opts.Scratch, rng)
-		if err != nil {
-			return nil, err
-		}
-		res.ViaFallback = n
-		uncolored = stillUncolored(col, uncolored)
+		res.ViaFallback = fallbackExact(v, uncolored, opts.Phase, rng)
+		uncolored = stillUncolored(v, uncolored)
 	}
 	res.Uncolored = len(uncolored)
 	return res, nil
 }
 
-func stillUncolored(col *coloring.Coloring, vs []int) []int {
+func stillUncolored(v *coloring.CliqueView, is []int) []int {
 	var out []int
-	for _, v := range vs {
-		if !col.IsColored(v) {
-			out = append(out, v)
+	for _, i := range is {
+		if v.Colors[i] == coloring.None {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -125,27 +104,27 @@ func stillUncolored(col *coloring.Coloring, vs []int) []int {
 // SampleTries indices into the clique palette (hashes keep messages at
 // O(log n) bits, Lemma D.9), keeps one that conflicts with neither external
 // neighbors nor other put-aside vertices' picks.
-func tryFreeColors(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
-	uncolored []int, opts DonateOptions, rng *rand.Rand) (int, error) {
+func tryFreeColors(v *coloring.CliqueView, cp *coloring.CliquePalette,
+	uncolored []int, opts DonateOptions, rng *rand.Rand) int {
 	free := cp.FreeView()
 	if len(free) == 0 {
-		return 0, nil
+		return 0
 	}
 	// Hash agreement + sampled-query round + response round.
-	cg.ChargeHRounds(opts.Phase+"/free-hash", 1, 2*cg.IDBits())
-	cg.ChargeHRounds(opts.Phase+"/free-query", 1, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/free-hash", 1, 2*v.IDBits())
+	v.Charge(opts.Phase, "/free-query", 1, 2*v.IDBits())
 	colored := 0
 	taken := make(map[int32]bool)
-	for _, v := range uncolored {
+	for _, i := range uncolored {
 		// One neighborhood load answers every sampled-color test in O(1).
-		opts.Scratch.Load(cg.H, col, v)
+		used := v.Used(i)
 		var chosen int32
 		for try := 0; try < opts.SampleTries; try++ {
 			c := free[rng.IntN(len(free))]
 			if taken[c] {
 				continue
 			}
-			if opts.Scratch.LoadedAvailable(c) {
+			if used.LoadedAvailable(c) {
 				chosen = c
 				break
 			}
@@ -154,44 +133,43 @@ func tryFreeColors(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePa
 			continue
 		}
 		taken[chosen] = true
-		if err := col.Set(v, chosen); err != nil {
-			return colored, err
-		}
+		v.Colors[i] = chosen
 		colored++
 	}
-	return colored, nil
+	return colored
 }
 
 // donate runs FindCandidateDonors + FindSafeDonors + DonateColors
-// (Algorithms 9 and 10 plus Step 6 of Algorithm 8).
-func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
-	uncolored []int, opts DonateOptions, rng *rand.Rand) (donated, recolored int, err error) {
-	inPutAside := make(map[int]bool, len(opts.PutAside))
-	for _, v := range opts.PutAside {
-		inPutAside[v] = true
+// (Algorithms 9 and 10 plus Step 6 of Algorithm 8) and returns the number
+// of recipients colored, each by one donor's swap.
+func donate(v *coloring.CliqueView, cp *coloring.CliquePalette,
+	uncolored []int, opts DonateOptions, rng *rand.Rand) int {
+	inPutAside := make([]bool, len(v.Members))
+	for _, i := range opts.PutAside {
+		inPutAside[i] = true
 	}
 	// --- FindCandidateDonors (Algorithm 9 / Lemma 7.2) ---
 	// Q_K: colored inliers with a unique color in K, not adjacent to
 	// foreign put-aside/candidate vertices and not in P_K.
-	cg.ChargeHRounds(opts.Phase+"/candidates", 2, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/candidates", 2, 2*v.IDBits())
 	var qK []int
-	for _, v := range opts.Cabal {
-		if inPutAside[v] || !col.IsColored(v) {
+	for i, c := range v.Colors {
+		if inPutAside[i] || c == coloring.None {
 			continue
 		}
-		if opts.Inlier != nil && !opts.Inlier(v) {
+		if opts.Inlier != nil && !opts.Inlier[i] {
 			continue
 		}
-		if opts.ForbiddenDonors != nil && opts.ForbiddenDonors(v) {
+		if opts.ForbiddenDonors != nil && opts.ForbiddenDonors[i] {
 			continue
 		}
-		if !cp.IsUnique(col.Get(v)) {
+		if !cp.IsUnique(c) {
 			continue
 		}
-		qK = append(qK, v)
+		qK = append(qK, i)
 	}
 	if len(qK) == 0 {
-		return 0, 0, nil
+		return 0
 	}
 	// --- FindSafeDonors (Algorithm 10 / Lemma 7.3) ---
 	// Each candidate samples a replacement color from the clique palette,
@@ -200,22 +178,22 @@ func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
 	// replacement color with a non-empty donor group.
 	free := cp.FreeView()
 	if len(free) == 0 {
-		return 0, 0, nil
+		return 0
 	}
-	cg.ChargeHRounds(opts.Phase+"/safe-sample", 1, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/safe-sample", 1, 2*v.IDBits())
 	groups := make(map[groupKey][]int)
-	for _, v := range qK {
+	for _, i := range qK {
 		c := free[rng.IntN(len(free))]
-		if !coloring.Available(cg.H, col, v, c) {
+		if !v.Available(i, c) {
 			continue // Step 1 of Algorithm 10: drop if c ∉ L(v)
 		}
-		block := (col.Get(v) - 1) / int32(opts.BlockSize)
+		block := (v.Colors[i] - 1) / int32(opts.BlockSize)
 		key := groupKey{recol: c, block: block}
-		groups[key] = append(groups[key], v)
+		groups[key] = append(groups[key], i)
 	}
 	// Fingerprint-style group-size estimation + block selection: O(1)
 	// rounds (Steps 2–4 of Algorithm 10).
-	cg.ChargeHRounds(opts.Phase+"/safe-select", 3, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/safe-select", 3, 2*v.IDBits())
 	// Deterministic order over groups (largest first) so each recipient
 	// takes the best remaining replacement color.
 	keys := make([]groupKey, 0, len(groups))
@@ -225,9 +203,12 @@ func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
 	// Sort: larger groups first, ties by color then block for determinism.
 	sortGroupKeys(keys, groups)
 	usedRecol := make(map[int32]bool)
-	assignment := make(map[int]groupKey) // recipient → group
+	// assigned[a] indexes the group of recipient uncolored[a] in keys (-1:
+	// none left).
+	assigned := make([]int, len(uncolored))
 	gi := 0
-	for _, u := range uncolored {
+	for a := range uncolored {
+		assigned[a] = -1
 		for gi < len(keys) {
 			k := keys[gi]
 			gi++
@@ -235,7 +216,7 @@ func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
 				continue
 			}
 			usedRecol[k.recol] = true
-			assignment[u] = k
+			assigned[a] = gi - 1
 			break
 		}
 	}
@@ -243,27 +224,28 @@ func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
 	// Recipient u samples donors from its group; a donation works when the
 	// donor's color is unused by u's external neighbors. Donations are
 	// k·log(b)-bit messages (block index + offsets).
-	cg.ChargeHRounds(opts.Phase+"/donate", 2, 2*cg.IDBits())
-	usedDonor := make(map[int]bool)
-	for _, u := range uncolored {
-		key, ok := assignment[u]
-		if !ok {
+	v.Charge(opts.Phase, "/donate", 2, 2*v.IDBits())
+	usedDonor := make([]bool, len(v.Members))
+	donated := 0
+	for a, u := range uncolored {
+		if assigned[a] < 0 {
 			continue
 		}
+		key := keys[assigned[a]]
 		donors := groups[key]
 		// One load of u's neighborhood answers every donor test in O(1).
-		opts.Scratch.Load(cg.H, col, u)
-		var donor int = -1
+		used := v.Used(u)
+		donor := -1
 		for try := 0; try < opts.SampleTries && try < 4*len(donors); try++ {
-			v := donors[rng.IntN(len(donors))]
-			if usedDonor[v] {
+			d := donors[rng.IntN(len(donors))]
+			if usedDonor[d] {
 				continue
 			}
 			// The donated color must be free for u: not used by u's
 			// (external) neighbors. In-clique uniqueness holds because
 			// candidates hold unique colors.
-			if opts.Scratch.LoadedAvailable(col.Get(v)) || onlyBlockerIsDonor(cg, col, u, v) {
-				donor = v
+			if used.LoadedAvailable(v.Colors[d]) || onlyBlockerIsDonor(v, u, d) {
+				donor = d
 				break
 			}
 		}
@@ -271,85 +253,58 @@ func donate(cg *cluster.CG, col *coloring.Coloring, cp *coloring.CliquePalette,
 			continue
 		}
 		usedDonor[donor] = true
-		donatedColor := col.Get(donor)
+		donatedColor := v.Colors[donor]
 		// Swap: donor takes its replacement, u takes the donated color.
-		col.Unset(donor)
-		if err := col.Set(donor, key.recol); err != nil {
-			return donated, recolored, fmt.Errorf("putaside: recoloring donor: %w", err)
-		}
-		if err := col.Set(u, donatedColor); err != nil {
-			return donated, recolored, fmt.Errorf("putaside: coloring recipient: %w", err)
-		}
+		v.Colors[donor] = key.recol
+		v.Colors[u] = donatedColor
 		// Post-swap safety check (both vertices proper).
-		if !properAt(cg, col, donor) || !properAt(cg, col, u) {
+		if !properAt(v, donor) || !properAt(v, u) {
 			// Undo and skip; the fallback path will handle u.
-			col.Unset(u)
-			col.Unset(donor)
-			if err := col.Set(donor, donatedColor); err != nil {
-				return donated, recolored, err
-			}
+			v.Colors[u] = coloring.None
+			v.Colors[donor] = donatedColor
 			continue
 		}
 		donated++
-		recolored++
 	}
-	return donated, recolored, nil
+	return donated
 }
 
-// onlyBlockerIsDonor reports whether the single neighbor of u holding
-// col(v) is v itself (then the swap frees the color for u).
-func onlyBlockerIsDonor(cg *cluster.CG, col *coloring.Coloring, u, v int) bool {
-	c := col.Get(v)
-	for _, w := range cg.H.Neighbors(u) {
-		if int(w) != v && col.Get(int(w)) == c {
-			return false
-		}
-	}
-	// u must actually be adjacent to v for this route to matter; if not,
-	// Available already answered.
-	return cg.H.HasEdge(u, v)
+// onlyBlockerIsDonor reports whether the single neighbor of member u
+// holding member d's color is d itself (then the swap frees the color for
+// u).
+func onlyBlockerIsDonor(v *coloring.CliqueView, u, d int) bool {
+	c := v.Colors[d]
+	return !v.ExtHolds(u, c) && !v.NeighborHolds(u, c, d) && v.HasEdge(u, d)
 }
 
-func properAt(cg *cluster.CG, col *coloring.Coloring, v int) bool {
-	c := col.Get(v)
-	if c == coloring.None {
-		return true
-	}
-	for _, u := range cg.H.Neighbors(v) {
-		if col.Get(int(u)) == c {
-			return false
-		}
-	}
-	return true
+// properAt reports whether no neighbor of member i shares its color.
+func properAt(v *coloring.CliqueView, i int) bool {
+	c := v.Colors[i]
+	return c == coloring.None || v.Available(i, c)
 }
 
 // fallbackExact colors remaining vertices by exact palette lookup — the
 // primitive Figure 2 shows costs Ω(Δ/log n) rounds, charged as such.
-func fallbackExact(cg *cluster.CG, col *coloring.Coloring, uncolored []int, phase string,
-	scratch *coloring.PaletteScratch, rng *rand.Rand) (int, error) {
-	delta := col.Delta()
-	bw := cg.Cost().Bandwidth()
-	hops := (delta + bw - 1) / bw
-	if hops < 1 {
-		hops = 1
+func fallbackExact(v *coloring.CliqueView, uncolored []int, phase string, rng *rand.Rand) int {
+	if v.CG != nil {
+		bw := v.CG.Cost().Bandwidth()
+		hops := max((int(v.MaxColor)-1+bw-1)/bw, 1)
+		v.Charge(phase, "/fallback", hops, bw)
 	}
-	cg.ChargeHRounds(phase+"/fallback", hops, bw)
 	colored := 0
-	for _, v := range uncolored {
-		pal := scratch.Palette(cg.H, col, v)
+	for _, i := range uncolored {
+		pal := v.Used(i).FreeColors()
 		if len(pal) == 0 {
 			continue
 		}
-		if err := col.Set(v, pal[rng.IntN(len(pal))]); err != nil {
-			return colored, err
-		}
-		if !properAt(cg, col, v) {
-			col.Unset(v)
+		v.Colors[i] = pal[rng.IntN(len(pal))]
+		if !properAt(v, i) {
+			v.Colors[i] = coloring.None
 			continue
 		}
 		colored++
 	}
-	return colored, nil
+	return colored
 }
 
 // groupKey identifies a donor group: the shared replacement color c_i and

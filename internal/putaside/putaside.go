@@ -14,6 +14,11 @@
 //     (FindSafeDonors), and finally a donor's color is transferred while the
 //     donor recolors itself with the replacement (DonateColors).
 //
+// ColorPutAside runs on one cabal's member-indexed coloring.CliqueView and
+// writes only the view's colors, so the vertex-level pipeline and
+// internal/distsim's member leaders run the same donation; ComputePutAside
+// spans several cabals and stays vertex-level.
+//
 // The paper's parameter values (ℓ_s = Θ(ℓ³), b = 256·ℓ_s⁶) only matter
 // asymptotically; Options exposes them scaled, and a counted fallback path
 // guarantees termination at laptop scale without masking the scheme's

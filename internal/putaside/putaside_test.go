@@ -1,6 +1,7 @@
 package putaside
 
 import (
+	"slices"
 	"testing"
 
 	"clustercolor/internal/cluster"
@@ -158,14 +159,12 @@ func TestColorPutAsideViaFreeColors(t *testing.T) {
 	col := coloring.New(g.N(), g.MaxDegree())
 	skip := map[int]bool{cabals[0][3]: true, cabals[0][7]: true}
 	colorAllBut(t, g, col, skip)
-	res, err := ColorPutAside(cg, col, DonateOptions{
+	res, err := colorPutAsideOn(t, cg, col, cabals[0], []int{cabals[0][3], cabals[0][7]}, DonateOptions{
 		Phase:              "don",
-		Cabal:              cabals[0],
-		PutAside:           []int{cabals[0][3], cabals[0][7]},
 		FreeColorThreshold: 1,
 		BlockSize:          8,
 		SampleTries:        16,
-	}, graph.NewRand(15))
+	}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +190,12 @@ func TestColorPutAsideViaDonation(t *testing.T) {
 	col := coloring.New(n, g.MaxDegree()) // colors 1..n
 	skip := map[int]bool{5: true}
 	colorAllBut(t, g, col, skip)
-	res, err := ColorPutAside(cg, col, DonateOptions{
+	res, err := colorPutAsideOn(t, cg, col, irange(0, n), []int{5}, DonateOptions{
 		Phase:              "don",
-		Cabal:              irange(0, n),
-		PutAside:           []int{5},
 		FreeColorThreshold: 1 << 20, // force donation path
 		BlockSize:          8,
 		SampleTries:        32,
-	}, graph.NewRand(17))
+	}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,6 +205,26 @@ func TestColorPutAsideViaDonation(t *testing.T) {
 	if err := coloring.VerifyComplete(g, col); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// colorPutAsideOn fills the view of cabal from cg and col, runs
+// ColorPutAside on it with the put-aside vertices as member indices, and
+// stores the outcome back into col.
+func colorPutAsideOn(t *testing.T, cg *cluster.CG, col *coloring.Coloring, cabal, putAside []int,
+	opts DonateOptions, seed uint64) (*DonateResult, error) {
+	t.Helper()
+	v, err := coloring.NewCliqueView(cg, col, cabal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range putAside {
+		opts.PutAside = append(opts.PutAside, slices.Index(cabal, u))
+	}
+	res, err := ColorPutAside(v, opts, graph.NewRand(seed))
+	if err == nil {
+		err = v.Store(col)
+	}
+	return res, err
 }
 
 func irange(lo, hi int) []int {
@@ -239,14 +256,12 @@ func TestColorPutAsideSection24Setting(t *testing.T) {
 	colorAllBut(t, g, col, skip)
 	totalDonated, totalFree, totalFallback := 0, 0, 0
 	for i, members := range cabals {
-		res, err := ColorPutAside(cg, col, DonateOptions{
+		res, err := colorPutAsideOn(t, cg, col, members, ps[i], DonateOptions{
 			Phase:              "don",
-			Cabal:              members,
-			PutAside:           ps[i],
 			FreeColorThreshold: 4 * r,
 			BlockSize:          8,
 			SampleTries:        32,
-		}, graph.NewRand(23+uint64(i)))
+		}, 23+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,14 +284,14 @@ func TestColorPutAsideValidation(t *testing.T) {
 	g := graph.Clique(4)
 	cg := testCG(t, g)
 	col := coloring.New(4, 3)
-	if _, err := ColorPutAside(cg, col, DonateOptions{Phase: "x", Cabal: irange(0, 4), PutAside: []int{0}, BlockSize: 0, SampleTries: 1}, graph.NewRand(1)); err == nil {
+	if _, err := colorPutAsideOn(t, cg, col, irange(0, 4), []int{0}, DonateOptions{Phase: "x", BlockSize: 0, SampleTries: 1}, 1); err == nil {
 		t.Fatal("zero block size accepted")
 	}
-	if _, err := ColorPutAside(cg, col, DonateOptions{Phase: "x", Cabal: irange(0, 4), PutAside: []int{0}, BlockSize: 4, SampleTries: 0}, graph.NewRand(1)); err == nil {
+	if _, err := colorPutAsideOn(t, cg, col, irange(0, 4), []int{0}, DonateOptions{Phase: "x", BlockSize: 4, SampleTries: 0}, 1); err == nil {
 		t.Fatal("zero sample tries accepted")
 	}
 	_ = col.Set(0, 1)
-	if _, err := ColorPutAside(cg, col, DonateOptions{Phase: "x", Cabal: irange(0, 4), PutAside: []int{0}, BlockSize: 4, SampleTries: 1}, graph.NewRand(1)); err == nil {
+	if _, err := colorPutAsideOn(t, cg, col, irange(0, 4), []int{0}, DonateOptions{Phase: "x", BlockSize: 4, SampleTries: 1}, 1); err == nil {
 		t.Fatal("colored put-aside vertex accepted")
 	}
 }
@@ -285,7 +300,7 @@ func TestColorPutAsideEmptySet(t *testing.T) {
 	g := graph.Clique(4)
 	cg := testCG(t, g)
 	col := coloring.New(4, 3)
-	res, err := ColorPutAside(cg, col, DonateOptions{Phase: "x", Cabal: irange(0, 4), BlockSize: 4, SampleTries: 1}, graph.NewRand(1))
+	res, err := colorPutAsideOn(t, cg, col, irange(0, 4), nil, DonateOptions{Phase: "x", BlockSize: 4, SampleTries: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

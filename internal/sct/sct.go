@@ -6,13 +6,16 @@
 // the reserved prefix. Because every vertex of S tries a distinct in-clique
 // color, the only conflicts are with external neighbors, and w.h.p. at most
 // O(max{e_K, ℓ}) vertices remain uncolored.
+//
+// Run takes the clique as a member-indexed coloring.CliqueView and writes
+// its outcome only to the view's colors, so the vertex-level pipeline and
+// internal/distsim's member leaders run the same trial.
 package sct
 
 import (
 	"fmt"
 	"math/rand/v2"
 
-	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
 	"clustercolor/internal/prng"
 )
@@ -21,11 +24,9 @@ import (
 type Options struct {
 	// Phase labels the cost entries.
 	Phase string
-	// Members is the almost-clique K.
-	Members []int
-	// Participants is S ⊆ K, the uncolored vertices taking part. Must
-	// satisfy |S| ≤ |L(K)| − reserved (Lemma 4.13's precondition); excess
-	// participants are rejected.
+	// Participants is S ⊆ K as member indices of the view: the uncolored
+	// members taking part. Must satisfy |S| ≤ |L(K)| − reserved (Lemma
+	// 4.13's precondition); excess participants are rejected.
 	Participants []int
 	// ReservedMax: colors 1..ReservedMax are not used by the trial.
 	ReservedMax int32
@@ -39,10 +40,10 @@ type Result struct {
 	Colored int
 }
 
-// Run performs the synchronized color trial in one clique. Conflict
+// Run performs the synchronized color trial in the clique of v. Conflict
 // detection with external neighbors is one O(log Δ)-bit H-round.
-func Run(cg *cluster.CG, col *coloring.Coloring, opts Options, rng *rand.Rand) (*Result, error) {
-	cp := coloring.BuildCliquePalette(cg, col, opts.Members)
+func Run(v *coloring.CliqueView, opts Options, rng *rand.Rand) (*Result, error) {
+	cp := v.Palette()
 	// Palette beyond the reserved prefix.
 	free := make([]int32, 0, cp.FreeCount())
 	for _, c := range cp.FreeView() {
@@ -54,46 +55,42 @@ func Run(cg *cluster.CG, col *coloring.Coloring, opts Options, rng *rand.Rand) (
 		return nil, fmt.Errorf("sct: %d participants but only %d non-reserved palette colors (Lemma 4.13 precondition)",
 			len(opts.Participants), len(free))
 	}
-	for _, v := range opts.Participants {
-		if col.IsColored(v) {
-			return nil, fmt.Errorf("sct: participant %d already colored", v)
+	for _, i := range opts.Participants {
+		if v.Colors[i] != coloring.None {
+			return nil, fmt.Errorf("sct: participant %d already colored", v.Members[i])
 		}
 	}
 	// Order S by prefix sums over the clique tree (Lemma 3.3), then apply
 	// the pseudorandom permutation sampled by the clique leader.
-	cg.ChargeHRounds(opts.Phase+"/enumerate", 2, 2*cg.IDBits())
+	v.Charge(opts.Phase, "/enumerate", 2, 2*v.IDBits())
 	seed := rng.Uint64()
 	perm := prng.Permutation(len(opts.Participants), seed)
-	cg.ChargeHRounds(opts.Phase+"/perm-seed", 1, 64)
-	// Assignment: participant at position i tries free[perm[i]].
-	candidate := make(map[int]int32, len(opts.Participants))
-	for i, v := range opts.Participants {
-		candidate[v] = free[perm[i]]
+	v.Charge(opts.Phase, "/perm-seed", 1, 64)
+	// Assignment: participant at position p tries free[perm[p]]; candidate
+	// is None for members that do not participate.
+	candidate := make([]int32, len(v.Members))
+	for p, i := range opts.Participants {
+		candidate[i] = free[perm[p]]
 	}
 	// One H-round of conflict detection with external neighbors: a
-	// candidate survives unless an external neighbor holds it or also
-	// tries it with a smaller index (in-clique candidates are distinct by
+	// candidate survives unless a neighbor holds it or also tries it with a
+	// smaller vertex id (in-clique candidates are distinct by
 	// construction).
-	cg.ChargeHRounds(opts.Phase+"/conflict", 1, 16)
+	v.Charge(opts.Phase, "/conflict", 1, 16)
 	res := &Result{Tried: len(opts.Participants)}
-	for _, v := range opts.Participants {
-		c := candidate[v]
-		ok := true
-		for _, u := range cg.H.Neighbors(v) {
-			w := int(u)
-			if col.Get(w) == c {
-				ok = false
-				break
-			}
-			if cw, trying := candidate[w]; trying && cw == c && w < v {
+	var nbrs []int
+	for _, i := range opts.Participants {
+		c := candidate[i]
+		ok := !v.ExtHolds(i, c)
+		nbrs = v.AppendNeighbors(nbrs[:0], i)
+		for _, j := range nbrs {
+			if v.Colors[j] == c || (candidate[j] == c && v.Members[j] < v.Members[i]) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			if err := col.Set(v, c); err != nil {
-				return nil, fmt.Errorf("sct: adopting color: %w", err)
-			}
+			v.Colors[i] = c
 			res.Colored++
 		}
 	}

@@ -27,6 +27,21 @@ func testCG(t *testing.T, h *graph.Graph) *cluster.CG {
 	return cg
 }
 
+// runOn fills the view of members from cg and col, runs the trial on it
+// and stores the outcome back into col.
+func runOn(t *testing.T, cg *cluster.CG, col *coloring.Coloring, members []int, opts Options, seed uint64) (*Result, error) {
+	t.Helper()
+	v, err := coloring.NewCliqueView(cg, col, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(v, opts, graph.NewRand(seed))
+	if err == nil {
+		err = v.Store(col)
+	}
+	return res, err
+}
+
 func irange(lo, hi int) []int {
 	out := make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -41,11 +56,10 @@ func TestRunColorsIsolatedCliqueCompletely(t *testing.T) {
 	h := graph.Clique(40)
 	cg := testCG(t, h)
 	col := coloring.New(h.N(), h.MaxDegree())
-	res, err := Run(cg, col, Options{
+	res, err := runOn(t, cg, col, irange(0, 40), Options{
 		Phase:        "sct",
-		Members:      irange(0, 40),
 		Participants: irange(0, 40),
-	}, graph.NewRand(3))
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +96,21 @@ func TestRunLeavesOnlyExternalConflicts(t *testing.T) {
 				members = append(members, v)
 			}
 		}
-		res, err := Run(cg, col, Options{
+		v, err := coloring.NewCliqueView(cg, col, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(v, Options{
 			Phase:        "sct",
-			Members:      members,
-			Participants: members,
+			Participants: irange(0, len(members)),
 		}, trialRNG)
 		if err != nil {
 			t.Fatalf("clique %d: %v", k, err)
 		}
 		uncolored := res.Tried - res.Colored
+		if err := v.Store(col); err != nil {
+			t.Fatal(err)
+		}
 		// Average external degree ≈ 6; Lemma 4.13 bounds leftovers by
 		// O(e_K). 25 is a generous constant for 50-vertex cliques.
 		if uncolored > 25 {
@@ -106,12 +126,11 @@ func TestRunRespectsReservedColors(t *testing.T) {
 	h := graph.Clique(20)
 	cg := testCG(t, h)
 	col := coloring.New(h.N(), h.MaxDegree()) // colors 1..20
-	res, err := Run(cg, col, Options{
+	res, err := runOn(t, cg, col, irange(0, 20), Options{
 		Phase:        "sct",
-		Members:      irange(0, 20),
 		Participants: irange(0, 15),
 		ReservedMax:  5,
-	}, graph.NewRand(9))
+	}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +148,11 @@ func TestRunRejectsTooManyParticipants(t *testing.T) {
 	h := graph.Clique(10)
 	cg := testCG(t, h)
 	col := coloring.New(h.N(), h.MaxDegree()) // 10 colors
-	_, err := Run(cg, col, Options{
+	_, err := runOn(t, cg, col, irange(0, 10), Options{
 		Phase:        "sct",
-		Members:      irange(0, 10),
 		Participants: irange(0, 10),
 		ReservedMax:  5, // only 5 non-reserved colors for 10 participants
-	}, graph.NewRand(11))
+	}, 11)
 	if err == nil {
 		t.Fatal("participant overflow accepted")
 	}
@@ -147,11 +165,10 @@ func TestRunRejectsColoredParticipant(t *testing.T) {
 	if err := col.Set(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(cg, col, Options{
+	_, err := runOn(t, cg, col, irange(0, 5), Options{
 		Phase:        "sct",
-		Members:      irange(0, 5),
 		Participants: irange(0, 5),
-	}, graph.NewRand(13))
+	}, 13)
 	if err == nil {
 		t.Fatal("colored participant accepted")
 	}
@@ -168,11 +185,10 @@ func TestRunSkipsUsedPaletteColors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := Run(cg, col, Options{
+	res, err := runOn(t, cg, col, irange(0, 30), Options{
 		Phase:        "sct",
-		Members:      irange(0, 30),
 		Participants: irange(10, 30),
-	}, graph.NewRand(15))
+	}, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +205,7 @@ func TestRunChargesRounds(t *testing.T) {
 	cg := testCG(t, h)
 	col := coloring.New(h.N(), h.MaxDegree())
 	before := cg.Cost().Rounds()
-	if _, err := Run(cg, col, Options{Phase: "sct", Members: irange(0, 10), Participants: irange(0, 5)}, graph.NewRand(17)); err != nil {
+	if _, err := runOn(t, cg, col, irange(0, 10), Options{Phase: "sct", Participants: irange(0, 5)}, 17); err != nil {
 		t.Fatal(err)
 	}
 	if cg.Cost().Rounds() <= before {

@@ -197,12 +197,6 @@ func (e *Engine[C]) Row(v int) []C {
 	return e.states[s].out.Row(v - e.SG.Slices[s].Lo)
 }
 
-// SampleRow returns the sample row of global vertex v from its owner shard.
-func (e *Engine[C]) SampleRow(v int) []C {
-	s := e.SG.Owner(v)
-	return e.states[s].samples.Row(v - e.SG.Slices[s].Lo)
-}
-
 // OutRowLocal returns the out row of a local id within shard s — owned or
 // halo — for shard-local passes.
 func (e *Engine[C]) OutRowLocal(s, local int) []C { return e.states[s].out.Row(local) }

@@ -13,9 +13,10 @@
 // fingerprint (per-trial geometric maxima, Lemma 5.2-style estimation, the
 // Lemma 5.5–5.6 deviation encoding). internal/fingerprint keeps the paper's
 // vocabulary on top of it (the sample draw and the trial budget), and the
-// decomposition, Algorithm 7's fingerprint matching and the machine-level
-// distsim replays all merge through MergeMax8, so vertex-level and
-// machine-level execution share one merge implementation.
+// decomposition, Algorithm 7's fingerprint matching (which distsim's
+// member leaders run too) and distsim's machine-level wave all merge
+// through MergeMax8, so vertex-level and machine-level execution share one
+// merge implementation.
 //
 // # Cell width
 //
