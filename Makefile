@@ -19,6 +19,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzColor$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzBuilder$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzGNP$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz '^FuzzWave$$' -fuzztime 10s ./internal/distsim
 	$(GO) test -run '^$$' -fuzz '^FuzzACD$$' -fuzztime 10s ./internal/acd

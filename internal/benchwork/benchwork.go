@@ -32,14 +32,15 @@ type GraphGenWorkload struct {
 // geometric appear at two sizes a decade apart so the recorded timings
 // exhibit the O(n+m) scaling directly (≈10× time for 10× n at constant
 // expected degree); the million-vertex rows are the instances the ROADMAP's
-// bandwidth-constrained network scenarios need.
+// bandwidth-constrained network scenarios need, and GNP n=400e3 deg=64 is
+// perfbench's gnp-low instance, whose generation is its setup_s.
 func GraphGenWorkloads() []GraphGenWorkload {
-	gnp := func(n int) GraphGenWorkload {
+	gnp := func(n int, deg float64) GraphGenWorkload {
 		return GraphGenWorkload{
-			Name: graphGenName("GNP", n, "deg=10"),
+			Name: graphGenName("GNP", n, fmt.Sprintf("deg=%g", deg)),
 			N:    n,
 			Gen: func(seed uint64) (*graph.Graph, error) {
-				return graph.GNP(n, 10/float64(n), graph.NewRand(seed))
+				return graph.GNP(n, deg/float64(n), graph.NewRand(seed))
 			},
 		}
 	}
@@ -55,8 +56,9 @@ func GraphGenWorkloads() []GraphGenWorkload {
 		}
 	}
 	return []GraphGenWorkload{
-		gnp(100_000),
-		gnp(1_000_000),
+		gnp(100_000, 10),
+		gnp(1_000_000, 10),
+		gnp(400_000, 64),
 		geo(100_000),
 		geo(1_000_000),
 		{

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -33,6 +36,105 @@ func referenceBuild(n int, pairs []uint64) *Graph {
 		cursor[v]++
 	}
 	return &Graph{offsets: offsets, nbrs: nbrs, m: len(edges), maxDeg: maxDeg}
+}
+
+// referenceGNPPairs is the serial skip sampler gnpSample replaced, kept
+// verbatim: one rng.Float64() per edge plus the terminating draw, the skip
+// math.Floor(math.Log1p(-u)/logq), and visit(v, w) in row order. FuzzGNP and
+// TestGNPMatchesReference require gnpSample to emit the same sequence and
+// leave rng at the same position.
+func referenceGNPPairs(n int, p float64, rng *rand.Rand, visit func(v, w int) error) error {
+	if n < 2 || p == 0 {
+		return nil
+	}
+	if p == 1 {
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if err := visit(v, u); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	// Batagelj–Brandes: enumerate pairs (v, w), w < v, in row order and skip
+	// ahead Geometric(p) positions between successes.
+	logq := math.Log1p(-p)
+	pairs := float64(n) * float64(n) // loose bound on remaining positions
+	v, w := 1, -1
+	for v < n {
+		skip := math.Floor(math.Log1p(-rng.Float64()) / logq)
+		if skip >= pairs {
+			break // jumped past every remaining pair
+		}
+		w += 1 + int(skip)
+		for v < n && w >= v {
+			w -= v
+			v++
+		}
+		if v < n {
+			if err := visit(v, w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// gnpRun is one G(n, p) sample: the packed pair sequence in emission order,
+// the built graph, and the rng's next Uint64 after the sampler returned.
+type gnpRun struct {
+	seq  []uint64
+	g    *Graph
+	next uint64
+}
+
+// referenceGNP samples G(n, p) with the reference loop and builds it with
+// the sort-based reference.
+func referenceGNP(t *testing.T, n int, p float64, seed uint64) gnpRun {
+	t.Helper()
+	rng := NewRand(seed)
+	var seq []uint64
+	if err := referenceGNPPairs(n, p, rng, func(v, w int) error {
+		seq = append(seq, uint64(w)<<32|uint64(v))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return gnpRun{seq: seq, g: referenceBuild(n, seq), next: rng.Uint64()}
+}
+
+// sampleGNP samples G(n, p) the way gnpInto does, at a forced worker count
+// and chunk size, and builds it on the same number of workers. Build only
+// reads the pair log, so it doubles as the emitted sequence.
+func sampleGNP(t *testing.T, n int, p float64, seed uint64, workers, chunk int) gnpRun {
+	t.Helper()
+	rng := NewRand(seed)
+	b := NewBuilder(n)
+	if err := gnpSample(n, p, rng, workers, chunk, func(pairs []uint64) error {
+		return b.addPairs(pairs, 0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seq := b.edges
+	return gnpRun{seq: seq, g: b.build(workers), next: rng.Uint64()}
+}
+
+// equalGNPRun fails unless got emitted want's pair sequence, built its CSR
+// and left the rng where the reference left it.
+func equalGNPRun(t *testing.T, label string, want, got gnpRun) {
+	t.Helper()
+	if !slices.Equal(want.seq, got.seq) {
+		i := 0
+		for i < min(len(want.seq), len(got.seq)) && want.seq[i] == got.seq[i] {
+			i++
+		}
+		t.Fatalf("%s: %d pairs, reference %d; first difference at pair %d", label, len(got.seq), len(want.seq), i)
+	}
+	equalCSR(t, label, want.g, got.g)
+	if got.next != want.next {
+		t.Fatalf("%s: next rng value %#x, reference %#x", label, got.next, want.next)
+	}
 }
 
 // equalCSR fails unless got has want's exact CSR: offsets, neighbors, M and
@@ -135,13 +237,83 @@ func FuzzBuilder(f *testing.F) {
 		}
 		want := referenceBuild(n, pairs)
 		equalCSR(t, "forward", want, g)
-		rb := NewBuilder(n)
-		for i := len(pairs) - 1; i >= 0; i-- {
-			if err := rb.AddEdge(int(pairs[i]>>32), int(uint32(pairs[i]))); err != nil {
-				t.Fatal(err)
+		reversed := slices.Clone(pairs)
+		slices.Reverse(reversed)
+		for _, workers := range []int{1, 2, 3, 7} {
+			for _, order := range []struct {
+				name  string
+				pairs []uint64
+			}{{"forward", pairs}, {"reversed", reversed}} {
+				rb := NewBuilder(n)
+				for _, e := range order.pairs {
+					if err := rb.AddEdge(int(e>>32), int(uint32(e))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				equalCSR(t, fmt.Sprintf("%s, %d workers", order.name, workers), want, rb.build(workers))
 			}
 		}
-		equalCSR(t, "reversed", want, rb.Build())
+	})
+}
+
+// FuzzGNP pins the skip sampler's draw contract against the serial
+// reference loop: for n in [0, 400], p decoded to reach 0, 1, 1e-12, 1/n²,
+// 0.5, 1 − 1e-9 or any double in [0, 1), and a free seed, every forced
+// worker count and chunk size — and the production GNP and gnpPairs — must
+// emit the reference's pair sequence, build its CSR and leave the rng at
+// the reference's next value. Chunks of 1, 2 and 7 draws put chunk ends
+// and the possibly terminating last draw everywhere.
+func FuzzGNP(f *testing.F) {
+	f.Add(uint16(0), uint8(4), uint64(0), uint64(1))
+	f.Add(uint16(2), uint8(4), uint64(0), uint64(2))
+	f.Add(uint16(40), uint8(0), uint64(0), uint64(3))
+	f.Add(uint16(40), uint8(1), uint64(0), uint64(4))
+	f.Add(uint16(400), uint8(2), uint64(0), uint64(5))
+	f.Add(uint16(400), uint8(3), uint64(0), uint64(6))
+	f.Add(uint16(120), uint8(4), uint64(0), uint64(7))
+	f.Add(uint16(150), uint8(5), uint64(0), uint64(8))
+	f.Add(uint16(300), uint8(6), uint64(1)<<60, uint64(9))
+	f.Add(uint16(33), uint8(6), uint64(0xffffffffffffffff), uint64(10))
+	f.Fuzz(func(t *testing.T, nRaw uint16, pSel uint8, pBits, seed uint64) {
+		n := int(nRaw % 401)
+		var p float64
+		switch pSel % 7 {
+		case 0:
+			p = 0
+		case 1:
+			p = 1
+		case 2:
+			p = 1e-12
+		case 3:
+			p = 1 / float64(max(n, 1)*max(n, 1))
+		case 4:
+			p = 0.5
+		case 5:
+			p = 1 - 1e-9
+		default:
+			p = float64(pBits>>11) / (1 << 53)
+		}
+		want := referenceGNP(t, n, p, seed)
+		for _, workers := range []int{1, 2, 3} {
+			for _, chunk := range []int{1, 2, 7} {
+				equalGNPRun(t, fmt.Sprintf("n=%d p=%v: %d workers, chunk %d", n, p, workers, chunk), want, sampleGNP(t, n, p, seed, workers, chunk))
+			}
+		}
+		rng := NewRand(seed)
+		g, err := GNP(n, p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalGNPRun(t, fmt.Sprintf("n=%d p=%v: GNP", n, p), want, gnpRun{seq: want.seq, g: g, next: rng.Uint64()})
+		rng = NewRand(seed)
+		var seq []uint64
+		if err := gnpPairs(n, p, rng, func(v, w int) error {
+			seq = append(seq, uint64(w)<<32|uint64(v))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		equalGNPRun(t, fmt.Sprintf("n=%d p=%v: gnpPairs", n, p), want, gnpRun{seq: seq, g: referenceBuild(n, seq), next: rng.Uint64()})
 	})
 }
 

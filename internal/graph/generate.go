@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
+
+	"clustercolor/internal/parwork"
 )
 
 // NewRand returns a deterministic PCG-backed random source for the given
@@ -25,18 +27,43 @@ func validProb(p float64) bool {
 // geometric skip sampling (Batagelj–Brandes): instead of flipping a coin per
 // pair, it jumps between successful pairs with geometrically distributed
 // strides, so million-vertex sparse instances cost seconds, not hours.
+//
+// GNP draws exactly one rng.Float64() per edge, plus the one draw that
+// jumps past the last pair, in the order of a serial loop; a caller that
+// keeps drawing from rng afterwards sees the same values at every worker
+// count. The skips and the pairs they land on are computed on
+// min(parwork.Parallelism(), m/32768) workers for an expected edge count m,
+// and Build splits its scatter the same way (see Builder.Build), so the CSR
+// is identical at every worker count.
+//
+// An instance whose edge count would pass the builder's ~2³⁰-edge cap is
+// an error before anything is drawn or allocated: GNP refuses it when the
+// mean edge count minus six standard deviations passes the cap, which is
+// exact for p = 1. Between that and the cap, the cap error comes when the
+// draws reach it. n past 2³¹, the int32 vertex id range, is an error too.
 func GNP(n int, p float64, rng *rand.Rand) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: GNP n %d < 0", n)
-	}
-	if !validProb(p) {
-		return nil, fmt.Errorf("graph: GNP p %v out of [0,1]", p)
+	if err := validGNP(n, p); err != nil {
+		return nil, err
 	}
 	b := NewBuilder(n)
 	if err := gnpInto(b, 0, n, p, rng); err != nil {
 		return nil, err
 	}
 	return b.Build(), nil
+}
+
+// validGNP checks GNP's and GNPStream's parameters.
+func validGNP(n int, p float64) error {
+	if n < 0 {
+		return fmt.Errorf("graph: GNP n %d < 0", n)
+	}
+	if int64(n) > gnpMaxN {
+		return fmt.Errorf("graph: GNP n %d exceeds the int32 vertex id range", n)
+	}
+	if !validProb(p) {
+		return fmt.Errorf("graph: GNP p %v out of [0,1]", p)
+	}
+	return nil
 }
 
 // MustGNP is GNP for compile-time-constant parameters (tests, benchmarks,
@@ -50,61 +77,215 @@ func MustGNP(n int, p float64, rng *rand.Rand) *Graph {
 }
 
 // gnpInto adds the edges of G(hi-lo, p) on the vertex window [lo, hi) of b.
-// p must already be validated to [0,1]. It first reserves b's pair buffer
-// for mean + 6σ of the Binomial(k(k−1)/2, p) edge count, so the buffer is
-// allocated once instead of regrown and copied as edges arrive; a total past
-// the edge cap reserves nothing, and AddEdge reports the cap if it is hit.
+// p must already be validated to [0,1]. The Binomial(k(k−1)/2, p) edge count
+// decides two things before the first draw: a mean − 6σ past the edge cap
+// is an error, and otherwise b's pair buffer is reserved for mean + 6σ, so
+// it is allocated once instead of regrown and copied as edges arrive (a
+// total past the cap reserves nothing, and the cap error comes if it is
+// hit).
 func gnpInto(b *Builder, lo, hi int, p float64, rng *rand.Rand) error {
+	if int64(hi) > gnpMaxN {
+		return fmt.Errorf("graph: G(n, p) on [%d, %d) exceeds the int32 vertex id range", lo, hi)
+	}
 	k := float64(hi - lo)
 	mean := k * (k - 1) / 2 * p
-	if want := float64(len(b.edges)) + math.Ceil(mean+6*math.Sqrt(mean*(1-p))); want <= maxBuilderEdges {
+	spread := 6 * math.Sqrt(mean*(1-p))
+	have := float64(len(b.edges))
+	if have+mean-spread > maxBuilderEdges {
+		return fmt.Errorf("graph: G(%d, %v) expects %.0f edges, past the %d-edge CSR capacity", hi-lo, p, mean, maxBuilderEdges)
+	}
+	if want := have + math.Ceil(mean+spread); want <= maxBuilderEdges {
 		b.edges = slices.Grow(b.edges, int(want)-len(b.edges))
 	}
-	return gnpPairs(hi-lo, p, rng, func(v, w int) error {
-		return b.AddEdge(lo+v, lo+w)
+	return gnpSample(hi-lo, p, rng, gnpWorkers(hi-lo, p), gnpChunk, func(pairs []uint64) error {
+		return b.addPairs(pairs, lo)
 	})
 }
 
-// gnpPairs enumerates the edges of G(n, p) by geometric skip sampling,
-// calling visit(v, w), w < v, once per edge in row order. Both the
-// materialized generator and the streaming emitter run through this one
-// loop, so for the same rng state they produce the same edge sequence.
+// gnpMaxN is the most vertices the skip sampler takes: ids must fit the
+// CSR's int32 and the halves of a packed pair.
+const gnpMaxN = 1 << 31
+
+// gnpChunk is the most draws gnpSample holds between two parallel passes
+// (256 KB of float64 and as much of packed pairs), and the fewest expected
+// edges per sampling worker: below it a goroutine's start-up outweighs its
+// share of the logarithms.
+const gnpChunk = 1 << 15
+
+// gnpWorkers returns min(parwork.Parallelism(), m/gnpChunk), at least 1,
+// for the expected edge count m of G(n, p).
+func gnpWorkers(n int, p float64) int {
+	workers := parwork.Parallelism()
+	if w := float64(n) * float64(n-1) / 2 * p / gnpChunk; w < float64(workers) {
+		workers = max(1, int(w))
+	}
+	return workers
+}
+
+// gnpPairs enumerates the edges of G(n, p), calling visit(v, w), w < v, once
+// per edge in row order. Both the materialized generator and the streaming
+// emitter run through gnpSample, so for the same rng state they produce the
+// same edge sequence and leave rng at the same position: one rng.Float64()
+// per edge plus the terminating draw, in order. The skips are computed on
+// min(parwork.Parallelism(), m/gnpChunk) workers for an expected edge count
+// m, and visit is called serially. When visit returns an error, the rng's
+// position is unspecified.
 func gnpPairs(n int, p float64, rng *rand.Rand, visit func(v, w int) error) error {
+	return gnpSample(n, p, rng, gnpWorkers(n, p), gnpChunk, func(pairs []uint64) error {
+		for _, e := range pairs {
+			if err := visit(int(uint32(e)), int(e>>32)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// gnpSample samples G(n, p), n ≤ gnpMaxN, by geometric skip sampling on
+// workers goroutines and passes emit its edges in row order, a chunk at a
+// time, each packed w<<32 | v with w < v. It takes exactly one
+// rng.Float64() per edge plus the terminating draw, in order, at every
+// worker count and chunk size; tests force small ones. When emit returns an
+// error, the rng's position is unspecified.
+//
+// Batagelj–Brandes enumerates the pairs (v, w), w < v, in row order, at
+// positions v(v−1)/2 + w, and jumps ⌊ln(1−u)/ln(1−p)⌋ positions past each
+// edge for a fresh uniform u; the draw that jumps past the last pair ends
+// the walk. Draws are taken serially, each adding a guaranteed upper bound
+// on its skip to an upper bound on the position: Float64 returns a multiple
+// of 2⁻⁵³, so 1−u is exact, and for 1−u in [2⁻ᵏ, 2¹⁻ᵏ) the skip is at most
+// k·ln 2/−ln(1−p). A chunk ends when it holds chunk draws or when its last
+// draw might end the walk, so every other draw in it is provably an edge.
+// The workers then compute the chunk's exact skips and their sums, and,
+// from each part's absolute start position, the pairs.
+func gnpSample(n int, p float64, rng *rand.Rand, workers, chunk int, emit func(pairs []uint64) error) error {
 	if n < 2 || p == 0 {
 		return nil
 	}
 	if p == 1 {
-		for u := 0; u < n; u++ {
+		row := make([]uint64, 0, n-1)
+		for u := 0; u < n-1; u++ {
+			row = row[:0]
 			for v := u + 1; v < n; v++ {
-				if err := visit(v, u); err != nil {
-					return err
-				}
+				row = append(row, uint64(u)<<32|uint64(v))
+			}
+			if err := emit(row); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	// Batagelj–Brandes: enumerate pairs (v, w), w < v, in row order and skip
-	// ahead Geometric(p) positions between successes.
 	logq := math.Log1p(-p)
+	inv := 1 / logq
 	pairs := float64(n) * float64(n) // loose bound on remaining positions
-	v, w := 1, -1
-	for v < n {
-		skip := math.Floor(math.Log1p(-rng.Float64()) / logq)
-		if skip >= pairs {
-			break // jumped past every remaining pair
-		}
-		w += 1 + int(skip)
-		for v < n && w >= v {
-			w -= v
-			v++
-		}
-		if v < n {
-			if err := visit(v, w); err != nil {
-				return err
-			}
+	last := int64(n)*int64(n-1)/2 - 1
+	// bound[k] exceeds the skip of any u with 1−u in [2⁻ᵏ, 2¹⁻ᵏ), k ≤ 53.
+	// The 1e-9 margin covers the rounding of the logarithm and the division
+	// many times over. A bound past the last pair saturates there, so with
+	// a tiny p (ln 2/−ln(1−p) past the pair count) every draw but u = 0 ends
+	// its chunk, and the position sum cannot overflow.
+	var bound [54]int64
+	perBit := math.Ln2 / -logq * (1 + 1e-9)
+	for k := range bound {
+		if b := float64(k)*perBit + 1; b < float64(last+1) {
+			bound[k] = int64(b)
+		} else {
+			bound[k] = last + 1
 		}
 	}
-	return nil
+	hint := chunk
+	if m := float64(last+1)*p + 1; m < float64(chunk) {
+		hint = int(m)
+	}
+	us := make([]float64, 0, hint) // the chunk's draws, then its skips
+	var out []uint64
+	at := make([]int64, workers+1) // each part's start position, then the chunk's end
+	prev := int64(-1)              // position of the last edge emitted
+	for {
+		us = us[:0]
+		for pos := prev; len(us) < chunk; {
+			u := rng.Float64()
+			us = append(us, u)
+			pos += 1 + bound[1023-math.Float64bits(1-u)>>52]
+			if pos > last {
+				break // this draw may jump past the last pair
+			}
+		}
+		parts := min(workers, len(us))
+		forEachPart(parts, func(j int) {
+			lo, hi := parwork.ChunkBoundsIn(len(us), parts, j)
+			adv := int64(0)
+			for i := lo; i < hi; i++ {
+				s := gnpSkip(us[i], logq, inv)
+				us[i] = s
+				if s < pairs {
+					adv += 1 + int64(s)
+				}
+			}
+			at[j+1] = adv
+		})
+		at[0] = prev
+		for j := 1; j <= parts; j++ {
+			at[j] += at[j-1]
+		}
+		edges, done := len(us), false
+		if us[len(us)-1] >= pairs || at[parts] > last {
+			edges, done = edges-1, true // the last draw jumped past every pair
+		}
+		if len(out) < edges {
+			out = make([]uint64, len(us))
+		}
+		forEachPart(parts, func(j int) {
+			lo, hi := parwork.ChunkBoundsIn(len(us), parts, j)
+			v, w := pairAt(at[j])
+			for i := lo; i < min(hi, edges); i++ {
+				w += 1 + int64(us[i])
+				for w >= v {
+					w -= v
+					v++
+				}
+				out[i] = uint64(w)<<32 | uint64(v)
+			}
+		})
+		if err := emit(out[:edges]); err != nil {
+			return err
+		}
+		if done {
+			return nil
+		}
+		prev = at[parts]
+	}
+}
+
+// gnpSkip returns the skip of draw u, math.Floor(math.Log1p(-u) / logq),
+// for u in [0, 1) and inv = 1/logq. It first takes math.Log(1−u)·inv (1−u
+// is exact), at about half the reference's cost, and recomputes the
+// reference whenever that value is not finite or lies within 1e-9 relative
+// of an integer: both are within a few ulps of the exact ratio, so their
+// floors can differ only there.
+func gnpSkip(u, logq, inv float64) float64 {
+	s := math.Log(1-u) * inv
+	if f := math.Floor(s); s-f >= 1e-9*s && f+1-s >= 1e-9*s {
+		return f
+	}
+	return math.Floor(math.Log1p(-u) / logq)
+}
+
+// pairAt returns the pair (v, w), w < v, at row-order position
+// pos = v(v−1)/2 + w, or (1, −1) for pos = −1, the position before the
+// first pair.
+func pairAt(pos int64) (v, w int64) {
+	if pos < 0 {
+		return 1, -1
+	}
+	v = int64((1 + math.Sqrt(1+8*float64(pos))) / 2)
+	for v*(v-1)/2 > pos {
+		v--
+	}
+	for v*(v+1)/2 <= pos {
+		v++
+	}
+	return v, pos - v*(v-1)/2
 }
 
 // GNPStream returns a re-runnable EdgeStream of G(n, p): each invocation
@@ -114,11 +295,8 @@ func gnpPairs(n int, p float64, rng *rand.Rand, visit func(v, w int) error) erro
 // requiring the global CSR, which is what lets instances past the global
 // builder cap be generated shard-by-shard.
 func GNPStream(n int, p float64, seed uint64) (EdgeStream, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: GNP n %d < 0", n)
-	}
-	if !validProb(p) {
-		return nil, fmt.Errorf("graph: GNP p %v out of [0,1]", p)
+	if err := validGNP(n, p); err != nil {
+		return nil, err
 	}
 	return func(emit func(u, v int) error) error {
 		return gnpPairs(n, p, NewRand(seed), emit)

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -50,6 +52,120 @@ func TestGNPValidation(t *testing.T) {
 	}
 	if _, err := GNP(-1, 0.5, rng); err == nil {
 		t.Fatal("GNP accepted n = -1")
+	}
+}
+
+// TestGNPRefusesPastCap pins the up-front cap rule: an instance whose mean
+// edge count minus six standard deviations passes the builder's cap is an
+// error before the first draw, with nothing allocated (it used to buffer
+// 2³⁰ packed pairs, 8 GiB, before AddEdge found the cap).
+func TestGNPRefusesPastCap(t *testing.T) {
+	for _, p := range []float64{1, 0.9} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := GNP(50_000, p, NewRand(1))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("GNP(50000, %v) accepted %v edges past the %d-edge cap", p, 50_000*49_999/2*p, maxBuilderEdges)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("GNP(50000, %v) allocated %d bytes before refusing", p, d)
+		}
+	}
+	// n past the int32 id range is refused before any allocation too (on a
+	// 32-bit int it wraps negative, which is refused as well).
+	big := int64(1)<<31 + 1
+	if _, err := GNP(int(big), 0, NewRand(1)); err == nil {
+		t.Fatalf("GNP accepted n = %d", int(big))
+	}
+	if _, err := GNPStream(int(big), 0, 1); err == nil {
+		t.Fatalf("GNPStream accepted n = %d", int(big))
+	}
+}
+
+// TestGNPMatchesReference runs the sampler against the serial reference
+// loop on instances the fuzzer's n ≤ 400 cannot reach: several full chunks
+// of a dense half, a p so small that most draws end their chunk, and
+// p = 1/n² (TestGoldenGeneratorCSR pins n = 10⁵ deg 64, including the next
+// rng value). Each must emit the reference's sequence, build its CSR and
+// leave the rng at the reference's next value, through GNP and at forced
+// worker counts and chunk sizes.
+func TestGNPMatchesReference(t *testing.T) {
+	cases := []struct {
+		n       int
+		p       float64
+		workers []int
+		chunks  []int
+	}{
+		{1_000, 0.5, []int{1, 3}, []int{gnpChunk, 1000}},
+		{5_000, 1e-9, []int{1, 2}, []int{gnpChunk, 3}},
+		{20_000, 1 / (20_000.0 * 20_000), []int{2}, []int{gnpChunk}},
+	}
+	for i, c := range cases {
+		t.Run(fmt.Sprintf("n=%d/p=%v", c.n, c.p), func(t *testing.T) {
+			seed := uint64(100 + i)
+			want := referenceGNP(t, c.n, c.p, seed)
+			rng := NewRand(seed)
+			g, err := GNP(c.n, c.p, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalGNPRun(t, "GNP", want, gnpRun{seq: want.seq, g: g, next: rng.Uint64()})
+			for _, workers := range c.workers {
+				for _, chunk := range c.chunks {
+					equalGNPRun(t, fmt.Sprintf("%d workers, chunk %d", workers, chunk), want, sampleGNP(t, c.n, c.p, seed, workers, chunk))
+				}
+			}
+		})
+	}
+}
+
+// TestGNPSkipGuard checks gnpSkip where its fast logarithm and the
+// reference can disagree: u within 1–4 steps of 2⁻⁵³ of 1 − q^k, where the
+// exact skip ln(1−u)/ln q crosses the integer k, for k up to 10⁶ and a
+// spread of p. The guard must send every such u to the reference.
+func TestGNPSkipGuard(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	checked := 0
+	for _, p := range []float64{0.5, 0.1, 64 / 400_000.0, 1e-6, 1e-12, 1 - 1e-9} {
+		logq := math.Log1p(-p)
+		inv := 1 / logq
+		for k := 1.0; k <= 1e6; k = math.Max(k+1, math.Floor(k*1.01)) {
+			base := math.Round(-math.Expm1(k*logq) / ulp)
+			for d := -4.0; d <= 4; d++ {
+				u := (base + d) * ulp
+				if u < 0 || u >= 1 {
+					continue
+				}
+				if got, want := gnpSkip(u, logq, inv), math.Floor(math.Log1p(-u)/logq); got != want {
+					t.Fatalf("p=%v k=%v u=%v: gnpSkip %v, reference %v", p, k, u, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 10_000 {
+		t.Fatalf("checked %d draws; the grid should reach over 10000", checked)
+	}
+}
+
+// TestPairAt checks the row-order position inverse at row starts and ends,
+// where the float square root can land one row off, up to the 2³¹-vertex
+// limit, whose positions pass 2⁶⁰.
+func TestPairAt(t *testing.T) {
+	if v, w := pairAt(-1); v != 1 || w != -1 {
+		t.Fatalf("pairAt(-1) = (%d, %d), want (1, -1)", v, w)
+	}
+	for _, v := range []int64{1, 2, 3, 7, 1000, 94906265, 94906266, 1 << 30, 3037000499, 1<<31 - 1} {
+		for _, w := range []int64{0, 1, v / 2, v - 1} {
+			if w >= v {
+				continue
+			}
+			pos := v*(v-1)/2 + w
+			if gv, gw := pairAt(pos); gv != v || gw != w {
+				t.Fatalf("pairAt(%d) = (%d, %d), want (%d, %d)", pos, gv, gw, v, w)
+			}
+		}
 	}
 }
 

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"clustercolor/internal/parwork"
 )
 
 // csrFingerprint is an FNV-64a hash of a graph's full CSR layout: N, M and
@@ -40,7 +43,15 @@ func TestGoldenGeneratorCSR(t *testing.T) {
 		want uint64 // a mismatch failure prints the repin value
 	}{
 		{"gnp/n1e5/deg64", func() (*Graph, error) {
-			return GNP(100_000, 64/100_000.0, NewRand(3))
+			// GNP's draw contract at scale: the caller's next rng value is
+			// the serial loop's (recorded with the loop GNP had before its
+			// skips went parallel, kept as referenceGNPPairs).
+			rng := NewRand(3)
+			g, err := GNP(100_000, 64/100_000.0, rng)
+			if next := rng.Uint64(); err == nil && next != 0xfabdf3fcfa9d6c2f {
+				err = fmt.Errorf("next rng value %#x after GNP, want 0xfabdf3fcfa9d6c2f", next)
+			}
+			return g, err
 		}, 0x16be07d34c911a63},
 		{"planted-high", func() (*Graph, error) {
 			spec := PlantedACDSpec{NumCliques: 20, CliqueSize: 150, DropFraction: 0.05, ExternalDegree: 8, SparseN: 2000, SparseP: 0.01}
@@ -61,13 +72,19 @@ func TestGoldenGeneratorCSR(t *testing.T) {
 			return RandomRegular(10_000, 10, NewRand(3))
 		}, 0x5454acdf8092ea50},
 	}
-	for _, c := range cases {
-		g, err := c.gen()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := csrFingerprint(g); got != c.want {
-			t.Errorf("%s: CSR fingerprint %#x, want %#x (N=%d M=%d Δ=%d)", c.name, got, c.want, g.N(), g.M(), g.MaxDegree())
+	// GNP's sampler and Build split their work by parwork.Parallelism(): the
+	// bytes must not move with it.
+	defer parwork.SetParallelism(parwork.Parallelism())
+	for _, par := range []int{parwork.Parallelism(), 1, 3} {
+		parwork.SetParallelism(par)
+		for _, c := range cases {
+			g, err := c.gen()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got := csrFingerprint(g); got != c.want {
+				t.Errorf("%s at parallelism %d: CSR fingerprint %#x, want %#x (N=%d M=%d Δ=%d)", c.name, par, got, c.want, g.N(), g.M(), g.MaxDegree())
+			}
 		}
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"clustercolor/internal/parwork"
 )
 
 // Graph is an immutable simple undirected graph in compressed sparse row
@@ -82,6 +84,29 @@ func (b *Builder) AddEdge(u, v int) error {
 	return nil
 }
 
+// addPairs appends packed pairs lo<<32 | hi, lo < hi, of the vertex window
+// that starts at base. The caller guarantees that they are edges of the
+// window, with ids in the int32 range; only the edge cap is checked.
+func (b *Builder) addPairs(pairs []uint64, base int) error {
+	if len(b.edges)+len(pairs) > maxBuilderEdges {
+		return fmt.Errorf("graph: edge count exceeds %d", maxBuilderEdges)
+	}
+	start := len(b.edges)
+	b.edges = append(b.edges, pairs...)
+	if base != 0 {
+		off := uint64(base)<<32 | uint64(base)
+		for i := start; i < len(b.edges); i++ {
+			b.edges[i] += off
+		}
+	}
+	return nil
+}
+
+// buildGrain is the fewest buffered pairs per Build worker: a smaller
+// build runs inline, where a goroutine's start-up and a second count array
+// would cost more than the share of the scatter they take.
+const buildGrain = 1 << 16
+
 // Build finalizes the graph in time linear in the buffered pairs: it counts
 // both endpoints of every pair, prefix-sums the counts into row offsets, and
 // scatters each pair into both rows in arrival order. Pairs that arrive in
@@ -92,48 +117,109 @@ func (b *Builder) AddEdge(u, v int) error {
 // they leave, so the CSR is canonical (rows strictly ascending, arrays
 // exactly sized) whatever the arrival order. Build has no error result, so a
 // second Build panics; AddEdge on a built Builder returns an error.
+//
+// The work runs on P = min(parwork.Parallelism(), pairs/65536, pairs/(n+1))
+// workers, at least one, so small builds stay inline. Each worker counts
+// and scatters one contiguous chunk of the pair log through its own array
+// of n int32 counts (P·n in all, beside the n+1 offsets), and worker k's
+// cursor for a row starts where worker k−1's ends, so every row keeps its
+// arrival order and the CSR is identical at every P.
 func (b *Builder) Build() *Graph {
+	pairs := len(b.edges)
+	return b.build(max(1, min(parwork.Parallelism(), pairs/buildGrain, pairs/(b.n+1))))
+}
+
+// build is Build on a fixed number of workers; tests call it directly to
+// reach the multi-worker path on small inputs.
+func (b *Builder) build(workers int) *Graph {
 	if b.built {
 		panic("graph: Builder used after Build")
 	}
 	b.built = true
+	n, edges := b.n, b.edges
 	// Counts fit int32: maxBuilderEdges bounds 2·len(edges), duplicates
 	// included.
-	offsets := make([]int32, b.n+1)
-	for _, e := range b.edges {
-		offsets[e>>32+1]++
-		offsets[uint32(e)+1]++
-	}
-	for v := 0; v < b.n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	cursor := make([]int32, b.n)
-	copy(cursor, offsets[:b.n])
-	nbrs := make([]int32, 2*len(b.edges))
-	for _, e := range b.edges {
-		u, v := int32(e>>32), int32(uint32(e))
-		nbrs[cursor[u]] = v
-		cursor[u]++
-		nbrs[cursor[v]] = u
-		cursor[v]++
-	}
-	b.edges = nil
-	// Row pass: w is the compacted write position; offsets[v+1] still holds
-	// row v's scattered end when row v is reached.
-	w, start, maxDeg := int32(0), int32(0), 0
-	for v := 0; v < b.n; v++ {
-		row := nbrs[start:offsets[v+1]]
-		if !slices.IsSorted(row) {
-			slices.Sort(row)
+	cursors := make([][]int32, workers)
+	forEachPart(workers, func(k int) {
+		counts := make([]int32, n)
+		lo, hi := parwork.ChunkBoundsIn(len(edges), workers, k)
+		for _, e := range edges[lo:hi] {
+			counts[e>>32]++
+			counts[uint32(e)]++
 		}
-		row = slices.Compact(row)
-		if w != start {
-			copy(nbrs[w:], row)
+		cursors[k] = counts
+	})
+	// Row x's scattered segment starts at offsets[x]; within it, worker k's
+	// entries follow worker k−1's.
+	offsets := make([]int32, n+1)
+	sum := int32(0)
+	for x := 0; x < n; x++ {
+		offsets[x] = sum
+		for _, cursor := range cursors {
+			c := cursor[x]
+			cursor[x] = sum
+			sum += c
 		}
-		start = offsets[v+1]
-		w += int32(len(row))
-		offsets[v+1] = w
-		maxDeg = max(maxDeg, len(row))
+	}
+	offsets[n] = sum
+	nbrs := make([]int32, 2*len(edges))
+	forEachPart(workers, func(k int) {
+		cursor := cursors[k]
+		lo, hi := parwork.ChunkBoundsIn(len(edges), workers, k)
+		for _, e := range edges[lo:hi] {
+			u, v := int32(e>>32), int32(uint32(e))
+			nbrs[cursor[u]] = v
+			cursor[u]++
+			nbrs[cursor[v]] = u
+			cursor[v]++
+		}
+	})
+	b.edges, edges, cursors = nil, nil, nil
+	// Row pass over contiguous vertex ranges of near-equal scattered length.
+	// Each range compacts its rows to the front of its own segment (w is the
+	// write position; offsets[v+1] still holds row v's scattered end when
+	// row v is reached), then one serial pass closes the gaps between
+	// ranges. Range bounds and segment starts are read before any range
+	// rewrites offsets.
+	type rowRange struct {
+		lo, hi     int
+		start, end int32
+		maxDeg     int
+	}
+	ranges := make([]rowRange, workers)
+	for r := range ranges {
+		lo, hi := parwork.WeightedChunkBounds(n, workers, r, func(v int) int64 { return int64(offsets[v]) + int64(v) })
+		ranges[r] = rowRange{lo: lo, hi: hi, start: offsets[lo]}
+	}
+	forEachPart(workers, func(r int) {
+		rr := &ranges[r]
+		w, start, maxDeg := rr.start, rr.start, 0
+		for v := rr.lo; v < rr.hi; v++ {
+			row := nbrs[start:offsets[v+1]]
+			if !slices.IsSorted(row) {
+				slices.Sort(row)
+			}
+			row = slices.Compact(row)
+			if w != start {
+				copy(nbrs[w:], row)
+			}
+			start = offsets[v+1]
+			w += int32(len(row))
+			offsets[v+1] = w
+			maxDeg = max(maxDeg, len(row))
+		}
+		rr.end, rr.maxDeg = w, maxDeg
+	})
+	w, maxDeg := int32(0), 0
+	for _, rr := range ranges {
+		if shift := rr.start - w; shift != 0 {
+			copy(nbrs[w:], nbrs[rr.start:rr.end])
+			for v := rr.lo; v < rr.hi; v++ {
+				offsets[v+1] -= shift
+			}
+		}
+		w += rr.end - rr.start
+		maxDeg = max(maxDeg, rr.maxDeg)
 	}
 	if int(w) < len(nbrs) {
 		exact := make([]int32, w)
@@ -141,6 +227,15 @@ func (b *Builder) Build() *Graph {
 		nbrs = exact
 	}
 	return &Graph{offsets: offsets, nbrs: nbrs, m: int(w) / 2, maxDeg: maxDeg}
+}
+
+// forEachPart runs f(0), …, f(parts−1) on the worker pool, inline for one
+// part.
+func forEachPart(parts int, f func(k int)) {
+	_, _ = parwork.ForEach(parts, func(k int) (struct{}, error) {
+		f(k)
+		return struct{}{}, nil
+	})
 }
 
 // N returns the number of vertices.
