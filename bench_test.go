@@ -388,37 +388,42 @@ func benchCG(b *testing.B, h *graph.Graph) *cluster.CG {
 	return cg
 }
 
-// BenchmarkTryColorRound measures one TryColor round (Algorithm 17) from
-// an all-uncolored start, activation 0.5 over the full palette, with the
-// scratch held across rounds as the low-degree loops hold it: the draw, the
-// conflict check over the vertices that tried, and the apply. Each graph is
-// built outside the timer; GNP n=10⁵ deg≈64 is the gnp-low benchmark's
-// low-degree shape at a quarter of its size.
+// BenchmarkTryColorRound measures TryColor rounds (Algorithm 17) on one
+// session from an all-uncolored start, activation 0.5 over the full palette:
+// the session's start, then per round the draw over the frontier, the
+// conflict check over the vertices that tried, and the apply. The n=1e3 and
+// n=1e5 rows run one round; GNP n=4·10⁵ deg≈64, the gnp-low benchmark's
+// instance, runs the low-degree path's 14 degree-reduction rounds. Each
+// graph is built outside the timer.
 func BenchmarkTryColorRound(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		n    int
-		deg  float64
+		name   string
+		n      int
+		deg    float64
+		rounds int
 	}{
-		{"GNP/n=1e3/deg=20", 1000, 20},
-		{"GNP/n=1e5/deg=64", 100_000, 64},
+		{"GNP/n=1e3/deg=20", 1000, 20, 1},
+		{"GNP/n=1e5/deg=64", 100_000, 64, 1},
+		{"GNP/n=4e5/deg=64", 400_000, 64, 14},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := graph.MustGNP(bc.n, bc.deg/float64(bc.n), graph.NewRand(6))
 			cg := benchCG(b, h)
 			space := trials.RangeSpace(1, int32(h.MaxDegree()+1))
+			opts := trials.TryColorOptions{
+				Phase:      "bench",
+				Activation: 0.5,
+				Space:      func(v int) []int32 { return space },
+			}
 			rng := graph.NewRand(7)
-			var sc trials.TryColorScratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				col := coloring.New(h.N(), h.MaxDegree())
-				if _, _, err := trials.TryColorRoundWith(cg, col, trials.TryColorOptions{
-					Phase:      "bench",
-					Activation: 0.5,
-					Space:      func(v int) []int32 { return space },
-				}, rng, &sc); err != nil {
-					b.Fatal(err)
+				s := trials.NewTryColorSession(cg, coloring.New(h.N(), h.MaxDegree()), nil)
+				for r := 0; r < bc.rounds; r++ {
+					if _, err := s.Round(opts, rng); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

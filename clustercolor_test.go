@@ -3,11 +3,22 @@ package clustercolor
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"clustercolor/internal/core"
 )
+
+// wide returns 1<<shift, or math.MaxInt where an int has 32 bits and the
+// shift is past them: test sizes that stand for "absurdly large" compile
+// and stay absurd on every target.
+func wide(shift uint) int {
+	if strconv.IntSize == 32 && shift >= 31 {
+		return math.MaxInt
+	}
+	return 1 << shift
+}
 
 func mustGNP(t *testing.T, n int, p float64, seed uint64) *Graph {
 	t.Helper()
@@ -101,7 +112,12 @@ func TestVerifyRejectsBadColorings(t *testing.T) {
 		t.Fatal("out-of-range color accepted")
 	}
 	// Colors that narrow to a valid int32: good[0] ± 2³² wraps to good[0].
-	for _, c := range []int{good[0] + 1<<32, good[0] - 1<<32} {
+	// A 32-bit int holds no such color.
+	var wrapping []int
+	if strconv.IntSize == 64 {
+		wrapping = []int{good[0] + wide(32), good[0] - wide(32)}
+	}
+	for _, c := range wrapping {
 		bad3 := append([]int(nil), good...)
 		bad3[0] = c
 		if err := Verify(h, bad3); err == nil {
@@ -232,7 +248,7 @@ func TestExplicitParamsRespected(t *testing.T) {
 // a buffer.
 func TestColorHugeRedundantLinks(t *testing.T) {
 	h := mustClique(t, 7) // 21 edges
-	res, err := Color(h, Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: 1 << 50, Seed: 3})
+	res, err := Color(h, Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: wide(50), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +273,7 @@ func TestColorRejectsInvalidOptions(t *testing.T) {
 		{"topology -1", Options{Topology: -1}, "Topology"},
 		{"redundant links -2", Options{Topology: StarCluster, MachinesPerCluster: 2, RedundantLinks: -2}, "RedundantLinks"},
 		{"shards -1", Options{Shards: -1}, "Shards"},
-		{"2^40 machines per cluster", Options{Topology: PathCluster, MachinesPerCluster: 1 << 40}, "int32"},
+		{"2^40 machines per cluster", Options{Topology: PathCluster, MachinesPerCluster: wide(40)}, "int32"},
 	} {
 		if _, err := Color(h, tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Color error %v, want one naming %q", tc.name, err, tc.want)
@@ -402,7 +418,7 @@ func TestGeneratorErrorsPropagate(t *testing.T) {
 // negative n, are errors from the public API, not panics; small cliques,
 // the empty one included, still build.
 func TestCliqueRejectsBadSizes(t *testing.T) {
-	for _, n := range []int{-1, -70000, 70000, 1 << 40} {
+	for _, n := range []int{-1, -70000, 70000, wide(40)} {
 		if h, err := Clique(n); err == nil || h != nil {
 			t.Errorf("Clique(%d) = %v, %v; want an error", n, h, err)
 		}

@@ -80,12 +80,14 @@ func contract(g *Graph, clusterOf []int) (*Graph, *graph.Expansion, error) {
 			k = c + 1
 		}
 	}
-	machines := make([][]int32, k)
+	// Every id is below the machine count, itself inside the int32 CSR.
+	ids := make([]int32, len(clusterOf))
 	for m, c := range clusterOf {
-		machines[c] = append(machines[c], int32(m))
+		ids[m] = int32(c)
 	}
-	for c, ms := range machines {
-		if len(ms) == 0 {
+	exp := graph.NewExpansion(g, ids, k)
+	for c := 0; c < k; c++ {
+		if len(exp.Machines(c)) == 0 {
 			return nil, nil, fmt.Errorf("clustercolor: cluster %d has no machines (ids must be dense)", c)
 		}
 	}
@@ -103,9 +105,7 @@ func contract(g *Graph, clusterOf []int) (*Graph, *graph.Expansion, error) {
 			}
 		}
 	}
-	h := b.Build()
-	exp := &graph.Expansion{G: g, ClusterOf: append([]int(nil), clusterOf...), Machines: machines}
-	return h, exp, nil
+	return b.Build(), exp, nil
 }
 
 // ColorDistance2 computes a distance-2 coloring of g (Corollary 1.3) via

@@ -34,16 +34,14 @@ type CG struct {
 	// G is the communication network (vertices = machines).
 	G *graph.Graph
 	// ClusterOf maps machines to H-vertices.
-	ClusterOf []int
-	// Machines maps H-vertices to their machines.
-	Machines [][]int32
-	// Leader is the support-tree root per H-vertex.
+	ClusterOf []int32
+	// Leader is the support-tree root per H-vertex: its lowest machine.
 	Leader []int32
 	// TreeParent maps each machine to its parent machine in its cluster's
 	// support tree (-1 for leaders).
 	TreeParent []int32
 	// TreeDepth maps each machine to its depth in its support tree.
-	TreeDepth []int
+	TreeDepth []int32
 	// Dilation is the maximum support-tree height over all clusters; the
 	// paper's d is within a factor two of this.
 	Dilation int
@@ -62,17 +60,16 @@ func New(h *graph.Graph, exp *graph.Expansion, cost *network.CostModel) (*CG, er
 	if cost == nil {
 		return nil, fmt.Errorf("cluster: nil cost model")
 	}
-	if len(exp.Machines) != h.N() {
-		return nil, fmt.Errorf("cluster: expansion has %d clusters for %d vertices", len(exp.Machines), h.N())
+	if exp.Clusters() != h.N() {
+		return nil, fmt.Errorf("cluster: expansion has %d clusters for %d vertices", exp.Clusters(), h.N())
 	}
 	cg := &CG{
 		H:          h,
 		G:          exp.G,
 		ClusterOf:  exp.ClusterOf,
-		Machines:   exp.Machines,
 		Leader:     make([]int32, h.N()),
 		TreeParent: make([]int32, exp.G.N()),
-		TreeDepth:  make([]int, exp.G.N()),
+		TreeDepth:  make([]int32, exp.G.N()),
 		cost:       cost,
 		machineN:   exp.G.N(),
 	}
@@ -88,29 +85,23 @@ func New(h *graph.Graph, exp *graph.Expansion, cost *network.CostModel) (*CG, er
 	// CONGEST case that is every cluster, and construction is O(|G|).
 	var queue []int32
 	for v := 0; v < h.N(); v++ {
-		ms := exp.Machines[v]
+		ms := exp.Machines(v)
 		if len(ms) == 0 {
 			return nil, fmt.Errorf("cluster: vertex %d has no machines", v)
 		}
-		if len(ms) == 1 {
-			cg.Leader[v] = ms[0]
-			cg.TreeDepth[ms[0]] = 0
-			continue
-		}
+		// Machine lists are ascending, so the leader is the first.
 		leader := ms[0]
-		for _, m := range ms {
-			if m < leader {
-				leader = m
-			}
-		}
 		cg.Leader[v] = leader
 		cg.TreeDepth[leader] = 0
+		if len(ms) == 1 {
+			continue
+		}
 		queue = append(queue[:0], leader)
-		height := 0
+		height := int32(0)
 		for head := 0; head < len(queue); head++ {
 			m := queue[head]
 			for _, w := range exp.G.Neighbors(int(m)) {
-				if cg.TreeDepth[w] >= 0 || exp.ClusterOf[w] != v {
+				if cg.TreeDepth[w] >= 0 || exp.ClusterOf[w] != int32(v) {
 					continue
 				}
 				cg.TreeDepth[w] = cg.TreeDepth[m] + 1
@@ -126,9 +117,7 @@ func New(h *graph.Graph, exp *graph.Expansion, cost *network.CostModel) (*CG, er
 				return nil, fmt.Errorf("cluster: vertex %d disconnected at machine %d", v, m)
 			}
 		}
-		if height > cg.Dilation {
-			cg.Dilation = height
-		}
+		cg.Dilation = max(cg.Dilation, int(height))
 	}
 	return cg, nil
 }

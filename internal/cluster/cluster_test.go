@@ -74,8 +74,8 @@ func TestNewComputesSupportTrees(t *testing.T) {
 var mixedLinks = [][2]int{{1, 2}, {2, 3}, {5, 6}, {0, 3}, {2, 4}, {4, 6}}
 
 // newMixedCG hand-builds an expansion of Path(4) whose clusters mix
-// one-machine and multi-machine sizes, v0 = {0}, v1 = {3, 1, 2}, v2 = {4},
-// v3 = {6, 5}, over the given G-links, and runs New on it.
+// one-machine and multi-machine sizes, v0 = {0}, v1 = {1, 2, 3}, v2 = {4},
+// v3 = {5, 6}, over the given G-links, and runs New on it.
 func newMixedCG(t *testing.T, links [][2]int) (*CG, error) {
 	t.Helper()
 	b := graph.NewBuilder(7)
@@ -84,11 +84,7 @@ func newMixedCG(t *testing.T, links [][2]int) (*CG, error) {
 			t.Fatal(err)
 		}
 	}
-	exp := &graph.Expansion{
-		G:         b.Build(),
-		ClusterOf: []int{0, 1, 1, 1, 2, 3, 3},
-		Machines:  [][]int32{{0}, {3, 1, 2}, {4}, {6, 5}},
-	}
+	exp := graph.NewExpansion(b.Build(), []int32{0, 1, 1, 1, 2, 3, 3}, 4)
 	cost, err := network.NewCostModel(64)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +103,7 @@ func TestNewMixedClusterSizes(t *testing.T) {
 	if want := []int32{-1, -1, 1, 2, -1, -1, 5}; !slices.Equal(cg.TreeParent, want) {
 		t.Fatalf("TreeParent = %v, want %v", cg.TreeParent, want)
 	}
-	if want := []int{0, 0, 1, 2, 0, 0, 1}; !slices.Equal(cg.TreeDepth, want) {
+	if want := []int32{0, 0, 1, 2, 0, 0, 1}; !slices.Equal(cg.TreeDepth, want) {
 		t.Fatalf("TreeDepth = %v, want %v", cg.TreeDepth, want)
 	}
 	if cg.Dilation != 2 {
@@ -296,13 +292,13 @@ func TestBroadcastAndAggregateMachineLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := make([]uint64, cg.H.N())
+	for m := 0; m < cg.G.N(); m++ {
+		want[cg.ClusterOf[m]] += uint64(m)
+	}
 	for v := 0; v < cg.H.N(); v++ {
-		var want uint64
-		for _, m := range cg.Machines[v] {
-			want += uint64(m)
-		}
-		if sums[v] != want {
-			t.Fatalf("cluster %d sum = %d, want %d", v, sums[v], want)
+		if sums[v] != want[v] {
+			t.Fatalf("cluster %d sum = %d, want %d", v, sums[v], want[v])
 		}
 	}
 }

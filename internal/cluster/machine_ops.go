@@ -21,7 +21,7 @@ func (cg *CG) BroadcastFromLeader(phase string, payloadBits int, leaderValue fun
 	// Level-by-level flood: a machine at depth k hears in hop k.
 	for hop := 1; hop <= cg.Dilation; hop++ {
 		for m := 0; m < cg.G.N(); m++ {
-			if cg.TreeDepth[m] != hop {
+			if int(cg.TreeDepth[m]) != hop {
 				continue
 			}
 			p := cg.TreeParent[m]
@@ -61,7 +61,7 @@ func (cg *CG) AggregateToLeader(phase string, payloadBits int,
 	// its parent.
 	for hop := cg.Dilation; hop >= 1; hop-- {
 		for m := 0; m < cg.G.N(); m++ {
-			if cg.TreeDepth[m] != hop {
+			if int(cg.TreeDepth[m]) != hop {
 				continue
 			}
 			p := cg.TreeParent[m]

@@ -21,6 +21,7 @@ package coloring
 
 import (
 	"fmt"
+	"math"
 
 	"clustercolor/internal/graph"
 	"clustercolor/internal/parwork"
@@ -155,74 +156,115 @@ func ReuseSlack(g *graph.Graph, c *Coloring, v int) int {
 // VerifyProper checks that φ is proper: no edge is monochromatic. It returns
 // a descriptive error naming the first violation: the lowest vertex with a
 // higher neighbor of its color, and the lowest such neighbor. The vertices
-// are split across the worker pool.
+// are split across the worker pool. When every color lies in [0, Δ+1] and
+// Δ+1 ≤ 127, the edges are checked against a one-byte copy of the colors;
+// otherwise against the colors themselves.
 func VerifyProper(g *graph.Graph, c *Coloring) error {
 	return verify(g, c, false)
 }
 
 // VerifyComplete checks that φ is total and proper with colors in [1, Δ+1].
 // A vertex uncolored or out of range is reported before any monochromatic
-// edge, the lowest such vertex first; then it reports as VerifyProper.
+// edge, the lowest such vertex first; then it reports as VerifyProper. The
+// completeness pass fills the one-byte copy when Δ+1 ≤ 127, so a complete
+// coloring's edges are always checked against it then.
 func VerifyComplete(g *graph.Graph, c *Coloring) error {
 	return verify(g, c, true)
 }
 
-// violations is what one chunk of verify found: the lowest vertex in the
-// chunk that is uncolored or out of range (bad), and the lowest vertex with
-// a higher neighbor of its color (mono) with the lowest such neighbor. −1
-// means none.
-type violations struct {
-	bad, mono, with int32
-}
-
-// verify runs VerifyComplete (complete) or VerifyProper over contiguous
-// chunks of the vertices in parallel. Each chunk stops at its first bad
-// vertex, since a completeness error outranks every monochromatic edge, and
-// the lowest chunk with a finding names the same violation a serial scan
-// would.
+// verify runs VerifyComplete (complete) or VerifyProper in two parallel
+// passes over contiguous chunks of the vertices. The first finds the lowest
+// vertex whose color lies outside [1, Δ+1] (complete) or [0, Δ+1], and fills
+// the one-byte copy when Δ+1 fits a byte; the second finds each chunk's
+// lowest monochromatic edge, and the lowest chunk with one names the same
+// violation a serial scan would.
 func verify(g *graph.Graph, c *Coloring, complete bool) error {
 	n := g.N()
 	maxColor := c.MaxColor()
+	minColor := None
+	if complete {
+		minColor = 1
+	}
+	var small []int8
+	if maxColor <= math.MaxInt8 {
+		small = make([]int8, n)
+	}
 	chunks := parwork.RangeChunks(n)
-	found, err := parwork.ForEach(chunks, func(i int) (violations, error) {
-		lo, hi := parwork.ChunkBoundsIn(n, chunks, i)
-		out := violations{bad: -1, mono: -1}
-		for v := lo; v < hi; v++ {
-			col := c.colors[v]
-			if complete && (col < 1 || col > maxColor) {
-				out.bad = int32(v)
-				break
-			}
-			if out.mono >= 0 || col == None {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if int(u) > v && c.colors[u] == col {
-					out.mono, out.with = int32(v), u
-					break
+	if complete || small != nil {
+		bad, err := parwork.ForEach(chunks, func(i int) (int, error) {
+			lo, hi := parwork.ChunkBoundsIn(n, chunks, i)
+			for v := lo; v < hi; v++ {
+				col := c.colors[v]
+				if col < minColor || col > maxColor {
+					return v, nil
+				}
+				if small != nil {
+					small[v] = int8(col)
 				}
 			}
+			return -1, nil
+		})
+		if err != nil {
+			return err
 		}
-		return out, nil
-	})
+		for _, v := range bad {
+			if v < 0 {
+				continue
+			}
+			if !complete {
+				// A color outside [0, Δ+1] may alias another in a byte.
+				small = nil
+				break
+			}
+			if col := c.colors[v]; col != None {
+				return fmt.Errorf("coloring: vertex %d has color %d outside [1,%d]", v, col, maxColor)
+			}
+			return fmt.Errorf("coloring: vertex %d uncolored", v)
+		}
+	}
+	var found []monoEdge
+	var err error
+	if small != nil {
+		found, err = monochromatic(g, small, chunks)
+	} else {
+		found, err = monochromatic(g, c.colors, chunks)
+	}
 	if err != nil {
 		return err
 	}
 	for _, f := range found {
-		if f.bad < 0 {
-			continue
-		}
-		if col := c.colors[f.bad]; col != None {
-			return fmt.Errorf("coloring: vertex %d has color %d outside [1,%d]", f.bad, col, maxColor)
-		}
-		return fmt.Errorf("coloring: vertex %d uncolored", f.bad)
-	}
-	for _, f := range found {
-		if f.mono >= 0 {
-			return fmt.Errorf("coloring: edge {%d,%d} monochromatic with color %d", f.mono, f.with, c.colors[f.mono])
+		if f.v >= 0 {
+			return fmt.Errorf("coloring: edge {%d,%d} monochromatic with color %d", f.v, f.u, c.colors[f.v])
 		}
 	}
 	return nil
+}
+
+// monoEdge is one chunk's lowest vertex v with a higher neighbor u of its
+// color, u the lowest such; v is −1 when the chunk has none.
+type monoEdge struct {
+	v, u int32
+}
+
+// monochromatic returns monoEdge per chunk of [0, g.N()) for the colors
+// held as S.
+func monochromatic[S int8 | int32](g *graph.Graph, colors []S, chunks int) ([]monoEdge, error) {
+	n := g.N()
+	return parwork.ForEach(chunks, func(i int) (monoEdge, error) {
+		lo, hi := parwork.ChunkBoundsIn(n, chunks, i)
+		for v := lo; v < hi; v++ {
+			col := colors[v]
+			if col == 0 {
+				continue
+			}
+			for _, u := range g.Neighbors(v) {
+				if int(u) > v && colors[u] == col {
+					return monoEdge{int32(v), u}, nil
+				}
+			}
+		}
+		return monoEdge{-1, -1}, nil
+	})
 }
 
 // CountColors returns the number of distinct colors in use.

@@ -174,3 +174,64 @@ func TestVerifyEmptyAndTiny(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyMatchesReferenceAtByteWidth compares VerifyComplete and
+// VerifyProper with the serial references on colorings sized to Δ+1 = 127,
+// where a coloring whose colors all lie in [0, Δ+1] is checked against a
+// one-byte copy, and Δ+1 = 128, where it never is. The plants include
+// colors that alias in a byte: 300 and 44 are equal in their low byte, so
+// an edge between them is reported only if the check wrongly narrowed an
+// out-of-range coloring.
+func TestVerifyMatchesReferenceAtByteWidth(t *testing.T) {
+	g := graph.MustGNP(6000, 30.0/6000, graph.NewRand(9))
+	for _, delta := range []int{126, 127} {
+		if g.MaxDegree() > delta {
+			t.Fatalf("Δ(G) = %d exceeds the coloring's Δ %d", g.MaxDegree(), delta)
+		}
+		base := New(g.N(), delta)
+		sc := NewPaletteScratch()
+		for v := 0; v < g.N(); v++ {
+			// Spread colors over the whole space, top colors included.
+			pal := sc.Palette(g, base, v)
+			base.colors[v] = pal[(v*7)%len(pal)]
+		}
+		// alias colors v and its first neighbor 300 and 44, and moves the
+		// neighbor's other neighbors off 44.
+		alias := func(c *Coloring, v int) {
+			u := int(g.Neighbors(v)[0])
+			c.colors[v], c.colors[u] = 300, 44
+			for _, w := range g.Neighbors(u) {
+				if c.colors[w] == 44 && int(w) != v {
+					c.colors[w] = 45
+				}
+			}
+		}
+		checkPlants(t, g, base, map[string]func(c *Coloring){
+			fmt.Sprintf("proper Δ+1=%d", delta+1): func(c *Coloring) {},
+			fmt.Sprintf("top color monochromatic Δ+1=%d", delta+1): func(c *Coloring) {
+				v := g.N() / 3
+				c.colors[v] = c.MaxColor()
+				mono(g, c, v, 0)
+			},
+			fmt.Sprintf("aliasing colors only Δ+1=%d", delta+1): func(c *Coloring) {
+				alias(c, g.N()/4)
+			},
+			fmt.Sprintf("aliasing colors below a monochromatic edge Δ+1=%d", delta+1): func(c *Coloring) {
+				alias(c, g.N()/4)
+				mono(g, c, g.N()/2, 0)
+			},
+			fmt.Sprintf("aliasing colors just below a monochromatic edge Δ+1=%d", delta+1): func(c *Coloring) {
+				// At 6000 vertices every chunk spans ≥ 40, and n/4 starts
+				// one, so the edge's lower end shares the aliasing chunk.
+				v := g.N() / 4
+				alias(c, v)
+				mono(g, c, v+3, len(g.Neighbors(v+3))-1)
+			},
+			fmt.Sprintf("negative color and a monochromatic edge Δ+1=%d", delta+1): func(c *Coloring) {
+				// Outside [0, Δ+1]: the edges are checked in int32.
+				c.colors[g.N()-3] = -84
+				mono(g, c, g.N()/2, 0)
+			},
+		})
+	}
+}

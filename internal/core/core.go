@@ -77,15 +77,14 @@ func ColorTraced(cg *cluster.CG, params Params, tr StageTracer) (*coloring.Color
 }
 
 // fallbackFinish colors any remaining vertices with TryColor over their true
-// palettes. Computing a true palette in a cluster graph costs Ω(Δ/log n)
-// rounds (Figure 2); the loop charges that price per wave. Palettes are
-// materialized through one reusable scratch (zero per-vertex allocation);
-// TryColorRound consumes each palette before the next Space call, per the
-// scratch-ownership contract.
+// palettes, on one session. Computing a true palette in a cluster graph
+// costs Ω(Δ/log n) rounds (Figure 2); the loop charges that price per wave.
+// Palettes are materialized through one reusable scratch (zero per-vertex
+// allocation); the session consumes each palette before the next Space
+// call, per the scratch-ownership contract.
 func fallbackFinish(cg *cluster.CG, col *coloring.Coloring, params Params, stats *Stats, rng *rand.Rand) error {
 	h := cg.H
-	remaining := uncoloredCount(col)
-	if remaining == 0 {
+	if uncoloredCount(col) == 0 {
 		return nil
 	}
 	bw := cg.Cost().Bandwidth()
@@ -94,23 +93,24 @@ func fallbackFinish(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 		paletteHops = 1
 	}
 	scratch := coloring.NewPaletteScratch()
-	for round := 0; round < params.MaxFallbackRounds && remaining > 0; round++ {
+	opts := trials.TryColorOptions{
+		Phase:      "fallback/try",
+		Activation: 0.8,
+		Space: func(v int) []int32 {
+			return scratch.Palette(h, col, v)
+		},
+	}
+	s := trials.NewTryColorSession(cg, col, nil)
+	for round := 0; round < params.MaxFallbackRounds && s.Left() > 0; round++ {
 		cg.ChargeHRounds("fallback/palette", paletteHops, bw)
-		colored, err := trials.TryColorRound(cg, col, trials.TryColorOptions{
-			Phase:      "fallback/try",
-			Activation: 0.8,
-			Space: func(v int) []int32 {
-				return scratch.Palette(h, col, v)
-			},
-		}, rng)
+		colored, err := s.Round(opts, rng)
 		if err != nil {
 			return err
 		}
 		stats.FallbackColored += colored
-		remaining -= colored
 	}
-	if remaining > 0 {
-		return fmt.Errorf("core: %d vertices uncolored after %d fallback rounds", remaining, params.MaxFallbackRounds)
+	if s.Left() > 0 {
+		return fmt.Errorf("core: %d vertices uncolored after %d fallback rounds", s.Left(), params.MaxFallbackRounds)
 	}
 	return nil
 }

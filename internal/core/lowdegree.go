@@ -30,8 +30,9 @@ import (
 //     needs the same inputs (the deg+1 lists and vertex IDs), and the round
 //     charge follows the lemma's bound.
 //
-// Each round reports how many vertices it left uncolored, so the stages
-// never rescan the coloring between rounds.
+// Stages 1 and 3 run on one TryColor session: it reads the coloring once
+// and keeps the shrinking frontier of uncolored vertices, so no stage
+// rescans the coloring, and stage 4 starts from the frontier it leaves.
 func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats *Stats, rng *rand.Rand) error {
 	h := cg.H
 	n := h.N()
@@ -42,13 +43,16 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 	loglog := bits.Len(uint(bits.Len(uint(n)))) + 2
 	space := sparseSpace(col)
 	// Stage 1: degree reduction, O(log log n) waves.
-	left, err := trials.TryColorLoop(cg, col, trials.TryColorOptions{
+	s := trials.NewTryColorSession(cg, col, nil)
+	reduce := trials.TryColorOptions{
 		Phase:      "lowdeg/reduce",
 		Space:      func(v int) []int32 { return space },
 		Activation: 0.5,
-	}, 2*loglog, rng)
-	if err != nil {
-		return err
+	}
+	for r := 0; r < 2*loglog && s.Left() > 0; r++ {
+		if _, err := s.Round(reduce, rng); err != nil {
+			return err
+		}
 	}
 	stats.StageOrder = append(stats.StageOrder, "LearnColors")
 	// Stage 2: palette learning — one aggregated Δ-bit bitmap per cluster.
@@ -59,24 +63,24 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 	// through one reusable scratch; each is consumed before the next Space
 	// call, per the scratch-ownership contract.
 	scratch := coloring.NewPaletteScratch()
-	var tsc trials.TryColorScratch
+	shatter := trials.TryColorOptions{
+		Phase:      "lowdeg/shatter",
+		Activation: 0.7,
+		Space: func(v int) []int32 {
+			return scratch.Palette(h, col, v)
+		},
+	}
 	for i := 0; i < 2*loglog; i++ {
-		if left == 0 {
+		if s.Left() == 0 {
 			return nil
 		}
-		if _, left, err = trials.TryColorRoundWith(cg, col, trials.TryColorOptions{
-			Phase:      "lowdeg/shatter",
-			Activation: 0.7,
-			Space: func(v int) []int32 {
-				return scratch.Palette(h, col, v)
-			},
-		}, rng, &tsc); err != nil {
+		if _, err := s.Round(shatter, rng); err != nil {
 			return err
 		}
 	}
 	// Stage 4: small-instance coloring per shattered component.
 	stats.StageOrder = append(stats.StageOrder, "SmallInstanceColoring")
-	return smallInstanceColoring(cg, col)
+	return smallInstanceColoring(cg, col, s.Uncolored())
 }
 
 // smallInstanceColoring colors the uncolored subgraph left by shattering,
@@ -86,17 +90,15 @@ func colorLowDegree(cg *cluster.CG, col *coloring.Coloring, params Params, stats
 // are then recolored one per round from the vertices' learned deg+1 lists.
 // Rounds are charged per the lemma's budget; a vertex with an exhausted
 // palette (impossible under deg+1 lists, guarded anyway) is left to the
-// terminal fallback.
-func smallInstanceColoring(cg *cluster.CG, col *coloring.Coloring) error {
+// terminal fallback. left lists the uncolored vertices, ascending.
+func smallInstanceColoring(cg *cluster.CG, col *coloring.Coloring, left []int32) error {
 	h := cg.H
-	var uncolored []int
-	for v := 0; v < h.N(); v++ {
-		if !col.IsColored(v) {
-			uncolored = append(uncolored, v)
-		}
-	}
-	if len(uncolored) == 0 {
+	if len(left) == 0 {
 		return nil
+	}
+	uncolored := make([]int, len(left))
+	for i, v := range left {
+		uncolored[i] = int(v)
 	}
 	// Induced shattered subgraph; Linial runs on it against the same cost
 	// model (the sub-instance lives on the same network).

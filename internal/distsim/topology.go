@@ -27,7 +27,7 @@ type machineTopo struct {
 func newMachineTopo(cg *cluster.CG) *machineTopo {
 	g := cg.G
 	t := &machineTopo{
-		cluster:  make([]int32, g.N()),
+		cluster:  cg.ClusterOf,
 		leader:   make([]bool, g.N()),
 		parent:   make([]int32, g.N()),
 		children: make([][]int32, g.N()),
@@ -39,14 +39,13 @@ func newMachineTopo(cg *cluster.CG) *machineTopo {
 	}
 	for m := 0; m < g.N(); m++ {
 		v := cg.ClusterOf[m]
-		t.cluster[m] = int32(v)
 		t.leader[m] = cg.Leader[v] == int32(m)
 		t.parent[m] = cg.TreeParent[m]
 		for _, nb := range g.Neighbors(m) {
 			peer := int(nb)
 			switch {
 			case cg.ClusterOf[peer] != v:
-				t.cross[m] = append(t.cross[m], crossEdge{peer: nb, peerCluster: int32(cg.ClusterOf[peer])})
+				t.cross[m] = append(t.cross[m], crossEdge{peer: nb, peerCluster: cg.ClusterOf[peer]})
 			case int(cg.TreeParent[peer]) == m:
 				t.children[m] = append(t.children[m], nb)
 			}

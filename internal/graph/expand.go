@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 )
 
 // ClusterTopology selects the internal machine topology used when expanding
@@ -60,10 +61,38 @@ type Expansion struct {
 	// itself: graphs are immutable, so the CONGEST case shares H's CSR.
 	G *Graph
 	// ClusterOf maps each machine of G to its H-vertex.
-	ClusterOf []int
-	// Machines maps each H-vertex to its machines in G.
-	Machines [][]int32
+	ClusterOf []int32
+	// machines lists every cluster's machines, cluster by cluster, each
+	// ascending; cluster v's are machines[start[v]:start[v+1]].
+	machines, start []int32
 }
+
+// NewExpansion returns the expansion of network g whose machine m belongs to
+// cluster clusterOf[m]. Every id must lie in [0, k), and ClusterOf aliases
+// clusterOf. A cluster with no machine has an empty list.
+func NewExpansion(g *Graph, clusterOf []int32, k int) *Expansion {
+	start := make([]int32, k+1)
+	for _, c := range clusterOf {
+		start[c+1]++
+	}
+	for c := 0; c < k; c++ {
+		start[c+1] += start[c]
+	}
+	next := slices.Clone(start[:k])
+	machines := make([]int32, len(clusterOf))
+	for m, c := range clusterOf {
+		machines[next[c]] = int32(m)
+		next[c]++
+	}
+	return &Expansion{G: g, ClusterOf: clusterOf, machines: machines, start: start}
+}
+
+// Clusters returns the number of clusters, one per H-vertex.
+func (e *Expansion) Clusters() int { return max(len(e.start)-1, 0) }
+
+// Machines returns cluster v's machines in G, ascending. The slice aliases
+// the expansion.
+func (e *Expansion) Machines(v int) []int32 { return e.machines[e.start[v]:e.start[v+1]] }
 
 // Expand builds a communication network realizing h as a cluster graph
 // (Definition 3.1): each h-vertex becomes a connected cluster of machines
@@ -100,20 +129,16 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 		redundant = size * size
 	}
 	nG := h.N() * size
+	// Every H-edge gets at most `redundant` links, beside size−1 tree links
+	// per cluster, so the pair log is reserved once.
 	b := NewBuilder(nG)
-	clusterOf := make([]int, nG)
-	machines := make([][]int32, h.N())
-	// One flat backing array for every cluster's machine list — per-vertex
-	// slice allocations would dominate instance construction at scale.
-	flat := make([]int32, nG)
+	b.reserve(int64(h.N())*int64(size-1) + int64(h.M())*int64(redundant))
+	clusterOf := make([]int32, nG)
 	for v := 0; v < h.N(); v++ {
 		base := v * size
-		ms := flat[base : base+size : base+size]
 		for i := 0; i < size; i++ {
-			clusterOf[base+i] = v
-			ms[i] = int32(base + i)
+			clusterOf[base+i] = int32(v)
 		}
-		machines[v] = ms
 		if err := wireCluster(b, base, size, spec.Topology, rng); err != nil {
 			return nil, err
 		}
@@ -121,7 +146,8 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 	// Inter-cluster links: each H-edge gets `redundant` links between
 	// random machine pairs. Links between clusters v and w can only arise
 	// from the H-edge {v,w}, so deduplication is local to this loop body —
-	// a scan of the few pairs already drawn for the same H-edge.
+	// a scan of the few pairs already drawn for the same H-edge. Cluster
+	// v's machines are v·size … v·size+size−1.
 	drawn := make([][2]int32, 0, redundant)
 	for v := 0; v < h.N(); v++ {
 		for _, w := range h.Neighbors(v) {
@@ -132,8 +158,8 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 			// so every H-edge gets at least one link.
 			drawn = drawn[:0]
 			for attempt := 0; attempt < redundant*4 && len(drawn) < redundant; attempt++ {
-				mu := int(machines[v][rng.IntN(size)])
-				mw := int(machines[w][rng.IntN(size)])
+				mu := v*size + rng.IntN(size)
+				mw := int(w)*size + rng.IntN(size)
 				pair := [2]int32{int32(mu), int32(mw)}
 				dup := false
 				for _, d := range drawn {
@@ -152,7 +178,7 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 			}
 		}
 	}
-	return &Expansion{G: b.Build(), ClusterOf: clusterOf, Machines: machines}, nil
+	return NewExpansion(b.Build(), clusterOf, h.N()), nil
 }
 
 // oneMachineExpansion is the CONGEST case H = G: machine v is H-vertex v,
@@ -160,16 +186,11 @@ func Expand(h *Graph, spec ExpandSpec, rng *rand.Rand) (*Expansion, error) {
 // Sharing h instead of building an identical CSR leaves O(n) work for the
 // identity maps.
 func oneMachineExpansion(h *Graph) *Expansion {
-	n := h.N()
-	clusterOf := make([]int, n)
-	flat := make([]int32, n)
-	machines := make([][]int32, n)
+	clusterOf := make([]int32, h.N())
 	for v := range clusterOf {
-		clusterOf[v] = v
-		flat[v] = int32(v)
-		machines[v] = flat[v : v+1 : v+1]
+		clusterOf[v] = int32(v)
 	}
-	return &Expansion{G: h, ClusterOf: clusterOf, Machines: machines}
+	return NewExpansion(h, clusterOf, h.N())
 }
 
 // wireCluster links the machines base..base+size-1 of one multi-machine

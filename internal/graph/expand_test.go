@@ -43,11 +43,11 @@ func TestExpandTopologies(t *testing.T) {
 			}
 			// Clusters must be connected within G.
 			for v := 0; v < h.N(); v++ {
-				ms := exp.Machines[v]
+				ms := exp.Machines(v)
 				if len(ms) != size {
 					t.Fatalf("cluster %d has %d machines, want %d", v, len(ms), size)
 				}
-				inCluster := func(m int) bool { return exp.ClusterOf[m] == v }
+				inCluster := func(m int) bool { return int(exp.ClusterOf[m]) == v }
 				depth, _ := exp.G.BFSDepths(int(ms[0]), inCluster)
 				for _, m := range ms {
 					if depth[m] < 0 {
@@ -59,9 +59,9 @@ func TestExpandTopologies(t *testing.T) {
 			// every inter-cluster link must realize an H-edge.
 			realized := map[[2]int32]bool{}
 			for m := 0; m < exp.G.N(); m++ {
-				cu := exp.ClusterOf[m]
+				cu := int(exp.ClusterOf[m])
 				for _, m2 := range exp.G.Neighbors(m) {
-					cv := exp.ClusterOf[m2]
+					cv := int(exp.ClusterOf[m2])
 					if cu == cv {
 						continue
 					}
@@ -104,7 +104,7 @@ func TestExpandRejectsMachineIDOverflow(t *testing.T) {
 		h    *Graph
 		size int
 	}{
-		{MustGNP(200, 0.05, NewRand(1)), 1 << 40},
+		{MustGNP(200, 0.05, NewRand(1)), wide(40)},
 		{Path(3), math.MaxInt32/3 + 1},
 	} {
 		_, err := Expand(tc.h, ExpandSpec{Topology: TopologyPath, MachinesPerCluster: tc.size}, NewRand(2))
@@ -112,7 +112,7 @@ func TestExpandRejectsMachineIDOverflow(t *testing.T) {
 			t.Errorf("n=%d size=%d: error %v, want the int32 machine-id bound", tc.h.N(), tc.size, err)
 		}
 	}
-	exp, err := Expand(NewBuilder(0).Build(), ExpandSpec{Topology: TopologyPath, MachinesPerCluster: 1 << 40}, NewRand(2))
+	exp, err := Expand(NewBuilder(0).Build(), ExpandSpec{Topology: TopologyPath, MachinesPerCluster: wide(40)}, NewRand(2))
 	if err != nil || exp.G.N() != 0 {
 		t.Fatalf("empty H: %v, %v", exp, err)
 	}
@@ -134,12 +134,12 @@ func TestExpandOneMachineSharesH(t *testing.T) {
 			if exp.G != h {
 				t.Fatalf("%+v: the network is a copy of H, want H itself", spec)
 			}
-			if len(exp.ClusterOf) != h.N() || len(exp.Machines) != h.N() {
-				t.Fatalf("%+v: %d machines, %d clusters for n=%d", spec, len(exp.ClusterOf), len(exp.Machines), h.N())
+			if len(exp.ClusterOf) != h.N() || exp.Clusters() != h.N() {
+				t.Fatalf("%+v: %d machines, %d clusters for n=%d", spec, len(exp.ClusterOf), exp.Clusters(), h.N())
 			}
 			for v := 0; v < h.N(); v++ {
-				if exp.ClusterOf[v] != v || len(exp.Machines[v]) != 1 || exp.Machines[v][0] != int32(v) {
-					t.Fatalf("%+v: vertex %d: ClusterOf %d, Machines %v; want the identity", spec, v, exp.ClusterOf[v], exp.Machines[v])
+				if exp.ClusterOf[v] != int32(v) || len(exp.Machines(v)) != 1 || exp.Machines(v)[0] != int32(v) {
+					t.Fatalf("%+v: vertex %d: ClusterOf %d, Machines %v; want the identity", spec, v, exp.ClusterOf[v], exp.Machines(v))
 				}
 			}
 			if got, want := rng.Uint64(), NewRand(9).Uint64(); got != want {
@@ -161,7 +161,7 @@ func TestExpandRedundantLinksCapped(t *testing.T) {
 		return exp
 	}
 	ref := expand(4)
-	for _, redundant := range []int{5, 1 << 20, 1 << 50} {
+	for _, redundant := range []int{5, 1 << 20, wide(50)} {
 		exp := expand(redundant)
 		if exp.G.M() != ref.G.M() {
 			t.Fatalf("RedundantLinks %d: %d links, want the size² expansion's %d", redundant, exp.G.M(), ref.G.M())
@@ -208,7 +208,7 @@ func TestExpandRedundantLinksCreateMultiplePaths(t *testing.T) {
 			if int(m2) < m {
 				continue
 			}
-			cu, cv := exp.ClusterOf[m], exp.ClusterOf[m2]
+			cu, cv := int(exp.ClusterOf[m]), int(exp.ClusterOf[m2])
 			if cu != cv {
 				count[edgeKey(cu, cv)]++
 			}

@@ -320,6 +320,7 @@ func Clique(n int) *Graph {
 		panic(fmt.Sprintf("graph: Clique(%d) exceeds the %d-edge CSR capacity", n, maxBuilderEdges))
 	}
 	b := NewBuilder(n)
+	b.reserve(int64(n) * int64(n-1) / 2)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			_ = b.AddEdge(u, v) // in-range, distinct, capacity pre-checked: cannot fail
@@ -521,6 +522,13 @@ func PlantedACD(spec PlantedACDSpec, rng *rand.Rand) (*Graph, []int, error) {
 	denseN := spec.NumCliques * spec.CliqueSize
 	n := denseN + spec.SparseN
 	b := NewBuilder(n)
+	// The dense blocks keep a binomial share of their pairs: reserve six
+	// deviations above the mean, as G(n, p) does. (ExternalDegree only
+	// bounds the external edges: draws inside a vertex's own block are
+	// skipped, so it can overstate them by far.)
+	blockPairs := float64(spec.NumCliques) * float64(spec.CliqueSize) * float64(spec.CliqueSize-1) / 2
+	kept := blockPairs * (1 - spec.DropFraction)
+	b.reserve(int64(math.Ceil(kept + 6*math.Sqrt(kept*spec.DropFraction))))
 	blocks := make([]int, n)
 	for i := range blocks {
 		blocks[i] = -1
@@ -716,6 +724,7 @@ func RingOfCliques(numCliques, cliqueSize int) (*Graph, error) {
 	}
 	n := numCliques * cliqueSize
 	b := NewBuilder(n)
+	b.reserve(int64(numCliques) * (int64(cliqueSize)*int64(cliqueSize-1)/2 + 1))
 	for c := 0; c < numCliques; c++ {
 		base := c * cliqueSize
 		for i := 0; i < cliqueSize; i++ {

@@ -84,6 +84,16 @@ func (b *Builder) AddEdge(u, v int) error {
 	return nil
 }
 
+// reserve makes room in the pair log for k more pairs, capped at the edge
+// capacity. A generator that knows its pair count, or a close bound, calls
+// it once before its first AddEdge: appended pair by pair, a large log
+// regrows by ≈1.25× at a time and allocates several times its final size.
+func (b *Builder) reserve(k int64) {
+	if k = min(k, int64(maxBuilderEdges-len(b.edges))); k > 0 {
+		b.edges = slices.Grow(b.edges, int(k))
+	}
+}
+
 // addPairs appends packed pairs lo<<32 | hi, lo < hi, of the vertex window
 // that starts at base. The caller guarantees that they are edges of the
 // window, with ids in the int32 range; only the edge cap is checked.

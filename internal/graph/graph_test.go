@@ -1,21 +1,37 @@
 package graph
 
 import (
+	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
 
+// wide returns 1<<shift, or math.MaxInt where an int has 32 bits and the
+// shift is past them: test sizes that stand for "absurdly large" compile
+// and stay absurd on every target.
+func wide(shift uint) int {
+	if strconv.IntSize == 32 && shift >= 31 {
+		return math.MaxInt
+	}
+	return 1 << shift
+}
+
 func TestBuilderRejectsBadEdges(t *testing.T) {
-	tests := []struct {
+	type badEdge struct {
 		name    string
 		n, u, v int
-	}{
+	}
+	tests := []badEdge{
 		{name: "self loop", n: 5, u: 1, v: 1},
 		{name: "negative", n: 5, u: -1, v: 2},
 		{name: "out of range", n: 5, u: 0, v: 5},
+	}
+	if strconv.IntSize == 64 {
 		// Below n but past the int32 CSR's ids. The builder allocates
-		// nothing before Build, so the huge n costs no memory.
-		{name: "beyond int32", n: 1<<31 + 1, u: 1 << 31, v: 0},
+		// nothing before Build, so the huge n costs no memory. A 32-bit
+		// int cannot name such an id.
+		tests = append(tests, badEdge{name: "beyond int32", n: wide(31) + 1, u: wide(31), v: 0})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

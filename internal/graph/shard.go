@@ -159,8 +159,11 @@ func buildSlice(g *Graph, sg *ShardedGraph, shard, lo, hi int) (*ShardSlice, err
 	for i, u := range halo {
 		sl.HaloOwner[i] = int32(sg.Owner(int(u)))
 	}
-	// Local CSR: owned local ids [0, own), halo local ids [own, own+h).
+	// Local CSR: owned local ids [0, own), halo local ids [own, own+h). Each
+	// owned↔owned edge is added once and each boundary edge once.
 	b := NewBuilder(own + len(halo))
+	inner := int64(g.AdjOffset(hi)-g.AdjOffset(lo)) - int64(sl.BoundaryEdges)
+	b.reserve(inner/2 + int64(sl.BoundaryEdges))
 	for v := lo; v < hi; v++ {
 		lv := v - lo
 		isBoundary := false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 	"clustercolor/internal/parwork"
 )
 
-// refTryColorRound is the two-array TryColor round the packed state word
-// replaced, kept as its reference: a tried array over all n, a win array
-// over all n, a decide pass over every vertex reading the coloring and the
-// tried array per neighbor, and a serial apply over all n.
+// refTryColorRound is the full-scan TryColor round the session replaced,
+// kept as its reference: a draw over all n that asks Active per round, a
+// tried array over all n, a win array over all n, a decide pass over every
+// vertex reading the coloring and the tried array per neighbor, and a serial
+// apply over all n.
 func refTryColorRound(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand) (int, error) {
 	if opts.Space == nil {
 		return 0, fmt.Errorf("trials: nil color space")
@@ -157,13 +159,13 @@ func sameColoring(t *testing.T, what string, got, want *coloring.Coloring) {
 	}
 }
 
-// TestTryColorRoundMatchesReference runs the packed-state round and the
-// two-array reference side by side, round after round, on GNP, path and
-// clique graphs with pre-colored vertices, at activations 0.3, 0.7 and 1,
-// with and without an Active subset, over full, palette, empty and
-// one-color spaces. Both must leave the same coloring, return the same
-// count, charge the same rounds and leave the rng at the same next draw,
-// and the round's remainder must equal a rescan of the active set.
+// TestTryColorRoundMatchesReference runs one session and the full-scan
+// reference side by side, round after round, on GNP, path and clique graphs
+// with pre-colored vertices, at activations 0.3, 0.7 and 1, with and without
+// an Active subset, over full, palette, empty and one-color spaces. Both
+// must leave the same coloring, return the same count, charge the same
+// rounds and leave the rng at the same next draw, and the session's
+// remainder must equal a rescan of the active set.
 func TestTryColorRoundMatchesReference(t *testing.T) {
 	for ci, rc := range refCases(t) {
 		for _, p := range []float64{0.3, 0.7, 1} {
@@ -181,9 +183,9 @@ func TestTryColorRoundMatchesReference(t *testing.T) {
 					optsWant := optsGot
 					optsWant.Space = refSpaces(want, rc.h)[name]
 					rngGot, rngWant := graph.NewRand(uint64(7+ci)), graph.NewRand(uint64(7+ci))
-					var sc TryColorScratch
+					s := NewTryColorSession(cgGot, got, active)
 					for r := 0; r < 4; r++ {
-						n, left, err := TryColorRoundWith(cgGot, got, optsGot, rngGot, &sc)
+						n, err := s.Round(optsGot, rngGot)
 						if err != nil {
 							t.Fatalf("%s round %d: %v", what, r, err)
 						}
@@ -194,8 +196,8 @@ func TestTryColorRoundMatchesReference(t *testing.T) {
 						if n != wantN {
 							t.Fatalf("%s round %d: colored %d, reference %d", what, r, n, wantN)
 						}
-						if rescan := remainingActive(cgWant, want, active); left != rescan {
-							t.Fatalf("%s round %d: left %d, rescan %d", what, r, left, rescan)
+						if rescan := remainingActive(cgWant, want, active); s.Left() != rescan {
+							t.Fatalf("%s round %d: left %d, rescan %d", what, r, s.Left(), rescan)
 						}
 						sameColoring(t, fmt.Sprintf("%s round %d", what, r), got, want)
 					}
@@ -207,6 +209,133 @@ func TestTryColorRoundMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestTryColorSessionMatchesReferenceAtWidths runs one session against the
+// full-scan reference, round by round, at the two state widths: a coloring
+// sized to Δ+1 = 127 keeps int8 words and one sized to Δ+1 = 128 keeps
+// int32 words. The session runs six full-space rounds and then palette-space
+// rounds until nothing is left, from a pre-colored start, with and without
+// an Active subset, at parallelism 1, 2 and 4. After every round the
+// coloring, the colored count, the remainder against a rescan, and the
+// charged rounds must match; after each phase, the session's Uncolored
+// against a rescan; and at the end, the next rng draw.
+func TestTryColorSessionMatchesReferenceAtWidths(t *testing.T) {
+	h := graph.MustGNP(2500, 40.0/2500, graph.NewRand(51))
+	for _, delta := range []int{126, 127} {
+		if h.MaxDegree() > delta {
+			t.Fatalf("Δ(H) = %d exceeds the coloring's Δ %d", h.MaxDegree(), delta)
+		}
+		for _, subset := range []bool{false, true} {
+			var active func(v int) bool
+			if subset {
+				active = func(v int) bool { return v%5 != 2 }
+			}
+			for _, par := range []int{1, 2, 4} {
+				what := fmt.Sprintf("Δ+1=%d/subset=%v/parallelism=%d", delta+1, subset, par)
+				got, want := widthStart(t, h, delta), widthStart(t, h, delta)
+				cgGot, cgWant := testCG(t, h), testCG(t, h)
+				rngGot, rngWant := graph.NewRand(53), graph.NewRand(53)
+				full := RangeSpace(1, int32(delta+1))
+				phases := []struct {
+					name                string
+					rounds              int
+					spaceGot, spaceWant func(v int) []int32
+				}{
+					{"full", 6, func(int) []int32 { return full }, func(int) []int32 { return full }},
+					{"palette", 40,
+						func(v int) []int32 { return coloring.Palette(h, got, v) },
+						func(v int) []int32 { return coloring.Palette(h, want, v) }},
+				}
+				prev := parwork.SetParallelism(par)
+				s := NewTryColorSession(cgGot, got, active)
+				for _, ph := range phases {
+					for r := 0; r < ph.rounds && s.Left() > 0; r++ {
+						at := fmt.Sprintf("%s %s round %d", what, ph.name, r)
+						n, err := s.Round(TryColorOptions{Phase: ph.name, Space: ph.spaceGot, Activation: 0.6}, rngGot)
+						if err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						wantN, err := refTryColorRound(cgWant, want, TryColorOptions{Phase: ph.name, Active: active, Space: ph.spaceWant, Activation: 0.6}, rngWant)
+						if err != nil {
+							t.Fatalf("%s: reference: %v", at, err)
+						}
+						if n != wantN {
+							t.Fatalf("%s: colored %d, reference %d", at, n, wantN)
+						}
+						if rescan := remainingActive(cgWant, want, active); s.Left() != rescan {
+							t.Fatalf("%s: left %d, rescan %d", at, s.Left(), rescan)
+						}
+						if a, b := cgGot.Cost().Rounds(), cgWant.Cost().Rounds(); a != b {
+							t.Fatalf("%s: charged %d rounds, reference %d", at, a, b)
+						}
+						sameColoring(t, at, got, want)
+					}
+					var rescan []int32
+					for v := 0; v < h.N(); v++ {
+						if !want.IsColored(v) && (active == nil || active(v)) {
+							rescan = append(rescan, int32(v))
+						}
+					}
+					if left := s.Uncolored(); !slices.Equal(left, rescan) {
+						t.Fatalf("%s after the %s rounds: Uncolored %v, rescan %v", what, ph.name, left, rescan)
+					}
+				}
+				parwork.SetParallelism(prev)
+				if a, b := rngGot.Uint64(), rngWant.Uint64(); a != b {
+					t.Fatalf("%s: next rng draw %#x, reference %#x", what, a, b)
+				}
+			}
+		}
+	}
+}
+
+// widthStart colors about a fifth of h's vertices properly from [1, Δ+1]
+// for a coloring sized to delta, with its own rng.
+func widthStart(t *testing.T, h *graph.Graph, delta int) *coloring.Coloring {
+	t.Helper()
+	col := coloring.New(h.N(), delta)
+	rng := graph.NewRand(52)
+	for v := 0; v < h.N(); v++ {
+		if rng.IntN(5) != 0 {
+			continue
+		}
+		pal := coloring.Palette(h, col, v)
+		if err := col.Set(v, pal[rng.IntN(len(pal))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return col
+}
+
+// TestTryColorSessionAsksActiveOnce: a session asks Active once per
+// uncolored vertex when it starts, and never for a colored vertex or in a
+// round.
+func TestTryColorSessionAsksActiveOnce(t *testing.T) {
+	h := graph.MustGNP(600, 12.0/600, graph.NewRand(61))
+	col := precolor(t, h, 62)
+	asked := make([]int, h.N())
+	s := NewTryColorSession(testCG(t, h), col, func(v int) bool {
+		asked[v]++
+		return v%2 == 0
+	})
+	for v, k := range asked {
+		if want := map[bool]int{true: 0, false: 1}[col.IsColored(v)]; k != want {
+			t.Fatalf("vertex %d asked %d times at the start, want %d", v, k, want)
+		}
+	}
+	clear(asked)
+	rng := graph.NewRand(63)
+	for r := 0; r < 5 && s.Left() > 0; r++ {
+		if _, err := s.Round(TryColorOptions{Phase: "once", Space: func(v int) []int32 { return coloring.Palette(h, col, v) }, Activation: 0.5}, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v, k := range asked {
+		if k != 0 {
+			t.Fatalf("vertex %d asked %d times during rounds", v, k)
 		}
 	}
 }
@@ -279,24 +408,34 @@ func TestTryColorRoundMatchesReferenceAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestTryColorRoundRejectsOutOfRangeSpace: the packed state word holds a
-// tried color as its negation, so a space color outside [1, Δ+1] is refused
-// when it is drawn, before any vertex adopts anything.
+// TestTryColorRoundRejectsOutOfRangeSpace: the state word holds a tried
+// color as its negation, so a space color outside [1, Δ+1] is refused when
+// it is drawn, before any vertex adopts anything, at both state widths, and
+// the session is spent afterwards.
 func TestTryColorRoundRejectsOutOfRangeSpace(t *testing.T) {
 	h := graph.Path(4)
-	for _, bad := range []int32{0, -2, 4, 1 << 30} {
-		cg := testCG(t, h)
-		col := coloring.New(4, 2)
-		space := []int32{bad}
-		_, _, err := TryColorRoundWith(cg, col, TryColorOptions{Phase: "range", Space: func(v int) []int32 { return space }, Activation: 1}, graph.NewRand(1), &TryColorScratch{})
-		if err == nil || !strings.Contains(err.Error(), "outside [1,3]") {
-			t.Fatalf("space color %d: err = %v, want an out-of-range error", bad, err)
-		}
-		if col.DomSize() != 0 {
-			t.Fatalf("space color %d: %d vertices colored before the error", bad, col.DomSize())
-		}
-		if _, err := TryColorRound(cg, col, TryColorOptions{Phase: "range", Space: func(v int) []int32 { return space }}, graph.NewRand(1)); err == nil {
-			t.Fatalf("space color %d accepted by TryColorRound", bad)
+	for _, delta := range []int{2, 200} {
+		maxColor := int32(delta + 1)
+		for _, bad := range []int32{0, -2, maxColor + 1, 1 << 30} {
+			cg := testCG(t, h)
+			col := coloring.New(4, delta)
+			space := []int32{bad}
+			s := NewTryColorSession(cg, col, nil)
+			_, err := s.Round(TryColorOptions{Phase: "range", Space: func(v int) []int32 { return space }, Activation: 1}, graph.NewRand(1))
+			want := fmt.Sprintf("outside [1,%d]", maxColor)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Δ+1=%d, space color %d: err = %v, want an out-of-range error", maxColor, bad, err)
+			}
+			if col.DomSize() != 0 {
+				t.Fatalf("Δ+1=%d, space color %d: %d vertices colored before the error", maxColor, bad, col.DomSize())
+			}
+			ok := []int32{1}
+			if _, again := s.Round(TryColorOptions{Phase: "range", Space: func(v int) []int32 { return ok }, Activation: 1}, graph.NewRand(1)); again == nil || col.DomSize() != 0 {
+				t.Fatalf("Δ+1=%d, space color %d: a spent session ran another round (err %v)", maxColor, bad, again)
+			}
+			if _, err := TryColorRound(cg, col, TryColorOptions{Phase: "range", Space: func(v int) []int32 { return space }}, graph.NewRand(1)); err == nil {
+				t.Fatalf("space color %d accepted by TryColorRound", bad)
+			}
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package trials implements the random color-trial engines every stage of
 // the algorithm is built from:
 //
-//   - TryColorRound — Algorithm 17 / Lemma D.3: activated vertices try one
+//   - TryColorSession — Algorithm 17 / Lemma D.3: activated vertices try one
 //     uniform color from their color space; lower-ID neighbors win ties.
 //     Each round reduces uncolored degrees by a constant factor when
-//     vertices have slack.
+//     vertices have slack. TryColorRound and TryColorLoop run one session.
 //
 //   - MultiColorTrial — Algorithm 16 / Lemmas D.1–D.2: vertices with slack
 //     try exponentially growing pseudorandom color sets (sampled from a
@@ -18,8 +18,10 @@ package trials
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"clustercolor/internal/cluster"
 	"clustercolor/internal/coloring"
@@ -27,14 +29,15 @@ import (
 	"clustercolor/internal/prng"
 )
 
-// TryColorOptions configures one TryColorRound.
+// TryColorOptions configures the rounds of a TryColor session.
 type TryColorOptions struct {
 	// Phase labels the cost-model entries.
 	Phase string
-	// Active restricts the participating set S (nil = all uncolored). A
-	// round asks it once per uncolored vertex, before any adoption, and
-	// counts the vertices it leaves from those answers, so it must not
-	// depend on the coloring.
+	// Active restricts the participating set S (nil = all uncolored).
+	// TryColorRound and TryColorLoop start their session from it, and a
+	// session asks it once per uncolored vertex when it starts, never again,
+	// so it must not depend on the coloring. TryColorSession.Round does not
+	// read it.
 	Active func(v int) bool
 	// Space returns C(v), the candidate colors of v, all inside [1, Δ+1]. A
 	// nil or empty space skips the vertex this round.
@@ -44,86 +47,160 @@ type TryColorOptions struct {
 	Activation float64
 }
 
-// TryColorScratch is the reusable per-round state of TryColorRoundWith.
-// Loops that run many rounds (TryColorLoop, the low-degree shatter loop)
-// hold one scratch so its two vertex-sized arrays are allocated once. The
-// zero value is ready to use.
-type TryColorScratch struct {
-	// state packs one round's view of every vertex into one word: its color
-	// if colored, −c if it tries c this round, 0 otherwise.
-	state []int32
-	// tried lists the vertices that tried, ascending; the decide pass
-	// overwrites a loser's entry with −1.
-	tried []int32
+// TryColorSession runs TryColor rounds (Algorithm 17) on one coloring. It
+// reads the coloring once, when it starts, and from then on keeps its own
+// view of it: the ascending frontier of active uncolored vertices, and one
+// state word per vertex — its color if colored, −c while it tries c, 0
+// otherwise. The word is an int8 when Δ+1 ≤ 127 and an int32 otherwise, so
+// on the low-degree path every vertex's state fits in a few hundred
+// kilobytes of cache beside the graph rows the conflict check streams.
+//
+// A round draws over the frontier only, in ascending order, so it makes the
+// rng calls a scan of every vertex would make: one Float64 per active
+// uncolored vertex, then one IntN per activated vertex with a non-empty
+// space. Between rounds the session owns the coloring: only the session may
+// write it. After any error the session is spent, and every later Round
+// returns that error.
+type TryColorSession struct {
+	run trialRunner
+	err error
 }
 
-// TryColorRound runs one round of Algorithm 17 and returns the number of
-// vertices newly colored. Semantics: an activated vertex samples a uniform
-// color from its space and adopts it iff no colored neighbor holds it and no
-// activated neighbor of smaller index tries it.
-func TryColorRound(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand) (int, error) {
-	colored, _, err := TryColorRoundWith(cg, col, opts, rng, &TryColorScratch{})
-	return colored, err
+// trialRunner is a session at one state width.
+type trialRunner interface {
+	round(opts TryColorOptions, p float64, rng *rand.Rand) (int, error)
+	left() int
+	uncolored() []int32
 }
 
-// TryColorRoundWith is TryColorRound with caller-owned scratch. Besides the
-// number of vertices it colored, it returns how many active vertices it
-// left uncolored, so a loop over rounds needs no rescan of the coloring.
-// A space color outside [1, Δ+1] is an error before anything is adopted.
-func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand, sc *TryColorScratch) (colored, left int, err error) {
+// NewTryColorSession starts a session on col. It asks active (nil = every
+// vertex) once for each uncolored vertex.
+func NewTryColorSession(cg *cluster.CG, col *coloring.Coloring, active func(v int) bool) *TryColorSession {
+	if col.MaxColor() <= math.MaxInt8 {
+		return &TryColorSession{run: newTrialState[int8](cg, col, active)}
+	}
+	return &TryColorSession{run: newTrialState[int32](cg, col, active)}
+}
+
+// Round runs one round of Algorithm 17 and returns the number of vertices
+// newly colored. An activated vertex samples a uniform color from its space
+// and adopts it iff no colored neighbor holds it and no activated neighbor
+// of smaller index tries it. A space color outside [1, Δ+1] is an error
+// before anything is adopted.
+func (s *TryColorSession) Round(opts TryColorOptions, rng *rand.Rand) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
 	if opts.Space == nil {
-		return 0, 0, fmt.Errorf("trials: nil color space")
+		s.err = fmt.Errorf("trials: nil color space")
+		return 0, s.err
 	}
 	p := opts.Activation
 	if p <= 0 || p > 1 {
 		p = 1
 	}
-	// Draw in ascending vertex order, so the rng stream is consumed exactly
-	// as a serial loop over the vertices would consume it.
-	n := cg.H.N()
-	if cap(sc.state) < n {
-		sc.state = make([]int32, n)
-		sc.tried = make([]int32, 0, n)
+	colored, err := s.run.round(opts, p, rng)
+	if err != nil {
+		s.err = err
+		return 0, err
 	}
-	state, tried := sc.state[:n], sc.tried[:0]
-	maxColor := col.MaxColor()
-	active := 0
+	return colored, nil
+}
+
+// Left returns the number of active vertices still uncolored.
+func (s *TryColorSession) Left() int { return s.run.left() }
+
+// Uncolored returns the active vertices still uncolored, ascending. The
+// slice belongs to the session and is valid until its next round.
+func (s *TryColorSession) Uncolored() []int32 { return s.run.uncolored() }
+
+// trialState is a session whose state words are S.
+type trialState[S int8 | int32] struct {
+	cg  *cluster.CG
+	col *coloring.Coloring
+	// state is every vertex's color if colored, −c if it tried c in the
+	// last round and has not been drawn for since, 0 otherwise.
+	state []S
+	// frontier lists the active vertices uncolored before the last round,
+	// ascending; the next draw drops the ones that round colored.
+	frontier []int32
+	// tried lists the vertices that tried in the last round, ascending; the
+	// decision pass overwrites a loser's entry with −1.
+	tried []int32
+	// active counts the frontier minus the last round's winners.
+	active int
+}
+
+func newTrialState[S int8 | int32](cg *cluster.CG, col *coloring.Coloring, active func(v int) bool) *trialState[S] {
+	n := col.N()
+	t := &trialState[S]{cg: cg, col: col, state: make([]S, n), frontier: make([]int32, 0, n)}
 	for v := 0; v < n; v++ {
-		state[v] = col.Get(v)
-		if state[v] != coloring.None || (opts.Active != nil && !opts.Active(v)) {
+		c := col.Get(v)
+		t.state[v] = S(c)
+		if c == coloring.None && (active == nil || active(v)) {
+			t.frontier = append(t.frontier, int32(v))
+		}
+	}
+	t.tried = make([]int32, 0, len(t.frontier))
+	t.active = len(t.frontier)
+	return t
+}
+
+func (t *trialState[S]) left() int { return t.active }
+
+func (t *trialState[S]) uncolored() []int32 {
+	state := t.state
+	t.frontier = slices.DeleteFunc(t.frontier, func(v int32) bool { return state[v] > 0 })
+	return t.frontier
+}
+
+func (t *trialState[S]) round(opts TryColorOptions, p float64, rng *rand.Rand) (int, error) {
+	state, frontier, tried := t.state, t.frontier, t.tried[:0]
+	maxColor := t.col.MaxColor()
+	// Draw in ascending vertex order, so the rng stream is consumed exactly
+	// as a serial loop over the vertices would consume it. The walk drops
+	// the last round's winners from the frontier and clears its losers'
+	// tries.
+	k := 0
+	for _, v := range frontier {
+		if state[v] > 0 {
 			continue
 		}
-		active++
+		frontier[k] = v
+		k++
+		state[v] = 0
 		if rng.Float64() >= p {
 			continue
 		}
-		space := opts.Space(v)
+		space := opts.Space(int(v))
 		if len(space) == 0 {
 			continue
 		}
 		c := space[rng.IntN(len(space))]
 		if c < 1 || c > maxColor {
-			return 0, 0, fmt.Errorf("trials: vertex %d drew color %d outside [1,%d]", v, c, maxColor)
+			return 0, fmt.Errorf("trials: vertex %d drew color %d outside [1,%d]", v, c, maxColor)
 		}
-		state[v] = -c
-		tried = append(tried, int32(v))
+		state[v] = -S(c)
+		tried = append(tried, v)
 	}
+	t.frontier, t.tried = frontier[:k], tried
 	// One H-round to announce the tried color (O(log Δ) bits) and one to
 	// echo conflicts back.
 	colorBits := bits.Len(uint(maxColor)) + 1
-	cg.ChargeHRounds(opts.Phase+"/announce", 1, colorBits)
-	cg.ChargeHRounds(opts.Phase+"/respond", 1, colorBits)
+	t.cg.ChargeHRounds(opts.Phase+"/announce", 1, colorBits)
+	t.cg.ChargeHRounds(opts.Phase+"/respond", 1, colorBits)
 	// Decide in parallel over the vertices that tried, apply sequentially in
 	// vertex order (the pipeline's write-apply order contract). A vertex's
 	// decision depends only on the pre-round state: a lower-ID neighbor
 	// newly adopting c necessarily tried c, so the −c check subsumes every
 	// same-round write the serial loop would have observed — the parallel
 	// decisions are byte-identical to the serial ones.
+	h := t.cg.H
 	if err := parwork.ForRange(len(tried), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			v := tried[i]
 			c := -state[v]
-			for _, w := range cg.H.Neighbors(int(v)) {
+			for _, w := range h.Neighbors(int(v)) {
 				if s := state[w]; s == c || (s == -c && w < v) {
 					tried[i] = -1
 					break
@@ -132,33 +209,40 @@ func TryColorRoundWith(cg *cluster.CG, col *coloring.Coloring, opts TryColorOpti
 		}
 		return nil
 	}); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
+	colored := 0
 	for _, v := range tried {
 		if v < 0 {
 			continue
 		}
-		if err := col.Set(int(v), -state[v]); err != nil {
-			return colored, 0, fmt.Errorf("trials: adopting color: %w", err)
+		state[v] = -state[v]
+		if err := t.col.Set(int(v), int32(state[v])); err != nil {
+			return 0, fmt.Errorf("trials: adopting color: %w", err)
 		}
 		colored++
 	}
-	return colored, active - colored, nil
+	t.active = k - colored
+	return colored, nil
 }
 
-// TryColorLoop runs up to maxRounds TryColorRounds and stops early when the
-// active set is fully colored. It returns the number of vertices still
-// uncolored in the active set.
+// TryColorRound runs one round of Algorithm 17 on a session of its own and
+// returns the number of vertices newly colored.
+func TryColorRound(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, rng *rand.Rand) (int, error) {
+	return NewTryColorSession(cg, col, opts.Active).Round(opts, rng)
+}
+
+// TryColorLoop runs up to maxRounds TryColor rounds on one session and stops
+// early when the active set is fully colored. It returns the number of
+// vertices still uncolored in the active set.
 func TryColorLoop(cg *cluster.CG, col *coloring.Coloring, opts TryColorOptions, maxRounds int, rng *rand.Rand) (int, error) {
-	var sc TryColorScratch
-	left := remainingActive(cg, col, opts.Active)
-	for r := 0; r < maxRounds && left > 0; r++ {
-		var err error
-		if _, left, err = TryColorRoundWith(cg, col, opts, rng, &sc); err != nil {
+	s := NewTryColorSession(cg, col, opts.Active)
+	for r := 0; r < maxRounds && s.Left() > 0; r++ {
+		if _, err := s.Round(opts, rng); err != nil {
 			return 0, err
 		}
 	}
-	return left, nil
+	return s.Left(), nil
 }
 
 func remainingActive(cg *cluster.CG, col *coloring.Coloring, active func(v int) bool) int {
@@ -344,7 +428,7 @@ func mctPhase(cg *cluster.CG, col *coloring.Coloring, opts MCTOptions, x, phase 
 	// Decide in parallel, apply sequentially: a lower-ID neighbor can only
 	// adopt colors from its own tried set, which adoptable already rejects,
 	// so decisions match the serial loop exactly (same argument as
-	// TryColorRoundWith).
+	// TryColorSession.Round).
 	if cap(ms.win) < n {
 		ms.win = make([]int32, n)
 	}
